@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -41,112 +42,108 @@ func AC(n *circuit.Netlist, op *OPResult, freqs []float64) (*ACResult, error) {
 	return ACWith(n, op, freqs, nil)
 }
 
-// stampAC assembles the small-signal system of n at frequency f into
-// cw.A and cw.B, linearised about op. Device stamps only write into the
-// supplied buffers, so concurrent stamping into distinct workspaces is
-// safe.
-func stampAC(n *circuit.Netlist, op *OPResult, f float64, cw *num.CWorkspace) {
-	cw.A.Zero()
-	for i := range cw.B {
-		cw.B[i] = 0
-	}
-	ctx := &circuit.ACCtx{A: cw.A, B: cw.B, Omega: 2 * math.Pi * f, DC: op.X}
+// linearise records the small-signal stamps of every device of n about
+// op into ctx, once per sweep. A tiny conductance to ground, added last,
+// keeps floating small-signal nodes (e.g. isolated gates) solvable
+// without affecting results.
+func linearise(n *circuit.Netlist, op *OPResult, ctx *circuit.ACCtx) {
+	ctx.Reset(n.NumUnknowns(), op.X)
 	for di, d := range n.Devices() {
 		d.StampAC(ctx, n.BranchBase(di))
 	}
-	// A tiny conductance to ground keeps floating small-signal nodes
-	// (e.g. isolated gates) solvable without affecting results.
 	for i := 0; i < n.NumNodes(); i++ {
-		cw.A.Add(i, i, complex(1e-12, 0))
+		ctx.G.Add(i, i, 1e-12)
 	}
 }
 
-// acReference factors the sweep's reference system — the first
-// frequency, under full partial pivoting — into ref. Matrix values
-// change smoothly with frequency while the structure is fixed, so every
-// sweep point can reuse the reference pivot order (with a deterministic
-// per-point fallback when the values drift too far; see
-// num.RefactorInto). Because each point's solve depends only on (f,
-// ref), never on which point was solved before it, a sweep computes
-// bit-identical results for any worker count.
-func acReference(n *circuit.Netlist, op *OPResult, f0 float64, cw *num.CWorkspace, ref *num.CLU) error {
-	stampAC(n, op, f0, cw)
-	if err := ref.FactorInto(cw.A); err != nil {
-		return fmt.Errorf("analysis: AC solve at %g Hz: %w", f0, err)
-	}
-	return nil
-}
+// omega returns the angular frequency of f hertz.
+func omega(f float64) float64 { return 2 * math.Pi * f }
 
-// acSolve computes the solution at one frequency into res.X[i], reusing
-// the reference pivot order.
-func acSolve(n *circuit.Netlist, op *OPResult, f float64, cw *num.CWorkspace, ref *num.CLU, res *ACResult, i int) error {
-	stampAC(n, op, f, cw)
+// acSolve solves the recorded system at frequency f into x, reusing the
+// reference pivot order. The reference factorises the sweep's first
+// frequency under full partial pivoting: matrix values change smoothly
+// with frequency while the structure is fixed, so every point can reuse
+// its pivot order (with a deterministic per-point fallback when the
+// values drift too far; see num.RefactorInto). Because each point's
+// solve depends only on (f, ref), never on which point was solved
+// before it, a sweep computes bit-identical results for any worker
+// count.
+func acSolve(rec *circuit.ACCtx, f float64, cw *num.CWorkspace, ref *num.CLU, x []complex128) error {
+	rec.Assemble(omega(f), cw.A, cw.B)
 	if _, err := cw.LU.RefactorInto(cw.A, ref); err != nil {
 		return fmt.Errorf("analysis: AC solve at %g Hz: %w", f, err)
 	}
-	cw.LU.Solve(cw.B, cw.X)
-	res.X[i] = append([]complex128(nil), cw.X...)
+	cw.LU.Solve(cw.B, x)
 	return nil
 }
+
+// ErrInvalidFrequency reports an AC or noise frequency that is not a
+// finite positive number of hertz.
+var ErrInvalidFrequency = errors.New("analysis: invalid frequency")
+
+// validFreq reports whether f is a finite positive frequency (NaN fails
+// every comparison, so it is rejected too).
+func validFreq(f float64) bool { return f > 0 && !math.IsInf(f, 1) }
 
 func validateFreqs(freqs []float64) error {
 	if len(freqs) == 0 {
 		return fmt.Errorf("analysis: empty frequency list")
 	}
 	for _, f := range freqs {
-		if f <= 0 {
-			return fmt.Errorf("analysis: non-positive AC frequency %g", f)
+		if !validFreq(f) {
+			return fmt.Errorf("%w %g Hz: want a finite positive value", ErrInvalidFrequency, f)
 		}
 	}
 	return nil
 }
 
-// ACWith is AC with reusable solver buffers: each frequency point
-// stamps, refactors and solves through ws instead of allocating a fresh
-// complex system. A nil ws allocates internally once per call.
+// ACWith is AC with reusable solver buffers: the sweep records its
+// linearisation, factors and solves through ws instead of allocating. A
+// nil ws allocates internally once per call.
 func ACWith(n *circuit.Netlist, op *OPResult, freqs []float64, ws *Workspace) (*ACResult, error) {
-	if err := validateFreqs(freqs); err != nil {
-		return nil, err
-	}
-	nu := n.NumUnknowns()
-	res := &ACResult{Freqs: append([]float64(nil), freqs...), net: n}
-	res.X = make([][]complex128, len(freqs))
-	cw := ws.cplx(nu)
-	ref := ws.acReference(nu)
-	if err := acReference(n, op, freqs[0], cw, ref); err != nil {
-		return nil, err
-	}
-	for i, f := range freqs {
-		if err := acSolve(n, op, f, cw, ref, res, i); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+	return ACWithWorkers(n, op, freqs, 1, ws)
 }
 
 // ACWithWorkers is ACWith fanned out over a pool of goroutines, each
 // with its own solver buffers, claiming frequency points off a shared
-// atomic counter. Every point reuses the pivot order of the shared
-// read-only reference factorisation (first frequency, full pivoting),
-// so the result is bit-identical to ACWith — and to itself — for any
-// workers value. workers <= 1, or a sweep of one point, runs serially.
+// atomic counter. Every device is stamped once, into a recording the
+// workers share read-only, and every point reuses the pivot order of the
+// shared read-only reference factorisation (first frequency, full
+// pivoting), so the result is bit-identical to ACWith — and to itself —
+// for any workers value. workers <= 1, or a sweep of one point, runs
+// serially.
 func ACWithWorkers(n *circuit.Netlist, op *OPResult, freqs []float64, workers int, ws *Workspace) (*ACResult, error) {
-	if workers > len(freqs) {
-		workers = len(freqs)
-	}
-	if workers <= 1 {
-		return ACWith(n, op, freqs, ws)
-	}
 	if err := validateFreqs(freqs); err != nil {
 		return nil, err
 	}
 	nu := n.NumUnknowns()
-	res := &ACResult{Freqs: append([]float64(nil), freqs...), net: n}
-	res.X = make([][]complex128, len(freqs))
+	rec := ws.acRecording()
+	linearise(n, op, rec)
 	cw := ws.cplx(nu)
 	ref := ws.acReference(nu)
-	if err := acReference(n, op, freqs[0], cw, ref); err != nil {
-		return nil, err
+	rec.Assemble(omega(freqs[0]), cw.A, cw.B)
+	if err := ref.FactorInto(cw.A); err != nil {
+		return nil, fmt.Errorf("analysis: AC solve at %g Hz: %w", freqs[0], err)
+	}
+
+	// One backing array holds every point's solution.
+	res := &ACResult{Freqs: append([]float64(nil), freqs...), net: n}
+	res.X = make([][]complex128, len(freqs))
+	backing := make([]complex128, len(freqs)*nu)
+	for i := range res.X {
+		res.X[i] = backing[i*nu : (i+1)*nu : (i+1)*nu]
+	}
+
+	if workers > len(freqs) {
+		workers = len(freqs)
+	}
+	if workers <= 1 {
+		for i, f := range freqs {
+			if err := acSolve(rec, f, cw, ref, res.X[i]); err != nil {
+				return nil, err
+			}
+		}
+		return res, nil
 	}
 	var (
 		next  atomic.Int64
@@ -167,7 +164,7 @@ func ACWithWorkers(n *circuit.Netlist, op *OPResult, freqs []float64, workers in
 				if i >= len(freqs) {
 					return
 				}
-				if err := acSolve(n, op, freqs[i], wcw, ref, res, i); err != nil {
+				if err := acSolve(rec, freqs[i], wcw, ref, res.X[i]); err != nil {
 					mu.Lock()
 					if first == nil {
 						first = err
@@ -199,8 +196,8 @@ func ACDecadeWith(n *circuit.Netlist, op *OPResult, fStart, fStop float64, point
 // ACDecadeWorkers is ACDecadeWith fanned out over a worker pool (see
 // ACWithWorkers); the result is bit-identical for any workers value.
 func ACDecadeWorkers(n *circuit.Netlist, op *OPResult, fStart, fStop float64, pointsPerDecade, workers int, ws *Workspace) (*ACResult, error) {
-	if fStart <= 0 || fStop <= fStart {
-		return nil, fmt.Errorf("analysis: bad AC range [%g, %g]", fStart, fStop)
+	if !validFreq(fStart) || !validFreq(fStop) || fStop <= fStart {
+		return nil, fmt.Errorf("%w: bad AC range [%g, %g] Hz", ErrInvalidFrequency, fStart, fStop)
 	}
 	if pointsPerDecade < 1 {
 		pointsPerDecade = 10

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"errors"
 	"math"
 	"math/cmplx"
 	"testing"
@@ -207,5 +208,45 @@ func TestACWithWorkersError(t *testing.T) {
 	}
 	if _, err := ACWithWorkers(n, op, nil, 4, nil); err == nil {
 		t.Error("empty sweep accepted by parallel sweep")
+	}
+}
+
+// TestACInvalidFrequency: every sweep entry point rejects a frequency
+// that is not finite and positive with ErrInvalidFrequency, before any
+// solve (NaN passes a plain f <= 0 test).
+func TestACInvalidFrequency(t *testing.T) {
+	n := rcLowpass(t, 1e3, 1e-9)
+	op, err := OP(n, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1e3} {
+		runs := map[string]func() error{
+			"AC": func() error {
+				_, err := AC(n, op, []float64{1e3, bad})
+				return err
+			},
+			"ACWithWorkers": func() error {
+				_, err := ACWithWorkers(n, op, []float64{1e3, 1e4, bad, 1e5}, 4, NewWorkspace())
+				return err
+			},
+			"ACDecade start": func() error {
+				_, err := ACDecade(n, op, bad, 1e6, 10)
+				return err
+			},
+			"ACDecade stop": func() error {
+				_, err := ACDecade(n, op, 1e3, bad, 10)
+				return err
+			},
+			"Noise": func() error {
+				_, err := Noise(n, op, "out", []float64{bad, 1e3})
+				return err
+			},
+		}
+		for name, run := range runs {
+			if err := run(); !errors.Is(err, ErrInvalidFrequency) {
+				t.Errorf("%s with f = %g: err = %v, want ErrInvalidFrequency", name, bad, err)
+			}
+		}
 	}
 }

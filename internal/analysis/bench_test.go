@@ -130,30 +130,30 @@ func BenchmarkACSweepWS(b *testing.B) {
 	}
 }
 
-// TestACSweepSteadyStateAllocs bounds the per-frequency allocations of a
-// workspace-backed AC sweep: the result rows plus a handful of
-// fixed-size header objects, independent of iteration count.
+// TestACSweepSteadyStateAllocs pins the allocation budget of an
+// ACDecadeWith sweep that reuses its workspace: at most 5 allocs/op —
+// the frequency list, its copy in the result, the result struct, the
+// row headers and one backing array for every point's solution — the
+// same for any number of points.
 func TestACSweepSteadyStateAllocs(t *testing.T) {
 	n := benchAmp(t)
 	op, err := OP(n, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	freqs := num.Logspace(1e3, 1e9, 60)
 	ws := NewWorkspace()
-	if _, err := ACWith(n, op, freqs, ws); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := ACWith(n, op, freqs, ws); err != nil {
+	for _, ppd := range []int{2, 10, 40} {
+		if _, err := ACDecadeWith(n, op, 1e3, 1e9, ppd, ws); err != nil {
 			t.Fatal(err)
 		}
-	})
-	// Output rows: one solution slice per frequency plus one stamp
-	// context, the Freqs copy, the X header and the result struct.
-	budget := float64(len(freqs) + 2*len(freqs) + 8)
-	if allocs > budget {
-		t.Errorf("AC sweep allocates %v objects/op, want <= %v", allocs, budget)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := ACDecadeWith(n, op, 1e3, 1e9, ppd, ws); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 5 {
+			t.Errorf("%d points/decade: AC sweep allocates %v objects/op, want <= 5", ppd, allocs)
+		}
 	}
 }
 

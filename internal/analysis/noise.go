@@ -46,6 +46,9 @@ func Noise(n *circuit.Netlist, op *OPResult, outNode string, freqs []float64) (*
 	if len(freqs) < 2 {
 		return nil, fmt.Errorf("analysis: noise needs at least 2 frequencies")
 	}
+	if err := validateFreqs(freqs); err != nil {
+		return nil, err
+	}
 
 	// Collect noise sources: (name, node a, node b, current PSD A²/Hz).
 	type source struct {
@@ -81,27 +84,14 @@ func Noise(n *circuit.Netlist, op *OPResult, outNode string, freqs []float64) (*
 	}
 
 	nu := n.NumUnknowns()
-	A := num.NewCMatrix(nu)
+	rec := &circuit.ACCtx{}
+	linearise(n, op, rec)
+	cw := num.NewCWorkspace(nu)
 	b := make([]complex128, nu)
 	x := make([]complex128, nu)
-	stampB := make([]complex128, nu)
-	lu := num.NewCLU(nu)
 	for fi, f := range freqs {
-		if f <= 0 {
-			return nil, fmt.Errorf("analysis: non-positive noise frequency %g", f)
-		}
-		A.Zero()
-		for i := range stampB {
-			stampB[i] = 0
-		}
-		ctx := &circuit.ACCtx{A: A, B: stampB, Omega: 2 * math.Pi * f, DC: op.X}
-		for di, d := range n.Devices() {
-			d.StampAC(ctx, n.BranchBase(di))
-		}
-		for i := 0; i < n.NumNodes(); i++ {
-			A.Add(i, i, complex(1e-12, 0))
-		}
-		if err := lu.FactorInto(A); err != nil {
+		rec.Assemble(omega(f), cw.A, cw.B)
+		if err := cw.LU.FactorInto(cw.A); err != nil {
 			return nil, fmt.Errorf("analysis: noise solve at %g Hz: %w", f, err)
 		}
 		for _, s := range sources {
@@ -115,7 +105,7 @@ func Noise(n *circuit.Netlist, op *OPResult, outNode string, freqs []float64) (*
 			if s.b != circuit.Ground {
 				b[s.b] += 1
 			}
-			lu.Solve(b, x)
+			cw.LU.Solve(b, x)
 			h := x[outIdx]
 			contrib := (real(h)*real(h) + imag(h)*imag(h)) * s.psd
 			res.ByDevice[s.name][fi] += contrib

@@ -1,12 +1,16 @@
 package analysis
 
-import "analogyield/internal/num"
+import (
+	"analogyield/internal/circuit"
+	"analogyield/internal/num"
+)
 
 // Workspace holds the reusable solver state of one evaluation thread:
 // the real Newton system shared by OP, DC sweeps and transient steps,
-// and the complex system used by AC and noise solves. Reusing one
-// Workspace across the thousands of evaluations of a GA or Monte Carlo
-// run keeps the solver hot path allocation-free.
+// the AC sweep's recorded linearisation, and the complex system used by
+// AC and noise solves. Reusing one Workspace across the thousands of
+// evaluations of a GA or Monte Carlo run keeps the solver hot path
+// allocation-free.
 //
 // A nil *Workspace is always valid — every analysis then allocates
 // internally, once per call — so existing callers need not change.
@@ -15,7 +19,8 @@ import "analogyield/internal/num"
 type Workspace struct {
 	re    *num.Workspace
 	cx    *num.CWorkspace
-	acRef *num.CLU // AC sweep reference factorisation (see ac.go)
+	acRef *num.CLU      // AC sweep reference factorisation (see ac.go)
+	ac    circuit.ACCtx // AC sweep linearisation (see linearise)
 }
 
 // NewWorkspace returns an empty workspace; buffers are sized lazily by
@@ -61,4 +66,13 @@ func (w *Workspace) cplx(n int) *num.CWorkspace {
 		w.cx.Resize(n)
 	}
 	return w.cx
+}
+
+// acRecording returns the buffer recording an AC sweep's linearisation.
+// On a nil receiver it allocates a fresh one.
+func (w *Workspace) acRecording() *circuit.ACCtx {
+	if w == nil {
+		return &circuit.ACCtx{}
+	}
+	return &w.ac
 }

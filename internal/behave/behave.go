@@ -69,9 +69,7 @@ func (a *Amp) stamp(addJ func(i, j int, v float64)) {
 func (a *Amp) StampDC(ctx *circuit.DCCtx, _ int) { a.stamp(ctx.AddJ) }
 
 // StampAC stamps the linear amplifier.
-func (a *Amp) StampAC(ctx *circuit.ACCtx, _ int) {
-	a.stamp(func(i, j int, v float64) { ctx.AddA(i, j, complex(v, 0)) })
-}
+func (a *Amp) StampAC(ctx *circuit.ACCtx, _ int) { a.stamp(ctx.AddG) }
 
 // StampTran stamps the linear amplifier.
 func (a *Amp) StampTran(ctx *circuit.TranCtx, _ int) { a.stamp(ctx.AddJ) }
@@ -113,9 +111,9 @@ func (o *OTA) StampDC(ctx *circuit.DCCtx, _ int) { o.stamp(ctx.AddJ) }
 
 // StampAC stamps the transconductor plus its output capacitance.
 func (o *OTA) StampAC(ctx *circuit.ACCtx, _ int) {
-	o.stamp(func(i, j int, v float64) { ctx.AddA(i, j, complex(v, 0)) })
+	o.stamp(ctx.AddG)
 	if o.Co > 0 {
-		ctx.AddA(o.Out, o.Out, complex(0, ctx.Omega*o.Co))
+		ctx.AddC(o.Out, o.Out, o.Co)
 	}
 }
 

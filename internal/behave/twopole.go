@@ -16,9 +16,14 @@ import (
 //	H(jω) = K / ((1 + jω/ω1)(1 + jω/ω2)),   K = ±10^(GainDB/20)
 //
 // The first pole is realised physically by Ro against the external load
-// (exactly as in the paper's model); the second pole scales the
-// controlled source in the AC stamps. At DC and in transient the second
-// pole is transparent (it only shapes the small-signal response).
+// (exactly as in the paper's model). The second pole filters the input
+// through one internal branch unknown x that drives the controlled
+// source:
+//
+//	x·(1 + jω/ω2) = v(inP) − v(inN)
+//
+// At DC and in transient x = v(inP) − v(inN), so the second pole is
+// transparent there (it only shapes the small-signal response).
 type TwoPoleAmp struct {
 	Inst          string
 	InP, InN, Out int
@@ -31,8 +36,8 @@ type TwoPoleAmp struct {
 // Name returns the instance name.
 func (a *TwoPoleAmp) Name() string { return a.Inst }
 
-// Branches returns 0.
-func (a *TwoPoleAmp) Branches() int { return 0 }
+// Branches returns 1: the pole-filtered input x.
+func (a *TwoPoleAmp) Branches() int { return 1 }
 
 // Copy returns a deep copy.
 func (a *TwoPoleAmp) Copy() circuit.Device { c := *a; return &c }
@@ -46,32 +51,30 @@ func (a *TwoPoleAmp) K() float64 {
 	return k
 }
 
-func (a *TwoPoleAmp) stampReal(addJ func(i, j int, v float64)) {
+// stampReal stamps the output I(out→device) = (v(out) − K·x)/Ro and
+// the frequency-independent part of the branch row x − v(inP) + v(inN).
+func (a *TwoPoleAmp) stampReal(addJ func(i, j int, v float64), bb int) {
 	g := 1 / a.Ro
-	kg := a.K() * g
 	addJ(a.Out, a.Out, g)
-	addJ(a.Out, a.InP, -kg)
-	addJ(a.Out, a.InN, kg)
+	addJ(a.Out, bb, -a.K()*g)
+	addJ(bb, bb, 1)
+	addJ(bb, a.InP, -1)
+	addJ(bb, a.InN, 1)
 }
 
 // StampDC stamps the DC-gain amplifier (the second pole is invisible).
-func (a *TwoPoleAmp) StampDC(ctx *circuit.DCCtx, _ int) { a.stampReal(ctx.AddJ) }
+func (a *TwoPoleAmp) StampDC(ctx *circuit.DCCtx, bb int) { a.stampReal(ctx.AddJ, bb) }
 
 // StampTran stamps the DC-gain amplifier.
-func (a *TwoPoleAmp) StampTran(ctx *circuit.TranCtx, _ int) { a.stampReal(ctx.AddJ) }
+func (a *TwoPoleAmp) StampTran(ctx *circuit.TranCtx, bb int) { a.stampReal(ctx.AddJ, bb) }
 
-// StampAC stamps the amplifier with the controlled source rolled off by
-// the second pole.
-func (a *TwoPoleAmp) StampAC(ctx *circuit.ACCtx, _ int) {
-	g := complex(1/a.Ro, 0)
-	k := complex(a.K(), 0)
+// StampAC stamps the amplifier with the second pole's jω/ω2·x term in
+// the branch row.
+func (a *TwoPoleAmp) StampAC(ctx *circuit.ACCtx, bb int) {
+	a.stampReal(ctx.AddG, bb)
 	if a.F2 > 0 {
-		k /= complex(1, ctx.Omega/(2*math.Pi*a.F2))
+		ctx.AddC(bb, bb, 1/(2*math.Pi*a.F2))
 	}
-	kg := k * g
-	ctx.AddA(a.Out, a.Out, g)
-	ctx.AddA(a.Out, a.InP, -kg)
-	ctx.AddA(a.Out, a.InN, kg)
 }
 
 // FitTwoPole derives the extended behavioural parameters from a

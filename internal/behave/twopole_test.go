@@ -2,6 +2,7 @@ package behave
 
 import (
 	"math"
+	"math/cmplx"
 	"testing"
 
 	"analogyield/internal/analysis"
@@ -77,6 +78,22 @@ func TestTwoPoleAmpMatchesPrediction(t *testing.T) {
 	want := 90 - math.Atan(fu/f2)*180/math.Pi
 	if math.Abs(pm-want) > 5 {
 		t.Errorf("PM = %g, predicted ~%g", pm, want)
+	}
+}
+
+// TestTwoPoleAmpMatchesTransferFunction: loaded by CL, the sweep must
+// follow H(jω) = K / ((1 + jω·Ro·CL)(1 + jω/ω2)) at every point (the
+// 1e-12 S gmin is the only departure).
+func TestTwoPoleAmpMatchesTransferFunction(t *testing.T) {
+	gainDB, ro, f2, cl := 40.0, 500e3, 2e6, 2e-12
+	freqs, tf := twoPoleBench(t, gainDB, ro, f2, cl)
+	k := complex(math.Pow(10, gainDB/20), 0)
+	for i, f := range freqs {
+		w := 2 * math.Pi * f
+		want := k / (complex(1, w*ro*cl) * complex(1, f/f2))
+		if d := cmplx.Abs(tf[i]-want) / cmplx.Abs(want); d > 1e-6 {
+			t.Errorf("f = %g Hz: H = %v, want %v (rel err %g)", f, tf[i], want, d)
+		}
 	}
 }
 

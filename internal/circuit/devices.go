@@ -24,7 +24,7 @@ func (r *Resistor) Copy() Device { c := *r; return &c }
 func (r *Resistor) StampDC(ctx *DCCtx, _ int) { ctx.StampConductance(r.A, r.B, 1/r.R) }
 
 // StampAC stamps the conductance.
-func (r *Resistor) StampAC(ctx *ACCtx, _ int) { ctx.StampAdmittance(r.A, r.B, complex(1/r.R, 0)) }
+func (r *Resistor) StampAC(ctx *ACCtx, _ int) { ctx.StampConductance(r.A, r.B, 1/r.R) }
 
 // StampTran stamps the conductance.
 func (r *Resistor) StampTran(ctx *TranCtx, _ int) { ctx.StampConductance(r.A, r.B, 1/r.R) }
@@ -49,9 +49,7 @@ func (c *Capacitor) Copy() Device { d := *c; return &d }
 func (c *Capacitor) StampDC(_ *DCCtx, _ int) {}
 
 // StampAC stamps the admittance jωC.
-func (c *Capacitor) StampAC(ctx *ACCtx, _ int) {
-	ctx.StampAdmittance(c.A, c.B, complex(0, ctx.Omega*c.C))
-}
+func (c *Capacitor) StampAC(ctx *ACCtx, _ int) { ctx.StampCapacitance(c.A, c.B, c.C) }
 
 // StampTran stamps the trapezoidal companion model
 //
@@ -111,11 +109,11 @@ func (l *Inductor) StampDC(ctx *DCCtx, bb int) {
 
 // StampAC stamps v(A)−v(B) = jωL·i.
 func (l *Inductor) StampAC(ctx *ACCtx, bb int) {
-	ctx.AddA(l.A, bb, 1)
-	ctx.AddA(l.B, bb, -1)
-	ctx.AddA(bb, l.A, 1)
-	ctx.AddA(bb, l.B, -1)
-	ctx.AddA(bb, bb, complex(0, -ctx.Omega*l.L))
+	ctx.AddG(l.A, bb, 1)
+	ctx.AddG(l.B, bb, -1)
+	ctx.AddG(bb, l.A, 1)
+	ctx.AddG(bb, l.B, -1)
+	ctx.AddC(bb, bb, -l.L)
 }
 
 // StampTran stamps the backward-Euler companion
@@ -207,11 +205,11 @@ func (v *VSource) StampDC(ctx *DCCtx, bb int) {
 
 // StampAC stamps the small-signal branch equation.
 func (v *VSource) StampAC(ctx *ACCtx, bb int) {
-	ctx.AddA(v.Pos, bb, 1)
-	ctx.AddA(v.Neg, bb, -1)
-	ctx.AddA(bb, v.Pos, 1)
-	ctx.AddA(bb, v.Neg, -1)
-	ctx.AddB(bb, complex(v.ACMag, 0))
+	ctx.AddG(v.Pos, bb, 1)
+	ctx.AddG(v.Neg, bb, -1)
+	ctx.AddG(bb, v.Pos, 1)
+	ctx.AddG(bb, v.Neg, -1)
+	ctx.AddB(bb, v.ACMag)
 }
 
 // StampTran stamps the branch equation at the waveform value (falling
@@ -254,8 +252,8 @@ func (i *ISource) StampDC(ctx *DCCtx, _ int) {
 
 // StampAC injects the small-signal current.
 func (i *ISource) StampAC(ctx *ACCtx, _ int) {
-	ctx.AddB(i.Pos, complex(-i.ACMag, 0))
-	ctx.AddB(i.Neg, complex(i.ACMag, 0))
+	ctx.AddB(i.Pos, -i.ACMag)
+	ctx.AddB(i.Neg, i.ACMag)
 }
 
 // StampTran injects the waveform current.
@@ -297,9 +295,7 @@ func (e *VCVS) stampReal(addJ func(i, j int, v float64), bb int) {
 func (e *VCVS) StampDC(ctx *DCCtx, bb int) { e.stampReal(ctx.AddJ, bb) }
 
 // StampAC stamps the controlled branch.
-func (e *VCVS) StampAC(ctx *ACCtx, bb int) {
-	e.stampReal(func(i, j int, v float64) { ctx.AddA(i, j, complex(v, 0)) }, bb)
-}
+func (e *VCVS) StampAC(ctx *ACCtx, bb int) { e.stampReal(ctx.AddG, bb) }
 
 // StampTran stamps the controlled branch.
 func (e *VCVS) StampTran(ctx *TranCtx, bb int) { e.stampReal(ctx.AddJ, bb) }
@@ -332,9 +328,7 @@ func (g *VCCS) stampReal(addJ func(i, j int, v float64)) {
 func (g *VCCS) StampDC(ctx *DCCtx, _ int) { g.stampReal(ctx.AddJ) }
 
 // StampAC stamps the transconductance.
-func (g *VCCS) StampAC(ctx *ACCtx, _ int) {
-	g.stampReal(func(i, j int, v float64) { ctx.AddA(i, j, complex(v, 0)) })
-}
+func (g *VCCS) StampAC(ctx *ACCtx, _ int) { g.stampReal(ctx.AddG) }
 
 // StampTran stamps the transconductance.
 func (g *VCCS) StampTran(ctx *TranCtx, _ int) { g.stampReal(ctx.AddJ) }

@@ -54,29 +54,27 @@ func (m *MOSFET) StampDC(ctx *DCCtx, _ int) {
 	ctx.AddB(m.S, ieq)
 }
 
-// StampAC stamps the small-signal model at the DC bias: gm/gds/gmb as
-// real conductances plus the Meyer/junction capacitances as jωC
-// admittances.
+// StampAC stamps the small-signal model at the DC bias, from one
+// compact-model evaluation per sweep: gm/gds/gmb as real conductances
+// plus the Meyer/junction capacitances.
 func (m *MOSFET) StampAC(ctx *ACCtx, _ int) {
 	vg, vd, vs, vb := ctx.VDC(m.G), ctx.VDC(m.D), ctx.VDC(m.S), ctx.VDC(m.B)
 	op := m.Model.Eval(m.W, m.L, vg, vd, vs, vb)
-	gm, gds, gmb := complex(op.Gm, 0), complex(op.Gds, 0), complex(op.Gmb, 0)
-	gs := -(gm + gds + gmb)
-	ctx.AddA(m.D, m.G, gm)
-	ctx.AddA(m.D, m.D, gds)
-	ctx.AddA(m.D, m.B, gmb)
-	ctx.AddA(m.D, m.S, gs)
-	ctx.AddA(m.S, m.G, -gm)
-	ctx.AddA(m.S, m.D, -gds)
-	ctx.AddA(m.S, m.B, -gmb)
-	ctx.AddA(m.S, m.S, -gs)
+	gs := -(op.Gm + op.Gds + op.Gmb)
+	ctx.AddG(m.D, m.G, op.Gm)
+	ctx.AddG(m.D, m.D, op.Gds)
+	ctx.AddG(m.D, m.B, op.Gmb)
+	ctx.AddG(m.D, m.S, gs)
+	ctx.AddG(m.S, m.G, -op.Gm)
+	ctx.AddG(m.S, m.D, -op.Gds)
+	ctx.AddG(m.S, m.B, -op.Gmb)
+	ctx.AddG(m.S, m.S, -gs)
 
-	w := ctx.Omega
-	ctx.StampAdmittance(m.G, m.S, complex(0, w*op.Cgs))
-	ctx.StampAdmittance(m.G, m.D, complex(0, w*op.Cgd))
-	ctx.StampAdmittance(m.G, m.B, complex(0, w*op.Cgb))
-	ctx.StampAdmittance(m.S, m.B, complex(0, w*op.Csb))
-	ctx.StampAdmittance(m.D, m.B, complex(0, w*op.Cdb))
+	ctx.StampCapacitance(m.G, m.S, op.Cgs)
+	ctx.StampCapacitance(m.G, m.D, op.Cgd)
+	ctx.StampCapacitance(m.G, m.B, op.Cgb)
+	ctx.StampCapacitance(m.S, m.B, op.Csb)
+	ctx.StampCapacitance(m.D, m.B, op.Cdb)
 }
 
 // StampTran stamps the nonlinear current companion (as in DC) plus

@@ -21,8 +21,10 @@ type Device interface {
 	// StampDC adds the device's linearised large-signal contribution at
 	// the iterate ctx.X.
 	StampDC(ctx *DCCtx, branchBase int)
-	// StampAC adds the device's small-signal contribution at angular
-	// frequency ctx.Omega, linearised about the DC solution ctx.DC.
+	// StampAC records the device's small-signal model, linearised about
+	// the DC solution ctx.DC, once per sweep: real conductances,
+	// capacitive coefficients c of the admittance jωc, and real AC
+	// stimulus (see ACCtx).
 	StampAC(ctx *ACCtx, branchBase int)
 	// StampTran adds the device's companion-model contribution for the
 	// timestep ending at ctx.Time.
@@ -78,12 +80,45 @@ func (c *DCCtx) StampCurrent(a, b int, i float64) {
 	c.AddB(b, i)
 }
 
-// ACCtx carries the complex small-signal system.
+// ACCtx records the small-signal linearisation of a netlist about its
+// DC solution once per sweep. Every stamp is independent of frequency:
+// the admittance matrix at angular frequency ω is Y(ω) = G + jω·C, so a
+// device stamps its real conductances into G, the coefficients c of its
+// capacitive admittances jωc as an ordered list of terms, and its real
+// AC stimulus into B. Assemble then builds any frequency point from the
+// one recording.
 type ACCtx struct {
-	A     *num.CMatrix
-	B     []complex128
-	Omega float64   // rad/s
-	DC    []float64 // solved DC operating point (node voltages + branches)
+	G  *num.Matrix // real part of the admittance matrix
+	B  []float64   // AC stimulus
+	C  []CapTerm   // capacitive terms, in stamp order
+	DC []float64   // solved DC operating point (node voltages + branches)
+}
+
+// CapTerm is one capacitive stamp: the admittance jω·C added to entry
+// (I, J) of the system matrix.
+type CapTerm struct {
+	I, J int
+	C    float64
+}
+
+// Reset empties the recording for an order-n system linearised about
+// dc, keeping its buffers.
+func (c *ACCtx) Reset(n int, dc []float64) {
+	if c.G == nil || cap(c.G.Data) < n*n {
+		c.G = num.NewMatrix(n)
+	} else {
+		c.G.N = n
+		c.G.Data = c.G.Data[:n*n]
+		c.G.Zero()
+	}
+	if cap(c.B) < n {
+		c.B = make([]float64, n)
+	} else {
+		c.B = c.B[:n]
+		clear(c.B)
+	}
+	c.C = c.C[:0]
+	c.DC = dc
 }
 
 // VDC returns the DC bias voltage of a node (0 for Ground).
@@ -94,28 +129,70 @@ func (c *ACCtx) VDC(node int) float64 {
 	return c.DC[node]
 }
 
-// AddA stamps a complex admittance-matrix entry.
-func (c *ACCtx) AddA(i, j int, v complex128) {
+// AddG stamps a real conductance entry, dropping Ground rows/columns.
+func (c *ACCtx) AddG(i, j int, v float64) {
 	if i == Ground || j == Ground {
 		return
 	}
-	c.A.Add(i, j, v)
+	c.G.Add(i, j, v)
 }
 
-// AddB stamps a complex right-hand-side entry.
-func (c *ACCtx) AddB(i int, v complex128) {
+// AddC stamps the capacitive admittance jω·v at entry (i, j), dropping
+// Ground rows/columns.
+func (c *ACCtx) AddC(i, j int, v float64) {
+	if i == Ground || j == Ground {
+		return
+	}
+	c.C = append(c.C, CapTerm{I: i, J: j, C: v})
+}
+
+// AddB stamps a real AC stimulus entry, dropping Ground rows.
+func (c *ACCtx) AddB(i int, v float64) {
 	if i == Ground {
 		return
 	}
 	c.B[i] += v
 }
 
-// StampAdmittance stamps a two-terminal admittance between nodes a, b.
-func (c *ACCtx) StampAdmittance(a, b int, y complex128) {
-	c.AddA(a, a, y)
-	c.AddA(b, b, y)
-	c.AddA(a, b, -y)
-	c.AddA(b, a, -y)
+// StampConductance stamps a two-terminal conductance between nodes a, b.
+func (c *ACCtx) StampConductance(a, b int, g float64) {
+	c.AddG(a, a, g)
+	c.AddG(b, b, g)
+	c.AddG(a, b, -g)
+	c.AddG(b, a, -g)
+}
+
+// StampCapacitance stamps a two-terminal capacitance between nodes a, b.
+func (c *ACCtx) StampCapacitance(a, b int, v float64) {
+	c.AddC(a, a, v)
+	c.AddC(b, b, v)
+	c.AddC(a, b, -v)
+	c.AddC(b, a, -v)
+}
+
+// Assemble writes the recorded system at angular frequency omega into a
+// and b: a = G + jω·C with the capacitive terms added in stamp order,
+// b = B. It only reads the recording, so concurrent calls into distinct
+// buffers are safe.
+//
+// Every entry equals, bit for bit, the sum of the devices' complex
+// admittances G + jω·c accumulated at omega in stamp order into a
+// zeroed matrix: complex addition is componentwise, every entry starts
+// at +0 (so a sum is never −0 and the ±0 halves of a purely real or
+// purely imaginary admittance change nothing), and ω·(−c) equals
+// −(ω·c) exactly.
+func (c *ACCtx) Assemble(omega float64, a *num.CMatrix, b []complex128) {
+	for k, g := range c.G.Data {
+		a.Data[k] = complex(g, 0)
+	}
+	for i, v := range c.B {
+		b[i] = complex(v, 0)
+	}
+	for _, t := range c.C {
+		// float64(...) rounds the product, so it is never fused into
+		// the addition.
+		a.Add(t.I, t.J, complex(0, float64(omega*t.C)))
+	}
 }
 
 // TranCtx carries the Newton state of one transient timestep. The

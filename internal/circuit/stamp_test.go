@@ -73,16 +73,42 @@ func TestSourceScaleAppliesToDC(t *testing.T) {
 	}
 }
 
-func TestACCtxStampAdmittance(t *testing.T) {
-	ctx := &ACCtx{A: num.NewCMatrix(2), B: make([]complex128, 2), Omega: 1}
-	ctx.StampAdmittance(0, 1, complex(0, 2))
-	if ctx.A.At(0, 0) != complex(0, 2) || ctx.A.At(0, 1) != complex(0, -2) {
-		t.Error("AC admittance stamp wrong")
+func newACCtx(n int) *ACCtx {
+	ctx := &ACCtx{}
+	ctx.Reset(n, nil)
+	return ctx
+}
+
+// assemble builds the recorded system at angular frequency omega.
+func assemble(ctx *ACCtx, omega float64) (*num.CMatrix, []complex128) {
+	a := num.NewCMatrix(ctx.G.N)
+	b := make([]complex128, ctx.G.N)
+	ctx.Assemble(omega, a, b)
+	return a, b
+}
+
+func TestACCtxStampCapacitance(t *testing.T) {
+	ctx := newACCtx(2)
+	ctx.StampCapacitance(0, 1, 2)
+	ctx.StampConductance(0, 1, 0.5)
+	ctx.AddB(1, 0.25)
+	a, b := assemble(ctx, 3)
+	if a.At(0, 0) != complex(0.5, 6) || a.At(0, 1) != complex(-0.5, -6) {
+		t.Errorf("AC admittance stamp wrong: %v", a.Data)
 	}
-	ctx.AddA(Ground, 0, 1)
+	if b[0] != 0 || b[1] != complex(0.25, 0) {
+		t.Errorf("AC stimulus wrong: %v", b)
+	}
+	ctx.AddG(Ground, 0, 1)
+	ctx.AddC(0, Ground, 1)
 	ctx.AddB(Ground, 1)
-	if ctx.A.At(0, 0) != complex(0, 2) {
+	if a2, _ := assemble(ctx, 3); a2.At(0, 0) != a.At(0, 0) {
 		t.Error("ground AC stamp leaked")
+	}
+	// Reset reuses the buffers for a new, smaller system.
+	ctx.Reset(1, nil)
+	if a3, b3 := assemble(ctx, 3); a3.At(0, 0) != 0 || b3[0] != 0 || len(ctx.C) != 0 {
+		t.Error("Reset left a stale recording")
 	}
 }
 
@@ -211,9 +237,9 @@ func TestISourceStamps(t *testing.T) {
 	i := &ISource{Inst: "I1", Pos: 0, Neg: 1, DC: 2e-3, ACMag: 1e-3,
 		Wave: SineWave{Offset: 5e-3}}
 	// AC: magnitude into the RHS.
-	ac := &ACCtx{A: num.NewCMatrix(2), B: make([]complex128, 2), Omega: 1}
+	ac := newACCtx(2)
 	i.StampAC(ac, 0)
-	if real(ac.B[0]) != -1e-3 || real(ac.B[1]) != 1e-3 {
+	if ac.B[0] != -1e-3 || ac.B[1] != 1e-3 {
 		t.Errorf("AC stamp B = %v", ac.B)
 	}
 	// Tran: waveform value.
@@ -231,9 +257,9 @@ func TestVCVSStampsAllModes(t *testing.T) {
 	if dc.J.At(2, 1) != -4 || dc.J.At(2, 0) != 1 || dc.J.At(0, 2) != 1 {
 		t.Error("VCVS DC stamp pattern wrong")
 	}
-	ac := &ACCtx{A: num.NewCMatrix(3), B: make([]complex128, 3), Omega: 1}
+	ac := newACCtx(3)
 	e.StampAC(ac, 2)
-	if ac.A.At(2, 1) != complex(-4, 0) {
+	if ac.G.At(2, 1) != -4 || len(ac.C) != 0 {
 		t.Error("VCVS AC stamp wrong")
 	}
 	tr := newTranCtx(3)
@@ -250,9 +276,9 @@ func TestVCCSStampsAllModes(t *testing.T) {
 	if dc.J.At(0, 1) != 2e-3 || dc.J.At(1, 1) != -2e-3 {
 		t.Error("VCCS DC stamp wrong")
 	}
-	ac := &ACCtx{A: num.NewCMatrix(2), B: make([]complex128, 2), Omega: 1}
+	ac := newACCtx(2)
 	g.StampAC(ac, 0)
-	if ac.A.At(0, 1) != complex(2e-3, 0) {
+	if ac.G.At(0, 1) != 2e-3 || len(ac.C) != 0 {
 		t.Error("VCCS AC stamp wrong")
 	}
 	tr := newTranCtx(2)
@@ -270,9 +296,9 @@ func TestInductorStamps(t *testing.T) {
 	if dc.J.At(2, 0) != 1 || dc.J.At(2, 1) != -1 || dc.J.At(2, 2) != 0 {
 		t.Error("inductor DC stamp wrong")
 	}
-	ac := &ACCtx{A: num.NewCMatrix(3), B: make([]complex128, 3), Omega: 1e6}
+	ac := newACCtx(3)
 	l.StampAC(ac, 2)
-	if imag(ac.A.At(2, 2)) >= 0 {
+	if a, _ := assemble(ac, 1e6); a.At(2, 2) != complex(0, -1) {
 		t.Error("inductor AC branch should have -jwL")
 	}
 	tr := newTranCtx(3)

@@ -5,30 +5,40 @@
 #   scripts/bench.sh            run + compare (fails on >5% regression)
 #   BENCH_COUNT=5 scripts/bench.sh   more repetitions for stable numbers
 #
-# Results land in benchmarks/latest.txt (raw `go test -bench` output)
+# Results land in benchmarks/latest.txt (raw `go test -bench` output
+# under a "# host:" line giving CPU, nproc, GOMAXPROCS and Go version)
 # and benchmarks/BENCH_flow.json (machine-readable: benchmark name to
-# ns/op, B/op, allocs/op — what the CI smoke job uploads). Promote a run
-# to the baseline with `cp benchmarks/latest.txt benchmarks/baseline.txt`
-# once the numbers are intentional.
+# ns/op, B/op, allocs/op, plus the same host record under "_host" —
+# what the CI smoke job uploads). Promote a run to the baseline with
+# `cp benchmarks/latest.txt benchmarks/baseline.txt` once the numbers
+# are intentional.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 COUNT="${BENCH_COUNT:-1}"
-PKGS="./internal/num ./internal/analysis ./internal/wbga ./internal/pareto ./internal/montecarlo ./internal/core ./internal/spline ./internal/table ./internal/server"
+PKGS="./internal/num ./internal/analysis ./internal/ota ./internal/wbga ./internal/pareto ./internal/montecarlo ./internal/core ./internal/spline ./internal/table ./internal/server"
 OUT=benchmarks/latest.txt
 JSON=benchmarks/BENCH_flow.json
 
 mkdir -p benchmarks
 
-echo "== benchmarking (count=$COUNT): $PKGS"
+CPU=$(awk -F': *' '/^model name/ { print $2; exit }' /proc/cpuinfo 2>/dev/null || true)
+NPROC=$(nproc 2>/dev/null || echo 1)
+PROCS="${GOMAXPROCS:-$NPROC}"
+GOVER=$(go env GOVERSION)
+
+echo "== benchmarking (count=$COUNT, GOMAXPROCS=$PROCS): $PKGS"
 # -run '^$' skips tests so only benchmarks execute.
-go test -run '^$' -bench . -benchmem -count "$COUNT" $PKGS | tee "$OUT"
+{
+    echo "# host: cpu=\"${CPU:-unknown}\" nproc=$NPROC gomaxprocs=$PROCS go=$GOVER"
+    go test -run '^$' -bench . -benchmem -count "$COUNT" $PKGS
+} | tee "$OUT"
 
 # Reduce the raw output to name -> {ns_per_op, bytes_per_op, allocs_per_op},
 # averaged across -count repetitions, with the -N GOMAXPROCS suffix
 # stripped so runs from different machines share keys.
-awk '
+awk -v cpu="${CPU:-unknown}" -v nproc="$NPROC" -v procs="$PROCS" -v gover="$GOVER" '
 function bench_name(s) { sub(/-[0-9]+$/, "", s); return s }
 /^Benchmark/ {
     name = bench_name($1)
@@ -42,6 +52,8 @@ function bench_name(s) { sub(/-[0-9]+$/, "", s); return s }
 }
 END {
     print "{"
+    printf "  \"_host\": {\"cpu\": \"%s\", \"nproc\": %d, \"gomaxprocs\": %d, \"go\": \"%s\"},\n",
+        cpu, nproc, procs, gover
     for (j = 1; j <= k; j++) {
         name = order[j]; c = cnt[name]
         printf "  \"%s\": {\"ns_per_op\": %.1f, \"bytes_per_op\": %.1f, \"allocs_per_op\": %.1f}%s\n",
@@ -56,12 +68,18 @@ echo "== wrote $JSON"
 # estimate's variance, per evaluation actually spent (the custom
 # naive_evals_ratio metric; the headline claim is >= 10). Kept out of
 # the baseline comparison: its ns/op is dominated by a fixed simulation
-# budget and its value lives in the custom metrics.
+# budget and its value lives in the custom metrics. The metrics come
+# from the last iteration's MC seed (37 + i), so -benchtime 1x pins the
+# run to seed 37; letting the host's speed pick b.N would change the
+# reported estimate, not just its timing.
 MCOUT=benchmarks/mc_latest.txt
 MCJSON=benchmarks/BENCH_mc.json
 echo
 echo "== benchmarking MC variance reduction"
-go test -run '^$' -bench 'BenchmarkMCNaiveVsIS' -count 1 . | tee "$MCOUT"
+{
+    echo "# host: cpu=\"${CPU:-unknown}\" nproc=$NPROC gomaxprocs=$PROCS go=$GOVER"
+    go test -run '^$' -bench 'BenchmarkMCNaiveVsIS' -benchtime 1x -count 1 .
+} | tee "$MCOUT"
 
 # Reduce to name -> {metric: value} keeping every reported unit
 # (ns_per_op, naive_evals_ratio, ess, yield_pct, ...).
