@@ -94,9 +94,8 @@ func TestACCommonSourceGain(t *testing.T) {
 	n.MustAdd(&circuit.VSource{Inst: "VDD", Pos: vdd, Neg: circuit.Ground, DC: 3.3})
 	n.MustAdd(&circuit.VSource{Inst: "VG", Pos: g, Neg: circuit.Ground, DC: 0.8, ACMag: 1})
 	n.MustAdd(&circuit.Resistor{Inst: "RD", A: vdd, B: d, R: rd})
-	m := &circuit.MOSFET{Inst: "M1", D: d, G: g, S: circuit.Ground, B: circuit.Ground,
-		W: 10 * um, L: 1 * um, Model: mos.NominalNMOS()}
-	n.MustAdd(m)
+	n.MustAdd(&circuit.MOSFET{Inst: "M1", D: d, G: g, S: circuit.Ground, B: circuit.Ground,
+		W: 10 * um, L: 1 * um, Model: mos.NominalNMOS()})
 	op, err := OP(n, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +105,8 @@ func TestACCommonSourceGain(t *testing.T) {
 		t.Fatal(err)
 	}
 	vout, _ := res.V("d")
-	gmRo := m.LastOP.Gm * (rd * (1 / m.LastOP.Gds) / (rd + 1/m.LastOP.Gds))
+	dev := DeviceReport(n, op)[0]
+	gmRo := dev.Gm * (rd * (1 / dev.Gds) / (rd + 1/dev.Gds))
 	gain := vout[0]
 	if real(gain) > -1 {
 		t.Errorf("common-source gain should be negative and > 1 in magnitude: %v", gain)

@@ -75,9 +75,8 @@ func TestNoiseCommonSourceAmp(t *testing.T) {
 	n.MustAdd(&circuit.VSource{Inst: "VDD", Pos: vdd, Neg: circuit.Ground, DC: 3.3})
 	n.MustAdd(&circuit.VSource{Inst: "VG", Pos: g, Neg: circuit.Ground, DC: 0.78})
 	n.MustAdd(&circuit.Resistor{Inst: "RD", A: vdd, B: d, R: rd})
-	m := &circuit.MOSFET{Inst: "M1", D: d, G: g, S: circuit.Ground, B: circuit.Ground,
-		W: 10e-6, L: 1e-6, Model: mos.NominalNMOS()}
-	n.MustAdd(m)
+	n.MustAdd(&circuit.MOSFET{Inst: "M1", D: d, G: g, S: circuit.Ground, B: circuit.Ground,
+		W: 10e-6, L: 1e-6, Model: mos.NominalNMOS()})
 	op, err := OP(n, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -96,12 +95,13 @@ func TestNoiseCommonSourceAmp(t *testing.T) {
 	}
 	// Analytic check for the resistor path: its current noise sees the
 	// output impedance RD ∥ ro.
-	rout := rd * (1 / m.LastOP.Gds) / (rd + 1/m.LastOP.Gds)
+	dev := DeviceReport(n, op)[0]
+	rout := rd * (1 / dev.Gds) / (rd + 1/dev.Gds)
 	wantRD := 4 * kT300 / rd * rout * rout
 	if math.Abs(rdPSD-wantRD)/wantRD > 0.05 {
 		t.Errorf("RD contribution %g, want %g", rdPSD, wantRD)
 	}
-	wantMOS := 4 * kT300 * (2.0 / 3.0) * m.LastOP.Gm * rout * rout
+	wantMOS := 4 * kT300 * (2.0 / 3.0) * dev.Gm * rout * rout
 	if math.Abs(mosPSD-wantMOS)/wantMOS > 0.05 {
 		t.Errorf("M1 contribution %g, want %g", mosPSD, wantMOS)
 	}

@@ -129,10 +129,10 @@ func TestOPDiodeConnectedNMOS(t *testing.T) {
 	if v < 0.5 || v > 1.2 {
 		t.Errorf("diode-connected NMOS V = %g, want vth+vov in (0.5, 1.2)", v)
 	}
-	// Check the device current matches the source.
-	m := n.Device("M1").(*circuit.MOSFET)
-	if math.Abs(m.LastOP.Id-20e-6)/20e-6 > 0.01 {
-		t.Errorf("device current %g, want 20 µA", m.LastOP.Id)
+	// Check the device current at the solution matches the source.
+	dev := DeviceReport(n, op)[0]
+	if math.Abs(dev.ID-20e-6)/20e-6 > 0.01 {
+		t.Errorf("device current %g, want 20 µA", dev.ID)
 	}
 }
 

@@ -11,10 +11,6 @@ type MOSFET struct {
 	D, G, S, B int
 	W, L       float64 // metres
 	Model      mos.Params
-	// LastOP caches the operating point of the most recent DC stamp, so
-	// analyses and reports can inspect bias conditions without
-	// re-evaluating the model.
-	LastOP mos.OP
 }
 
 // Name returns the instance name.
@@ -36,7 +32,6 @@ func (m *MOSFET) Copy() Device { c := *m; return &c }
 func (m *MOSFET) StampDC(ctx *DCCtx, _ int) {
 	vg, vd, vs, vb := ctx.V(m.G), ctx.V(m.D), ctx.V(m.S), ctx.V(m.B)
 	op := m.Model.Eval(m.W, m.L, vg, vd, vs, vb)
-	m.LastOP = op
 	gs := -(op.Gm + op.Gds + op.Gmb)
 	ieq := op.Id - op.Gm*vg - op.Gds*vd - op.Gmb*vb - gs*vs
 
@@ -85,7 +80,6 @@ func (m *MOSFET) StampAC(ctx *ACCtx, _ int) {
 func (m *MOSFET) StampTran(ctx *TranCtx, _ int) {
 	vg, vd, vs, vb := ctx.V(m.G), ctx.V(m.D), ctx.V(m.S), ctx.V(m.B)
 	op := m.Model.Eval(m.W, m.L, vg, vd, vs, vb)
-	m.LastOP = op
 	gs := -(op.Gm + op.Gds + op.Gmb)
 	ieq := op.Id - op.Gm*vg - op.Gds*vd - op.Gmb*vb - gs*vs
 	ctx.AddJ(m.D, m.G, op.Gm)

@@ -25,6 +25,7 @@ type Netlist struct {
 	byName   map[string]int
 	branches []int // branch-base per device (offset into branch unknowns)
 	nBranch  int
+	basedOn  int // node count the branch bases were computed for
 }
 
 // New returns an empty netlist.
@@ -111,14 +112,15 @@ func (n *Netlist) MustAdd(d Device) {
 	}
 }
 
-// rebase recomputes branch bases; node count may have grown since a
-// device was added, so bases are derived fresh each time.
+// rebase recomputes branch bases: branch unknowns follow the nodes, so
+// every base moves when a node is interned.
 func (n *Netlist) rebase() {
 	base := len(n.names)
 	for i, d := range n.devices {
 		n.branches[i] = base
 		base += d.Branches()
 	}
+	n.basedOn = len(n.names)
 }
 
 // Devices returns the device list in insertion order. The returned slice
@@ -134,9 +136,13 @@ func (n *Netlist) Device(name string) Device {
 }
 
 // BranchBase returns the first unknown index of device i's branch
-// currents. It recomputes lazily so node interning after Add is safe.
+// currents. It rebases only when nodes were interned since the last
+// Add or rebase, so node interning after Add is safe and the analyses'
+// per-stamp calls cost a comparison.
 func (n *Netlist) BranchBase(i int) int {
-	n.rebase()
+	if n.basedOn != len(n.names) {
+		n.rebase()
+	}
 	return n.branches[i]
 }
 

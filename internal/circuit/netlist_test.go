@@ -97,6 +97,38 @@ func TestBranchBaseAfterLateNodes(t *testing.T) {
 	}
 }
 
+// countingSource is a VSource that counts Branches calls.
+type countingSource struct {
+	VSource
+	calls *int
+}
+
+func (c *countingSource) Branches() int { *c.calls++; return c.VSource.Branches() }
+
+func TestBranchBaseRebasesOnlyAfterNewNodes(t *testing.T) {
+	n := New("t")
+	a := n.Node("a")
+	calls := 0
+	n.MustAdd(&countingSource{VSource{Inst: "V1", Pos: a, Neg: Ground, DC: 1}, &calls})
+	n.MustAdd(&VSource{Inst: "V2", Pos: a, Neg: Ground, DC: 1})
+	calls = 0
+	for i := 0; i < 100; i++ {
+		if n.BranchBase(0) != 1 || n.BranchBase(1) != 2 {
+			t.Fatalf("bases %d, %d, want 1, 2", n.BranchBase(0), n.BranchBase(1))
+		}
+	}
+	if calls != 0 {
+		t.Errorf("BranchBase with no new nodes queried Branches %d times, want 0", calls)
+	}
+	n.Node("late")
+	if got := n.BranchBase(1); got != 3 {
+		t.Errorf("BranchBase after a late node = %d, want 3", got)
+	}
+	if calls != 1 {
+		t.Errorf("one late node cost %d Branches calls, want 1 (one rebase)", calls)
+	}
+}
+
 func TestDeviceLookup(t *testing.T) {
 	n := New("t")
 	a := n.Node("a")

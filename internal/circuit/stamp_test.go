@@ -193,20 +193,6 @@ func TestMOSFETStampKCL(t *testing.T) {
 	}
 }
 
-func TestMOSFETLastOPCached(t *testing.T) {
-	n := New("cache")
-	d := n.Node("d")
-	m := &MOSFET{Inst: "M1", D: d, G: d, S: Ground, B: Ground,
-		W: 10e-6, L: 1e-6, Model: mos.NominalNMOS()}
-	n.MustAdd(m)
-	ctx := newDCCtx(n.NumUnknowns())
-	ctx.X[d] = 1.0
-	m.StampDC(ctx, 0)
-	if m.LastOP.Id <= 0 {
-		t.Error("LastOP not cached by StampDC")
-	}
-}
-
 func newTranCtx(n int) *TranCtx {
 	return &TranCtx{
 		J: num.NewMatrix(n), B: make([]float64, n),

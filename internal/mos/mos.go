@@ -129,60 +129,110 @@ func (p Params) leff(l float64) float64 {
 	return le
 }
 
-// idsPrimitive evaluates the NMOS-frame drain current for vds >= 0.
-func (p Params) idsPrimitive(w, l, vgs, vds, vbs float64) (id, vov, vdsat float64, sat bool) {
-	le := p.leff(l)
-	// Body effect with a smooth clamp keeping the sqrt argument positive.
+// threshold returns the NMOS-frame threshold voltage at body bias vbs,
+// with the body-effect sqrt argument clamped positive.
+func (p *Params) threshold(vbs float64) float64 {
 	vto := math.Abs(p.VTO)
 	arg := p.Phi - vbs
 	const argMin = 0.05
 	if arg < argMin {
 		arg = argMin
 	}
-	vth := vto + p.Gamma*(math.Sqrt(arg)-math.Sqrt(p.Phi))
-	// Smooth overdrive (softplus): strong inversion → vgs−vth,
-	// subthreshold → exponentially small but non-zero.
+	return vto + p.Gamma*(math.Sqrt(arg)-math.Sqrt(p.Phi))
+}
+
+// overdrive returns the smooth (softplus) overdrive at vgs above the
+// threshold vth: vgs−vth in strong inversion, exponentially small but
+// non-zero in subthreshold.
+func (p *Params) overdrive(vgs, vth float64) float64 {
 	nvt := 2 * p.NSub * vTherm
 	x := (vgs - vth) / nvt
 	switch {
 	case x > 40:
-		vov = vgs - vth
+		return vgs - vth
 	case x < -40:
-		vov = nvt * math.Exp(x)
+		return nvt * math.Exp(x)
 	default:
-		vov = nvt * math.Log1p(math.Exp(x))
+		return nvt * math.Log1p(math.Exp(x))
 	}
+}
+
+// current returns the NMOS-frame drain current for vds >= 0 at
+// overdrive vov, and the saturation voltage it used. beta = KP·W/Leff
+// and lambda = LambdaK/Leff are the geometry's constants.
+func current(beta, lambda, vov, vds float64) (id, vdsat float64) {
 	vdsat = vov
 	if vdsat < 1e-9 {
 		vdsat = 1e-9
 	}
-	// Smooth effective vds (order-4 blend between triode and saturation).
+	// Smooth effective vds (order-4 blend between triode and saturation):
+	// vds/(1+r⁴)^¼, spelled as the operations math.Pow performs for these
+	// arguments. The float64 conversion keeps r⁴ rounded before the add,
+	// as the Pow call did, so no fused multiply-add can change the bits.
 	r := vds / vdsat
-	vdse := vds / math.Pow(1+math.Pow(r, 4), 0.25)
-	lambda := p.LambdaK / le
-	id = p.KP * (w / le) * (vov*vdse - 0.5*vdse*vdse) * (1 + lambda*vds)
-	return id, vov, vdsat, vds > vdsat
+	r2 := r * r
+	vdse := vds / math.Exp(0.25*math.Log(1+float64(r2*r2)))
+	id = beta * (vov*vdse - 0.5*vdse*vdse) * (1 + lambda*vds)
+	return id, vdsat
 }
 
-// drainCurrent returns the signed current into the drain terminal for
-// absolute terminal voltages, handling PMOS mirroring and source/drain
-// swap so the model is symmetric about vds = 0.
-func (p Params) drainCurrent(w, l, vg, vd, vs, vb float64) float64 {
+// bias is a terminal bias in the conducting frame: PMOS voltages
+// mirrored into the NMOS frame, and drain and source exchanged when
+// needed so that vds >= 0. sign maps the frame current back to the
+// current into the drain terminal.
+type bias struct {
+	vgs, vds, vbs float64
+	sign          float64
+	swapped       bool
+}
+
+func (p *Params) frame(vg, vd, vs, vb float64) bias {
 	if p.Class == process.PMOS {
-		// Mirror into the NMOS frame.
 		vg, vd, vs, vb = -vg, -vd, -vs, -vb
 	}
-	sign := 1.0
+	b := bias{sign: 1}
 	if vd < vs {
 		vd, vs = vs, vd
-		sign = -1
+		b.sign, b.swapped = -1, true
 	}
-	id, _, _, _ := p.idsPrimitive(w, l, vg-vs, vd-vs, vb-vs)
 	if p.Class == process.PMOS {
-		sign = -sign
+		b.sign = -b.sign
 	}
-	return sign * id
+	b.vgs, b.vds, b.vbs = vg-vs, vd-vs, vb-vs
+	return b
 }
+
+// evaluator holds one Eval's geometry constants and its nominal
+// threshold and overdrive for the finite-difference probes to share.
+type evaluator struct {
+	p            *Params
+	beta, lambda float64
+	vgs, vbs     float64 // nominal frame inputs
+	vth, vov     float64 // nominal threshold and overdrive
+}
+
+// probe returns the current into the drain terminal at a
+// finite-difference probe of the nominal bias. The threshold depends
+// only on vbs and the overdrive only on (vgs, vth), so a probe whose
+// frame inputs carry the nominal's exact bits reuses them and gets
+// exactly what evaluating afresh would give. That holds for the
+// threshold at the gate probes, and for both at the drain probes
+// while the source stays the frame source (neither the nominal bias
+// nor the probe has drain and source exchanged).
+func (e *evaluator) probe(vg, vd, vs, vb float64) float64 {
+	b := e.p.frame(vg, vd, vs, vb)
+	vth, vov := e.vth, e.vov
+	if !sameBits(b.vbs, e.vbs) {
+		vth = e.p.threshold(b.vbs)
+		vov = e.p.overdrive(b.vgs, vth)
+	} else if !sameBits(b.vgs, e.vgs) {
+		vov = e.p.overdrive(b.vgs, vth)
+	}
+	id, _ := current(e.beta, e.lambda, vov, b.vds)
+	return b.sign * id
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // Eval computes the full operating point of a device with the given
 // geometry at absolute terminal voltages (gate, drain, source, bulk).
@@ -190,46 +240,37 @@ func (p Params) Eval(w, l, vg, vd, vs, vb float64) OP {
 	if w <= 0 || l <= 0 {
 		panic(fmt.Sprintf("mos: non-positive geometry W=%g L=%g", w, l))
 	}
+	le := p.leff(l)
+	nom := p.frame(vg, vd, vs, vb)
+	e := evaluator{p: &p, beta: p.KP * (w / le), lambda: p.LambdaK / le,
+		vgs: nom.vgs, vbs: nom.vbs}
+	e.vth = p.threshold(nom.vbs)
+	e.vov = p.overdrive(nom.vgs, e.vth)
+	id, vdsat := current(e.beta, e.lambda, e.vov, nom.vds)
 	op := OP{
 		Vgs: vg - vs, Vds: vd - vs, Vbs: vb - vs,
+		Id:  nom.sign * id,
+		Vov: e.vov, Saturated: nom.vds > vdsat, Swapped: nom.swapped,
 	}
-	op.Id = p.drainCurrent(w, l, vg, vd, vs, vb)
 
 	// Small-signal conductances by central finite differences on the
 	// smooth current function. The step is far above double-precision
 	// noise and far below any feature size of the model.
 	const h = 1e-6
-	op.Gm = (p.drainCurrent(w, l, vg+h, vd, vs, vb) - p.drainCurrent(w, l, vg-h, vd, vs, vb)) / (2 * h)
-	op.Gds = (p.drainCurrent(w, l, vg, vd+h, vs, vb) - p.drainCurrent(w, l, vg, vd-h, vs, vb)) / (2 * h)
-	op.Gmb = (p.drainCurrent(w, l, vg, vd, vs, vb+h) - p.drainCurrent(w, l, vg, vd, vs, vb-h)) / (2 * h)
+	op.Gm = (e.probe(vg+h, vd, vs, vb) - e.probe(vg-h, vd, vs, vb)) / (2 * h)
+	op.Gds = (e.probe(vg, vd+h, vs, vb) - e.probe(vg, vd-h, vs, vb)) / (2 * h)
+	op.Gmb = (e.probe(vg, vd, vs, vb+h) - e.probe(vg, vd, vs, vb-h)) / (2 * h)
 
-	// Region bookkeeping in the conducting frame.
-	fvg, fvd, fvs, fvb := vg, vd, vs, vb
 	if p.Class == process.PMOS {
-		fvg, fvd, fvs, fvb = -vg, -vd, -vs, -vb
-	}
-	swapped := fvd < fvs
-	if swapped {
-		fvd, fvs = fvs, fvd
-	}
-	_, vov, vdsat, sat := p.idsPrimitive(w, l, fvg-fvs, fvd-fvs, fvb-fvs)
-	op.Vov, op.Saturated, op.Swapped = vov, sat, swapped
-	arg := p.Phi - (fvb - fvs)
-	if arg < 0.05 {
-		arg = 0.05
-	}
-	vthMag := math.Abs(p.VTO) + p.Gamma*(math.Sqrt(arg)-math.Sqrt(p.Phi))
-	if p.Class == process.PMOS {
-		op.Vth = -vthMag
+		op.Vth = -e.vth
 	} else {
-		op.Vth = vthMag
+		op.Vth = e.vth
 	}
 
 	// Meyer capacitances, blended between triode (½/½) and saturation
 	// (⅔/0) by the saturation ratio.
-	le := p.leff(l)
 	cch := w * le * p.Cox
-	ratio := (fvd - fvs) / vdsat
+	ratio := nom.vds / vdsat
 	if ratio > 1 {
 		ratio = 1
 	}
@@ -238,7 +279,7 @@ func (p Params) Eval(w, l, vg, vd, vs, vb float64) OP {
 	}
 	cgsInt := cch * (0.5 + ratio/6.0)
 	cgdInt := cch * 0.5 * (1 - ratio)
-	if swapped {
+	if nom.swapped {
 		cgsInt, cgdInt = cgdInt, cgsInt
 	}
 	op.Cgs = cgsInt + p.CGSO*w

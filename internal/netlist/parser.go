@@ -382,6 +382,9 @@ func parseDevice(n *circuit.Netlist, line string, models map[string]mos.Params, 
 				return fmt.Errorf("%s: unknown parameter %q", name, key)
 			}
 		}
+		if !(w > 0 && l > 0) || math.IsInf(w, 1) || math.IsInf(l, 1) {
+			return fmt.Errorf("%s: W and L must be positive and finite, got W=%g L=%g", name, w, l)
+		}
 		return n.Add(&circuit.MOSFET{Inst: name,
 			D: node(f[1]), G: node(f[2]), S: node(f[3]), B: node(f[4]),
 			W: w, L: l, Model: model})

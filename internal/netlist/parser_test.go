@@ -201,6 +201,30 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseRejectsBadMOSGeometry: a MOSFET whose W or L is not a
+// positive finite length is refused at parse time with the line number,
+// so untrusted netlists never reach the compact model's geometry panic.
+func TestParseRejectsBadMOSGeometry(t *testing.T) {
+	for _, geom := range []string{
+		"W=-10u L=1u", "W=0 L=1u", "W=10u L=0", "W=10u L=-1u",
+		"W=nanu L=1u", "W=10u L=1e308meg", // NaN, and a value that overflows to +Inf
+		"L=0", // W keeps its default
+	} {
+		src := "* bad geometry\nM1 d d 0 0 nmos " + geom + "\nI1 0 d DC 10u\n"
+		_, err := ParseString(src)
+		if err == nil {
+			t.Errorf("accepted %q", geom)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "line 2") || !strings.Contains(msg, "M1") {
+			t.Errorf("%q: error %q does not name line 2 and M1", geom, msg)
+		}
+	}
+	if _, err := ParseString("M1 d d 0 0 nmos W=1n L=0.35u\n"); err != nil {
+		t.Errorf("rejected a tiny but positive width: %v", err)
+	}
+}
+
 func TestParseStopsAtEnd(t *testing.T) {
 	n, err := ParseString("R1 a 0 1k\n.end\nR2 b 0 2k\n")
 	if err != nil {

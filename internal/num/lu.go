@@ -297,6 +297,48 @@ func NewCLU(n int) *CLU {
 		y: make([]complex128, n)}
 }
 
+// cDivisor is the divisor-only half of Go's complex division n/m
+// (runtime complex128div, Smith's algorithm): which part of m dominates,
+// the ratio of the smaller part to the larger, and the real
+// denominator. An elimination divides a whole column by one pivot, so
+// the factorisations compute this once per pivot instead of once per
+// row. quo repeats the numerator half with the runtime's operations in
+// the runtime's order, so d.quo(n) and n/m carry the same bits.
+type cDivisor struct {
+	m            complex128
+	realDom      bool // |real(m)| >= |imag(m)|
+	ratio, denom float64
+}
+
+// set makes d the divisor m. It is small enough to inline: a call per
+// pivot costs more than the division it saves on short columns.
+func (d *cDivisor) set(m complex128) {
+	big, small := real(m), imag(m)
+	d.m, d.realDom = m, math.Abs(big) >= math.Abs(small)
+	if !d.realDom {
+		big, small = small, big
+	}
+	d.ratio = small / big
+	d.denom = big + d.ratio*small
+}
+
+// quo returns n/m.
+func (d *cDivisor) quo(n complex128) complex128 {
+	var e, f float64
+	if d.realDom {
+		e = (real(n) + imag(n)*d.ratio) / d.denom
+		f = (imag(n) - real(n)*d.ratio) / d.denom
+	} else {
+		e = (real(n)*d.ratio + imag(n)) / d.denom
+		f = (imag(n)*d.ratio - real(n)) / d.denom
+	}
+	if e != e && f != f {
+		// The runtime's C99 recovery of infinities and zeros.
+		return n / d.m
+	}
+	return complex(e, f)
+}
+
 // CFactor computes the complex LU factorisation of a without modifying it.
 func CFactor(a *CMatrix) (*CLU, error) {
 	f := NewCLU(a.N)
@@ -333,6 +375,7 @@ func (f *CLU) FactorInto(a *CMatrix) error {
 		f.piv[i] = i
 	}
 	lu := f.lu
+	var div cDivisor
 	for k := 0; k < n; k++ {
 		p := k
 		maxAbs := cmplx.Abs(lu[k*n+k])
@@ -353,9 +396,9 @@ func (f *CLU) FactorInto(a *CMatrix) error {
 			}
 			f.piv[k], f.piv[p] = f.piv[p], f.piv[k]
 		}
-		pivot := lu[k*n+k]
+		div.set(lu[k*n+k])
 		for i := k + 1; i < n; i++ {
-			l := lu[i*n+k] / pivot
+			l := div.quo(lu[i*n+k])
 			lu[i*n+k] = l
 			if l == 0 {
 				continue

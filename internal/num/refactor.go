@@ -169,6 +169,7 @@ func (f *CLU) RefactorInto(a *CMatrix, ref *CLU) (reused bool, err error) {
 		copy(lu[i*n:i*n+n], a.Data[piv[i]*n:piv[i]*n+n])
 	}
 	maxU, maxPiv := 0.0, 0.0
+	var div cDivisor
 	for k := 0; k < n; k++ {
 		rowK := lu[k*n : k*n+n]
 		for _, v := range rowK[k:] {
@@ -184,8 +185,9 @@ func (f *CLU) RefactorInto(a *CMatrix, ref *CLU) (reused bool, err error) {
 		if pa > maxPiv {
 			maxPiv = pa
 		}
+		div.set(pivot)
 		for i := k + 1; i < n; i++ {
-			l := lu[i*n+k] / pivot
+			l := div.quo(lu[i*n+k])
 			if !(cAbs1(l) <= MultLimit) {
 				return false, f.FactorInto(a) // unstable (or NaN) multiplier
 			}
