@@ -104,17 +104,13 @@ func ACWith(n *circuit.Netlist, op *OPResult, freqs []float64, ws *Workspace) (*
 	return ACWithWorkers(n, op, freqs, 1, ws)
 }
 
-// ACWithWorkers is ACWith fanned out over a pool of goroutines, each
-// with its own solver buffers, claiming frequency points off a shared
-// atomic counter. Every device is stamped once, into a recording the
-// workers share read-only, and every point reuses the pivot order of the
-// shared read-only reference factorisation (first frequency, full
-// pivoting), so the result is bit-identical to ACWith — and to itself —
-// for any workers value. workers <= 1, or a sweep of one point, runs
-// serially.
-func ACWithWorkers(n *circuit.Netlist, op *OPResult, freqs []float64, workers int, ws *Workspace) (*ACResult, error) {
+// acSetup validates freqs, records the linearisation of n about op in
+// ws and factorises the system at freqs[0] under full partial pivoting:
+// the reference whose pivot order every point of the sweep reuses. It
+// returns the recording, the complex workspace and the reference.
+func acSetup(n *circuit.Netlist, op *OPResult, freqs []float64, ws *Workspace) (*circuit.ACCtx, *num.CWorkspace, *num.CLU, error) {
 	if err := validateFreqs(freqs); err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	nu := n.NumUnknowns()
 	rec := ws.acRecording()
@@ -123,10 +119,46 @@ func ACWithWorkers(n *circuit.Netlist, op *OPResult, freqs []float64, workers in
 	ref := ws.acReference(nu)
 	rec.Assemble(omega(freqs[0]), cw.A, cw.B)
 	if err := ref.FactorInto(cw.A); err != nil {
-		return nil, fmt.Errorf("analysis: AC solve at %g Hz: %w", freqs[0], err)
+		return nil, nil, nil, fmt.Errorf("analysis: AC solve at %g Hz: %w", freqs[0], err)
 	}
+	return rec, cw, ref, nil
+}
 
+// ACPrefix solves the AC sweep over freqs point by point in frequency
+// order, linearised about op, and hands each point's solution to visit;
+// the sweep stops after the first point for which visit returns false.
+// x is a buffer of ws, valid only during the call. Each point depends
+// only on its frequency and the reference factorisation of freqs[0],
+// never on the points solved before it, so the points a stopped sweep
+// solved are bit-identical to the same points of the full sweep. A nil
+// ws allocates internally once per call.
+func ACPrefix(n *circuit.Netlist, op *OPResult, freqs []float64, ws *Workspace, visit func(i int, x []complex128) bool) error {
+	rec, cw, ref, err := acSetup(n, op, freqs, ws)
+	if err != nil {
+		return err
+	}
+	for i, f := range freqs {
+		if err := acSolve(rec, f, cw, ref, cw.X); err != nil {
+			return err
+		}
+		if !visit(i, cw.X) {
+			return nil
+		}
+	}
+	return nil
+}
+
+// ACWithWorkers is ACWith fanned out over a pool of goroutines, each
+// with its own solver buffers, claiming frequency points off a shared
+// atomic counter. Every device is stamped once, into a recording the
+// workers share read-only, and every point reuses the pivot order of the
+// shared read-only reference factorisation (first frequency, full
+// pivoting), so the result is bit-identical to ACWith — and to itself —
+// for any workers value. workers <= 1, or a sweep of one point, runs
+// serially, through ACPrefix.
+func ACWithWorkers(n *circuit.Netlist, op *OPResult, freqs []float64, workers int, ws *Workspace) (*ACResult, error) {
 	// One backing array holds every point's solution.
+	nu := n.NumUnknowns()
 	res := &ACResult{Freqs: append([]float64(nil), freqs...), net: n}
 	res.X = make([][]complex128, len(freqs))
 	backing := make([]complex128, len(freqs)*nu)
@@ -138,12 +170,18 @@ func ACWithWorkers(n *circuit.Netlist, op *OPResult, freqs []float64, workers in
 		workers = len(freqs)
 	}
 	if workers <= 1 {
-		for i, f := range freqs {
-			if err := acSolve(rec, f, cw, ref, res.X[i]); err != nil {
-				return nil, err
-			}
+		err := ACPrefix(n, op, freqs, ws, func(i int, x []complex128) bool {
+			copy(res.X[i], x)
+			return true
+		})
+		if err != nil {
+			return nil, err
 		}
 		return res, nil
+	}
+	rec, cw, ref, err := acSetup(n, op, freqs, ws)
+	if err != nil {
+		return nil, err
 	}
 	var (
 		next  atomic.Int64
@@ -196,6 +234,17 @@ func ACDecadeWith(n *circuit.Netlist, op *OPResult, fStart, fStop float64, point
 // ACDecadeWorkers is ACDecadeWith fanned out over a worker pool (see
 // ACWithWorkers); the result is bit-identical for any workers value.
 func ACDecadeWorkers(n *circuit.Netlist, op *OPResult, fStart, fStop float64, pointsPerDecade, workers int, ws *Workspace) (*ACResult, error) {
+	freqs, err := DecadeFreqs(fStart, fStop, pointsPerDecade)
+	if err != nil {
+		return nil, err
+	}
+	return ACWithWorkers(n, op, freqs, workers, ws)
+}
+
+// DecadeFreqs returns the grid ACDecade sweeps: pointsPerDecade
+// logarithmically spaced frequencies per decade from fStart to fStop,
+// both endpoints included (pointsPerDecade < 1 selects 10).
+func DecadeFreqs(fStart, fStop float64, pointsPerDecade int) ([]float64, error) {
 	if !validFreq(fStart) || !validFreq(fStop) || fStop <= fStart {
 		return nil, fmt.Errorf("%w: bad AC range [%g, %g] Hz", ErrInvalidFrequency, fStart, fStop)
 	}
@@ -207,5 +256,5 @@ func ACDecadeWorkers(n *circuit.Netlist, op *OPResult, fStart, fStop float64, po
 	if npts < 2 {
 		npts = 2
 	}
-	return ACWithWorkers(n, op, num.Logspace(fStart, fStop, npts), workers, ws)
+	return num.Logspace(fStart, fStop, npts), nil
 }

@@ -158,10 +158,17 @@ func OP(n *circuit.Netlist, o *OPOptions) (*OPResult, error) {
 		copy(start, opts.X0)
 	}
 	ws := opts.WS.real(nu)
+	work := 0 // Newton iterations of every attempt, failed ones included
+	defer func() { opts.WS.countOP(work) }()
+	step := func(x []float64, gmin, srcScale float64) (int, bool) {
+		it, ok := newton(n, x, opts, gmin, srcScale, ws)
+		work += it
+		return it, ok
+	}
 
 	// Attempt 1: plain Newton.
 	x := append([]float64(nil), start...)
-	if it, ok := newton(n, x, opts, opts.Gmin, 1, ws); ok {
+	if it, ok := step(x, opts.Gmin, 1); ok {
 		return &OPResult{X: x, Iterations: it, net: n}, nil
 	}
 
@@ -170,7 +177,7 @@ func OP(n *circuit.Netlist, o *OPOptions) (*OPResult, error) {
 	okAll := true
 	total := 0
 	for _, g := range []float64{1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-8, 1e-10, opts.Gmin} {
-		it, ok := newton(n, x, opts, g, 1, ws)
+		it, ok := step(x, g, 1)
 		total += it
 		if !ok {
 			okAll = false
@@ -188,11 +195,11 @@ func OP(n *circuit.Netlist, o *OPOptions) (*OPResult, error) {
 	total = 0
 	okAll = true
 	for _, s := range []float64{0.05, 0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9, 0.95, 1.0} {
-		it, ok := newton(n, x, opts, opts.Gmin, s, ws)
+		it, ok := step(x, opts.Gmin, s)
 		total += it
 		if !ok {
 			// Retry this step with elevated gmin before giving up.
-			it2, ok2 := newton(n, x, opts, 1e-6, s, ws)
+			it2, ok2 := step(x, 1e-6, s)
 			total += it2
 			if !ok2 {
 				okAll = false
@@ -202,11 +209,57 @@ func OP(n *circuit.Netlist, o *OPOptions) (*OPResult, error) {
 	}
 	if okAll {
 		// Final polish at full sources and floor gmin.
-		if it, ok := newton(n, x, opts, opts.Gmin, 1, ws); ok {
+		if it, ok := step(x, opts.Gmin, 1); ok {
 			return &OPResult{X: x, Iterations: total + it, net: n}, nil
 		}
 	}
 	return nil, fmt.Errorf("%w: %s", ErrNoConvergence, n.Stats())
+}
+
+// SampleOP solves the operating point of n, one statistical sample of a
+// design, by plain Newton at the floor gmin from the design's nominal
+// operating point, which lies a few iterations from every sample's.
+//
+// key names the design: a non-nil comparable value, equal for two calls
+// exactly when their designs' nominal netlists are equal. nominal builds
+// that netlist; its operating point is solved from the zero start on
+// first use and memoised in ws under key, so a worker evaluating a run
+// of samples of one design solves it once. The start is therefore a pure
+// function of the design, never of what ws solved before, and results
+// are bit-identical for any assignment of samples to workspaces. When
+// the nominal operating point does not converge, or Newton from it does
+// not, the result is exactly OP(n, &OPOptions{WS: ws}).
+//
+// A nil ws solves the nominal operating point afresh on every call.
+func SampleOP(n *circuit.Netlist, key any, nominal func() *circuit.Netlist, ws *Workspace) (*OPResult, error) {
+	if ws == nil {
+		ws = NewWorkspace()
+	}
+	if x0 := ws.nominalOP(key, nominal); len(x0) == n.NumUnknowns() {
+		opts := (*OPOptions)(nil).withDefaults()
+		x := append([]float64(nil), x0...)
+		it, ok := newton(n, x, opts, opts.Gmin, 1, ws.real(len(x)))
+		if ok {
+			ws.countOP(it)
+			return &OPResult{X: x, Iterations: it, net: n}, nil
+		}
+		ws.stats.Iterations += it
+	}
+	ws.stats.WarmFallbacks++
+	return OP(n, &OPOptions{WS: ws})
+}
+
+// nominalOP returns the memoised nominal operating point of the design
+// key names, solving it from the zero start on a miss. It is empty when
+// that solve did not converge.
+func (w *Workspace) nominalOP(key any, nominal func() *circuit.Netlist) []float64 {
+	if w.nomKey == nil || w.nomKey != key {
+		w.nomKey, w.nomX = key, w.nomX[:0]
+		if r, err := OP(nominal(), &OPOptions{WS: w}); err == nil {
+			w.nomX = append(w.nomX, r.X...)
+		}
+	}
+	return w.nomX
 }
 
 // DCSweepPoint is one solution of a DC sweep.

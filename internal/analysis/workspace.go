@@ -16,11 +16,54 @@ import (
 // internally, once per call — so existing callers need not change.
 // A Workspace serves one goroutine at a time: never share one between
 // concurrently running analyses.
+//
+// A Workspace also memoises the nominal operating point of the last
+// design whose samples SampleOP solved, and counts the operating-point
+// work solved through it (see Stats).
 type Workspace struct {
 	re    *num.Workspace
 	cx    *num.CWorkspace
 	acRef *num.CLU      // AC sweep reference factorisation (see ac.go)
 	ac    circuit.ACCtx // AC sweep linearisation (see linearise)
+
+	nomKey any       // design whose nominal OP nomX holds (nil: none)
+	nomX   []float64 // its nominal OP; empty when that did not converge
+	stats  OPStats
+}
+
+// OPStats counts the operating-point work solved through one Workspace.
+// The counters are plain ints owned by the workspace's goroutine: read
+// them once that goroutine has finished with the workspace.
+type OPStats struct {
+	Solves        int // operating points solved: OP calls and warm-started samples
+	Iterations    int // Newton iterations, failed attempts included
+	WarmFallbacks int // sampled solves that fell back to the zero start
+}
+
+// Add returns the element-wise sum of s and o.
+func (s OPStats) Add(o OPStats) OPStats {
+	return OPStats{
+		Solves:        s.Solves + o.Solves,
+		Iterations:    s.Iterations + o.Iterations,
+		WarmFallbacks: s.WarmFallbacks + o.WarmFallbacks,
+	}
+}
+
+// Stats returns the operating-point work solved through w so far (zero
+// for a nil workspace).
+func (w *Workspace) Stats() OPStats {
+	if w == nil {
+		return OPStats{}
+	}
+	return w.stats
+}
+
+// countOP records one operating-point solve of iters Newton iterations.
+func (w *Workspace) countOP(iters int) {
+	if w != nil {
+		w.stats.Solves++
+		w.stats.Iterations += iters
+	}
 }
 
 // NewWorkspace returns an empty workspace; buffers are sized lazily by

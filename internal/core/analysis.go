@@ -19,11 +19,14 @@ type CornerResult struct {
 // CornerAnalysis evaluates a design (given as normalised parameter
 // genes) at the five classic process corners at nSigma. It complements
 // the statistical variation model: corners bound the global component
-// of variation while Monte Carlo also captures local mismatch.
+// of variation while Monte Carlo also captures local mismatch. The
+// corners evaluate through one solver workspace when the problem
+// accepts one, so the design's nominal operating point is solved once.
 func CornerAnalysis(prob CircuitProblem, proc *process.Process, genes []float64, nSigma float64) []CornerResult {
+	eval := mcBatchFactory(prob, [][]float64{genes}, nil)()
 	out := make([]CornerResult, 0, 5)
 	for _, c := range process.Corners() {
-		objs, err := prob.Evaluate(genes, proc.CornerSample(c, nSigma))
+		objs, err := eval(0, proc.CornerSample(c, nSigma))
 		out = append(out, CornerResult{Corner: c, Objectives: objs, Err: err})
 	}
 	return out
@@ -64,7 +67,7 @@ func VerifyDesignYieldMC(ctx context.Context, prob CircuitProblem, proc *process
 	if samples <= 0 {
 		return nil, fmt.Errorf("core: non-positive sample count %d", samples)
 	}
-	bf := mcBatchFactory(prob, [][]float64{genes})
+	bf := mcBatchFactory(prob, [][]float64{genes}, nil)
 	factory := func() montecarlo.Evaluator {
 		pe := bf()
 		return func(s *process.Sample) ([]float64, error) { return pe(0, s) }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"sync"
 	"time"
 
 	"analogyield/internal/analysis"
@@ -191,7 +192,10 @@ type FlowResult struct {
 
 // wbgaAdapter exposes a CircuitProblem (nominal evaluation) as a
 // wbga.Problem.
-type wbgaAdapter struct{ p CircuitProblem }
+type wbgaAdapter struct {
+	p  CircuitProblem
+	ws *workspaces
+}
 
 func (a wbgaAdapter) NumParams() int     { return len(a.p.ParamNames()) }
 func (a wbgaAdapter) NumObjectives() int { return len(a.p.ObjectiveNames()) }
@@ -208,7 +212,7 @@ func (a wbgaAdapter) NewEvaluator() func([]float64) ([]float64, error) {
 	if !ok {
 		return a.Evaluate
 	}
-	ws := analysis.NewWorkspace()
+	ws := a.ws.get()
 	return func(genes []float64) ([]float64, error) {
 		return we.EvaluateWS(genes, nil, ws)
 	}
@@ -216,9 +220,10 @@ func (a wbgaAdapter) NewEvaluator() func([]float64) ([]float64, error) {
 
 // mcBatchFactory builds the per-worker Monte Carlo evaluator for the
 // whole MC stage: each worker owns one long-lived solver workspace
-// (when the problem supports it) and evaluates any point's genes
-// through it as the batch scheduler moves the worker across points.
-func mcBatchFactory(p CircuitProblem, genes [][]float64) montecarlo.BatchFactory {
+// from pool (when the problem supports it) and evaluates any point's
+// genes through it as the batch scheduler moves the worker across
+// points.
+func mcBatchFactory(p CircuitProblem, genes [][]float64, pool *workspaces) montecarlo.BatchFactory {
 	we, ok := p.(WorkspaceEvaluator)
 	if !ok {
 		return func() montecarlo.PointEvaluator {
@@ -228,11 +233,41 @@ func mcBatchFactory(p CircuitProblem, genes [][]float64) montecarlo.BatchFactory
 		}
 	}
 	return func() montecarlo.PointEvaluator {
-		ws := analysis.NewWorkspace()
+		ws := pool.get()
 		return func(point int, s *process.Sample) ([]float64, error) {
 			return we.EvaluateWS(genes[point], s, ws)
 		}
 	}
+}
+
+// workspaces hands out one solver workspace per worker of a stage and
+// afterwards sums their operating-point counters. A nil pool hands out
+// untracked workspaces.
+type workspaces struct {
+	mu  sync.Mutex
+	all []*analysis.Workspace
+}
+
+func (p *workspaces) get() *analysis.Workspace {
+	ws := analysis.NewWorkspace()
+	if p != nil {
+		p.mu.Lock()
+		p.all = append(p.all, ws)
+		p.mu.Unlock()
+	}
+	return ws
+}
+
+// stats sums the counters of every workspace handed out. Call it only
+// once the stage's workers have returned.
+func (p *workspaces) stats() analysis.OPStats {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var sum analysis.OPStats
+	for _, ws := range p.all {
+		sum = sum.Add(ws.Stats())
+	}
+	return sum
 }
 
 // flowRun carries the per-run state shared by RunFlow's stages.
@@ -353,7 +388,9 @@ func (f *flowRun) runMOO(ctx context.Context) error {
 	totalEvals := cfg.PopSize * cfg.Generations
 	t0 := time.Now()
 	f.emit(StageStart{Stage: StageMOO, Total: totalEvals})
-	mooRes, err := wbga.Run(ctx, wbgaAdapter{cfg.Problem}, wbga.Options{
+	pool := &workspaces{}
+	defer func() { f.metrics.AddOPStats(pool.stats()) }()
+	mooRes, err := wbga.Run(ctx, wbgaAdapter{cfg.Problem, pool}, wbga.Options{
 		PopSize:     cfg.PopSize,
 		Generations: cfg.Generations,
 		Seed:        cfg.Seed,
@@ -474,7 +511,9 @@ func (f *flowRun) runMC(ctx context.Context) error {
 		Metrics: objNames,
 		Gauges:  f.metrics,
 	}
-	factory := mcBatchFactory(cfg.Problem, genes)
+	pool := &workspaces{}
+	defer func() { f.metrics.AddOPStats(pool.stats()) }()
+	factory := mcBatchFactory(cfg.Problem, genes, pool)
 	deliver := func(point int, mcRes *montecarlo.Result, merr error) error {
 		pos := start + point
 		rec := mcPointRecord{FrontPos: pos}

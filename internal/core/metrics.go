@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"analogyield/internal/analysis"
 )
 
 // Metrics is the flow's counter registry: evaluation counts, solver
@@ -36,6 +38,12 @@ type Metrics struct {
 	mooNanos       atomic.Int64
 	mcNanos        atomic.Int64
 	tablesNanos    atomic.Int64
+
+	// Operating-point solver work (see analysis.OPStats), folded in
+	// once per flow stage and once per served shard request.
+	opSolves        ShardedCounter
+	opIterations    ShardedCounter
+	opWarmFallbacks ShardedCounter
 
 	// MC scheduler occupancy gauges (see montecarlo.Gauges) plus their
 	// observed peaks — the peaks survive the run, so a post-hoc scrape
@@ -88,6 +96,12 @@ type MetricsSnapshot struct {
 	MOOSeconds     float64 `json:"moo_seconds"`
 	MCSeconds      float64 `json:"mc_seconds"`
 	TablesSeconds  float64 `json:"tables_seconds"`
+	// Operating-point solver work: solves, Newton iterations (failed
+	// attempts included) and warm starts that fell back to the zero
+	// start. Iterations per solve is what the MC warm start moves.
+	OPSolves        int64 `json:"op_solves"`
+	OPIterations    int64 `json:"op_iterations"`
+	OPWarmFallbacks int64 `json:"op_warm_fallbacks"`
 	// MC scheduler occupancy: current values are live gauges (zero
 	// between runs); peaks are high-water marks across the registry's
 	// lifetime.
@@ -163,6 +177,14 @@ func (m *Metrics) Replica() string {
 	return m.replica
 }
 
+// AddOPStats folds the operating-point counters of finished solver
+// workspaces into the registry.
+func (m *Metrics) AddOPStats(s analysis.OPStats) {
+	m.opSolves.Add(int64(s.Solves))
+	m.opIterations.Add(int64(s.Iterations))
+	m.opWarmFallbacks.Add(int64(s.WarmFallbacks))
+}
+
 // AddLeasesHeld moves the held-lease gauge (+1 on acquire/adopt, -1 on
 // release); the remaining cluster counters are monotone event counts.
 func (m *Metrics) AddLeasesHeld(delta int64) { m.leasesHeld.Add(delta) }
@@ -226,6 +248,10 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		MOOSeconds:     time.Duration(m.mooNanos.Load()).Seconds(),
 		MCSeconds:      time.Duration(m.mcNanos.Load()).Seconds(),
 		TablesSeconds:  time.Duration(m.tablesNanos.Load()).Seconds(),
+
+		OPSolves:        m.opSolves.Load(),
+		OPIterations:    m.opIterations.Load(),
+		OPWarmFallbacks: m.opWarmFallbacks.Load(),
 
 		MCBusyWorkers:        m.mcBusyWorkers.cur.Load(),
 		MCBusyWorkersPeak:    m.mcBusyWorkers.peak.Load(),

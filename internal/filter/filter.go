@@ -183,7 +183,13 @@ func Measure(n *circuit.Netlist, spec Spec) (Response, error) {
 	if err != nil {
 		return Response{}, fmt.Errorf("filter: %w", err)
 	}
-	ac, err := analysis.ACDecade(n, op, fStart, fStop, 12)
+	return measureAt(n, op, spec, nil)
+}
+
+// measureAt is Measure about a solved operating point op, sweeping
+// through the solver workspace ws (nil allocates).
+func measureAt(n *circuit.Netlist, op *analysis.OPResult, spec Spec, ws *analysis.Workspace) (Response, error) {
+	ac, err := analysis.ACDecadeWith(n, op, fStart, fStop, 12, ws)
 	if err != nil {
 		return Response{}, fmt.Errorf("filter: %w", err)
 	}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 
+	"analogyield/internal/analysis"
+	"analogyield/internal/circuit"
 	"analogyield/internal/core"
 	"analogyield/internal/montecarlo"
 	"analogyield/internal/ota"
@@ -181,6 +183,14 @@ func VerifyYield(ctx context.Context, caps Caps, cfg ota.Config, params ota.Para
 	return VerifyYieldMC(ctx, caps, cfg, params, spec, proc, samples, seed, montecarlo.StrategyNaive)
 }
 
+// filterDesign names one nominal transistor-level filter: the key under
+// which a workspace memoises its operating point for its samples.
+type filterDesign struct {
+	caps   Caps
+	cfg    ota.Config
+	params ota.Params
+}
+
 // VerifyYieldMC is VerifyYield with an explicit variance-reduction
 // strategy: importance sampling sharpens high-yield estimates at the
 // same simulation budget, and the surrogate strategies skip transistor
@@ -199,20 +209,32 @@ func VerifyYieldMC(ctx context.Context, caps Caps, cfg ota.Config, params ota.Pa
 			Col: col, AtMost: sp.Sense == yield.AtMost, Bound: sp.Bound,
 		})
 	}
-	eval := func(s *process.Sample) ([]float64, error) {
-		n := BuildTransistor(caps, cfg, params, s)
-		r, err := Measure(n, spec)
-		if err != nil {
-			return nil, err
+	// Every MC worker owns a solver workspace, and every sample starts
+	// Newton from the nominal filter's operating point, solved once per
+	// workspace (analysis.SampleOP).
+	key := filterDesign{caps, cfg, params}
+	nominal := func() *circuit.Netlist { return BuildTransistor(caps, cfg, params, nil) }
+	factory := func() montecarlo.Evaluator {
+		ws := analysis.NewWorkspace()
+		return func(s *process.Sample) ([]float64, error) {
+			n := BuildTransistor(caps, cfg, params, s)
+			op, err := analysis.SampleOP(n, key, nominal, ws)
+			if err != nil {
+				return nil, fmt.Errorf("filter: %w", err)
+			}
+			r, err := measureAt(n, op, spec, ws)
+			if err != nil {
+				return nil, err
+			}
+			return []float64{r.DCGainDB, r.PassbandDevDB, r.StopbandAttenDB}, nil
 		}
-		return []float64{r.DCGainDB, r.PassbandDevDB, r.StopbandAttenDB}, nil
 	}
 	mc, err := montecarlo.RunVariance(ctx, montecarlo.Options{
 		Proc:    proc,
 		Samples: samples,
 		Seed:    seed,
 		Metrics: []string{"dcgain_db", "passdev_db", "stopatten_db"},
-	}, v, func() montecarlo.Evaluator { return eval })
+	}, v, factory)
 	if err != nil {
 		return nil, err
 	}

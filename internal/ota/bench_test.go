@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"analogyield/internal/analysis"
+	"analogyield/internal/circuit"
+	"analogyield/internal/process"
 )
 
 // BenchmarkEvaluate times one full objective evaluation (OP + AC sweep +
@@ -50,4 +52,54 @@ func BenchmarkOTAACSweep(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkEvaluateSample times one Monte Carlo evaluation as the flow's
+// workers run it: a sampled EvaluateWS through a reused workspace, which
+// starts Newton from the design's memoised nominal operating point and
+// stops the sweep at the last measured crossing.
+func BenchmarkEvaluateSample(b *testing.B) {
+	c := DefaultConfig()
+	p := NominalParams()
+	proc := process.C35()
+	ws := analysis.NewWorkspace()
+	if _, err := c.EvaluateWS(p, proc.NewSample(1, 0), ws); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.EvaluateWS(p, proc.NewSample(1, i%200), ws); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkOTAOPWarm times the operating point of a sampled OTA
+// testbench started from its design's memoised nominal operating point
+// (analysis.SampleOP), and reports the mean Newton iterations per solve.
+func BenchmarkOTAOPWarm(b *testing.B) {
+	c := DefaultConfig()
+	p := NominalParams()
+	proc := process.C35()
+	nets := make([]*circuit.Netlist, 200)
+	for i := range nets {
+		nets[i] = c.Build(p, proc.NewSample(1, i))
+	}
+	nominal := func() *circuit.Netlist { return c.Build(p, nil) }
+	ws := analysis.NewWorkspace()
+	if _, err := analysis.SampleOP(nets[0], p, nominal, ws); err != nil {
+		b.Fatal(err)
+	}
+	iters := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op, err := analysis.SampleOP(nets[i%len(nets)], p, nominal, ws)
+		if err != nil {
+			b.Fatal(err)
+		}
+		iters += op.Iterations
+	}
+	b.ReportMetric(float64(iters)/float64(b.N), "iters/op")
 }

@@ -244,6 +244,16 @@ const (
 	sweepStop  = 1e9
 )
 
+// evalFreqs is the grid EvaluateWS measures on: the sweep at 10 points
+// per decade, as ACDecade lays it out.
+var evalFreqs = func() []float64 {
+	f, err := analysis.DecadeFreqs(sweepStart, sweepStop, 10)
+	if err != nil {
+		panic(err)
+	}
+	return f
+}()
+
 // Evaluate builds and simulates the testbench, returning the measured
 // performance. It is the objective function of the paper's MOO step.
 func (c Config) Evaluate(p Params, sample *process.Sample) (Perf, error) {
@@ -252,43 +262,97 @@ func (c Config) Evaluate(p Params, sample *process.Sample) (Perf, error) {
 
 // EvaluateWS is Evaluate with a reusable solver workspace: the operating
 // point and AC sweep solve through ws instead of allocating fresh
-// matrices, factorisations and vectors. A nil ws allocates internally
-// (identical to Evaluate). A workspace serves one goroutine at a time —
-// give each evaluation worker its own.
+// matrices, factorisations and vectors, and a sampled evaluation finds
+// its design's nominal operating point memoised there (see solve). A
+// nil ws allocates internally (identical to Evaluate). A workspace
+// serves one goroutine at a time — give each evaluation worker its own.
+//
+// The sweep stops at the last point the measurements read: once both
+// the unity-gain and the −3 dB crossings have been passed (each the
+// first point whose gain falls below its threshold from at or above it,
+// as measure.UnityGainFreq and measure.Bandwidth3dB find them). Every
+// point is independent of the others (see analysis.ACPrefix), so every
+// figure and every error equals that of the full sweep bit for bit.
 func (c Config) EvaluateWS(p Params, sample *process.Sample, ws *analysis.Workspace) (Perf, error) {
-	freqs, tf, vout, err := c.response(p, sample, 10, ws)
+	n, op, vout, err := c.solve(p, sample, ws)
 	if err != nil {
 		return Perf{}, err
 	}
-	return perfFrom(freqs, tf, vout)
+	out, _ := n.NodeIndex("out")
+	tf := make([]complex128, 0, len(evalFreqs))
+	var g0, prev, fu float64
+	unity, bw := false, false
+	err = analysis.ACPrefix(n, op, evalFreqs, ws, func(i int, x []complex128) bool {
+		tf = append(tf, x[out])
+		g := measure.GainDB(x[out])
+		if i == 0 {
+			g0, prev = g, g
+			return true
+		}
+		if !unity && prev >= 0 && g < 0 {
+			unity = true
+			// PhaseAt reads the sweep up to fu, which rounding may
+			// place a hair above this point.
+			fu, _ = measure.UnityGainFreq(evalFreqs[:i+1], tf)
+		}
+		bw = bw || (prev >= g0-3 && g < g0-3)
+		prev = g
+		return !(unity && bw && fu <= evalFreqs[i])
+	})
+	if err != nil {
+		return Perf{}, fmt.Errorf("ota: %w", err)
+	}
+	return perfFrom(evalFreqs[:len(tf)], tf, vout)
 }
 
 // Response returns the open-loop frequency response (Fig 8's series) at
-// pointsPerDecade resolution.
+// pointsPerDecade resolution, over the whole sweep.
 func (c Config) Response(p Params, sample *process.Sample, pointsPerDecade int) ([]float64, []complex128, error) {
-	freqs, tf, _, err := c.response(p, sample, pointsPerDecade, nil)
-	return freqs, tf, err
+	n, op, _, err := c.solve(p, sample, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	ac, err := analysis.ACDecade(n, op, sweepStart, sweepStop, pointsPerDecade)
+	if err != nil {
+		return nil, nil, fmt.Errorf("ota: %w", err)
+	}
+	tf, err := ac.V("out")
+	if err != nil {
+		return nil, nil, err
+	}
+	return ac.Freqs, tf, nil
 }
 
-func (c Config) response(p Params, sample *process.Sample, ppd int, ws *analysis.Workspace) ([]float64, []complex128, float64, error) {
+// design names one nominal testbench: the key under which a workspace
+// memoises its operating point for the design's samples.
+type design struct {
+	c Config
+	p Params
+}
+
+// solve builds the testbench and solves its operating point, returning
+// the netlist, the operating point and the DC output voltage. A nominal
+// testbench starts Newton from zero; a sampled one starts from its
+// design's nominal operating point (analysis.SampleOP), so the start is
+// a function of the design alone and results do not depend on which
+// workspace evaluates which sample.
+func (c Config) solve(p Params, sample *process.Sample, ws *analysis.Workspace) (*circuit.Netlist, *analysis.OPResult, float64, error) {
 	if err := validate(p); err != nil {
 		return nil, nil, 0, err
 	}
 	n := c.Build(p, sample)
-	op, err := analysis.OP(n, &analysis.OPOptions{WS: ws})
+	var op *analysis.OPResult
+	var err error
+	if sample == nil {
+		op, err = analysis.OP(n, &analysis.OPOptions{WS: ws})
+	} else {
+		op, err = analysis.SampleOP(n, design{c, p}, func() *circuit.Netlist { return c.Build(p, nil) }, ws)
+	}
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("ota: %w", err)
 	}
 	vout, _ := op.V("out")
-	ac, err := analysis.ACDecadeWith(n, op, sweepStart, sweepStop, ppd, ws)
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("ota: %w", err)
-	}
-	tf, err := ac.V("out")
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return ac.Freqs, tf, vout, nil
+	return n, op, vout, nil
 }
 
 func perfFrom(freqs []float64, tf []complex128, vout float64) (Perf, error) {

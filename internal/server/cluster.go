@@ -26,8 +26,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"analogyield/internal/analysis"
 	"analogyield/internal/core"
 	"analogyield/internal/montecarlo"
+	"analogyield/internal/process"
 	"analogyield/internal/server/api"
 )
 
@@ -63,12 +65,21 @@ func (s *Server) evalShard(ctx context.Context, req api.ShardRequest) (*api.Shar
 		return nil, err
 	}
 	problem, proc := pf(), prf()
+	// One workspace serves the whole request, as one worker's does on
+	// the owner: the design's nominal operating point is solved once,
+	// and every sample starts from it exactly as it would locally.
+	ws := analysis.NewWorkspace()
+	defer func() { s.cfg.Metrics.AddOPStats(ws.Stats()) }()
+	eval := func(smp *process.Sample) ([]float64, error) { return problem.Evaluate(genes, smp) }
+	if we, ok := problem.(core.WorkspaceEvaluator); ok {
+		eval = func(smp *process.Sample) ([]float64, error) { return we.EvaluateWS(genes, smp, ws) }
+	}
 	rows := make([]string, req.Hi-req.Lo)
 	for i := req.Lo; i < req.Hi; i++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		m, err := problem.Evaluate(genes, proc.NewSample(req.Seed, i))
+		m, err := eval(proc.NewSample(req.Seed, i))
 		if err != nil {
 			continue // "" row = failed sample, exactly as a local failure
 		}

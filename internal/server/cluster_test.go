@@ -5,11 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
+	"analogyield/internal/analysis"
 	"analogyield/internal/core"
 	"analogyield/internal/process"
 	"analogyield/internal/server/api"
@@ -158,6 +160,53 @@ func TestClusterShardedFlowBitIdentical(t *testing.T) {
 			t.Errorf("%d-replica layout: model version %s, single-node %s — results not bit-identical",
 				peers+1, v, base)
 		}
+	}
+}
+
+// TestEvalShardOTAMatchesOwner: a peer answering a shard of OTA samples
+// returns the owner's bits, because every sample starts Newton from its
+// design's nominal operating point whichever replica and workspace runs
+// it, and the peer folds its request's solver work into its registry.
+func TestEvalShardOTAMatchesOwner(t *testing.T) {
+	srv := New(Config{Store: store.NewMemory(), DataDir: t.TempDir(), Logger: quietLog()})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	})
+	genes := []float64{0.4, 0.3, 0.6, 0.5, 0.2, 0.7, 0.5, 0.5}
+	const seed, lo, hi = 41, 7, 19
+	resp, err := srv.evalShard(context.Background(), api.ShardRequest{
+		Problem: "ota", Process: "c35", Genes: api.EncodeFloats(genes), Seed: seed, Lo: lo, Hi: hi,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The owner's worker ran another design first and meets the range
+	// in the opposite order.
+	owner, proc, ws := core.NewOTAProblem(), process.C35(), analysis.NewWorkspace()
+	if _, err := owner.EvaluateWS([]float64{0.6, 0.6, 0.2, 0.3, 0.5, 0.5, 0.4, 0.4}, proc.NewSample(3, 0), ws); err != nil {
+		t.Fatal(err)
+	}
+	for i := hi - 1; i >= lo; i-- {
+		want, err := owner.EvaluateWS(genes, proc.NewSample(seed, i), ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := api.DecodeFloats(resp.Rows[i-lo])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range want {
+			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+				t.Fatalf("sample %d metric %d: peer %v, owner %v", i, k, got[k], want[k])
+			}
+		}
+	}
+	if m := srv.Metrics().Snapshot(); m.OPSolves != hi-lo+1 || m.OPWarmFallbacks != 0 || m.OPIterations <= m.OPSolves {
+		t.Errorf("peer counted %d solves, %d iterations, %d fallbacks; want %d solves (one nominal), none falling back",
+			m.OPSolves, m.OPIterations, m.OPWarmFallbacks, hi-lo+1)
 	}
 }
 

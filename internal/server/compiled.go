@@ -61,14 +61,14 @@ type CompiledModel struct {
 	params []compiledParam
 
 	// Pre-rendered response fragments (json.go).
-	jsonHead    []byte   // {"model":"<name>"[,"tenant":"<t>"],"targets":[
-	paramHeads  [][]byte // per param: {"name":...,["unit":...,]"value":
-	jsonDeltas  []byte   // ],"delta_pct":[
-	jsonFront   []byte   // ],"front_perf":[
-	jsonParams  []byte   // ],"params":[
-	jsonYield   []byte   // ],"predicted_yield":
-	jsonCurve   []byte   // ,"curve_param":
-	jsonTail    []byte   // }\n
+	jsonHead   []byte   // {"model":"<name>"[,"tenant":"<t>"],"targets":[
+	paramHeads [][]byte // per param: {"name":...,["unit":...,]"value":
+	jsonDeltas []byte   // ],"delta_pct":[
+	jsonFront  []byte   // ],"front_perf":[
+	jsonParams []byte   // ],"params":[
+	jsonYield  []byte   // ],"predicted_yield":
+	jsonCurve  []byte   // ,"curve_param":
+	jsonTail   []byte   // }\n
 }
 
 // compiled1D is a Model1D flattened for hint-based evaluation; only the
@@ -207,7 +207,7 @@ type queryScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
 
-func getScratch() *queryScratch  { return scratchPool.Get().(*queryScratch) }
+func getScratch() *queryScratch   { return scratchPool.Get().(*queryScratch) }
 func putScratch(sc *queryScratch) { scratchPool.Put(sc) }
 
 // solvedQuery carries one compiled answer; Params live in the scratch

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"analogyield/internal/analysis"
 	"analogyield/internal/core"
 )
 
@@ -147,6 +148,7 @@ outer:
 
 func TestWriteExpositionFormat(t *testing.T) {
 	var m core.Metrics
+	m.AddOPStats(analysis.OPStats{Solves: 12, Iterations: 61, WarmFallbacks: 1})
 	m.AddBusyWorkers(3)
 	m.AddQueueDepth(7)
 	m.AddQueueDepth(-2)
@@ -164,21 +166,24 @@ func TestWriteExpositionFormat(t *testing.T) {
 	// registry's expvar-facing Snapshot.
 	snap := m.Snapshot()
 	for name, want := range map[string]float64{
-		"ayd_flows_total":              float64(snap.Flows),
-		"ayd_evaluations_total":        float64(snap.Evaluations),
-		"ayd_mc_simulations_total":     float64(snap.MCSimulations),
-		"ayd_solver_failures_total":    float64(snap.SolverFailures),
-		"ayd_cache_hits_total":         float64(snap.CacheHits),
-		"ayd_cache_misses_total":       float64(snap.CacheMisses),
-		"ayd_dropped_points_total":     float64(snap.DroppedPoints),
-		"ayd_checkpoints_total":        float64(snap.Checkpoints),
-		"ayd_mc_predicted_total":       float64(snap.MCPredicted),
-		"ayd_mc_busy_workers":          float64(snap.MCBusyWorkers),
-		"ayd_mc_busy_workers_peak":     float64(snap.MCBusyWorkersPeak),
-		"ayd_mc_queue_depth":           float64(snap.MCQueueDepth),
-		"ayd_mc_queue_depth_peak":      float64(snap.MCQueueDepthPeak),
-		"ayd_mc_points_in_flight":      float64(snap.MCPointsInFlight),
-		"ayd_mc_points_in_flight_peak": float64(snap.MCPointsInFlightPeak),
+		"ayd_flows_total":                      float64(snap.Flows),
+		"ayd_evaluations_total":                float64(snap.Evaluations),
+		"ayd_mc_simulations_total":             float64(snap.MCSimulations),
+		"ayd_solver_failures_total":            float64(snap.SolverFailures),
+		"ayd_cache_hits_total":                 float64(snap.CacheHits),
+		"ayd_cache_misses_total":               float64(snap.CacheMisses),
+		"ayd_dropped_points_total":             float64(snap.DroppedPoints),
+		"ayd_checkpoints_total":                float64(snap.Checkpoints),
+		"ayd_mc_predicted_total":               float64(snap.MCPredicted),
+		"ayd_analysis_op_solves_total":         float64(snap.OPSolves),
+		"ayd_analysis_op_iterations_total":     float64(snap.OPIterations),
+		"ayd_analysis_op_warm_fallbacks_total": float64(snap.OPWarmFallbacks),
+		"ayd_mc_busy_workers":                  float64(snap.MCBusyWorkers),
+		"ayd_mc_busy_workers_peak":             float64(snap.MCBusyWorkersPeak),
+		"ayd_mc_queue_depth":                   float64(snap.MCQueueDepth),
+		"ayd_mc_queue_depth_peak":              float64(snap.MCQueueDepthPeak),
+		"ayd_mc_points_in_flight":              float64(snap.MCPointsInFlight),
+		"ayd_mc_points_in_flight_peak":         float64(snap.MCPointsInFlightPeak),
 	} {
 		if got := find(t, samples, name, nil).value; got != want {
 			t.Errorf("%s = %v, want %v (snapshot)", name, got, want)
