@@ -18,7 +18,7 @@ test:
 # Concurrency-sensitive packages (worker pools, genome cache, HTTP
 # server) under the race detector.
 test-race:
-	go test -race ./internal/wbga/... ./internal/montecarlo/... ./internal/analysis/... ./internal/core/... ./internal/server/...
+	go test -race ./internal/wbga/... ./internal/montecarlo/... ./internal/analysis/... ./internal/core/... ./internal/filter/... ./internal/server/...
 
 # The artefact store (memory and disk backends) under the race
 # detector: concurrent Put/Get/Delete and the registry/job paths that

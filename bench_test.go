@@ -795,15 +795,16 @@ func BenchmarkMCNaiveVsIS(b *testing.B) {
 	for j := range genes {
 		genes[j] = 0.5
 	}
-	eval := func(s *process.Sample) ([]float64, error) { return prob.Evaluate(genes, s) }
+	eval := func(_ int, s *process.Sample) ([]float64, error) { return prob.Evaluate(genes, s) }
+	metrics := []string{"gain_db", "pm_deg"}
 
 	// Pilot: establish the gain distribution at the design and aim the
 	// proposal. The spec bound sits 3.09σ below the mean (Φ ≈ 0.999);
 	// the mean shift points along the regression of gain on the global
 	// variation, i.e. toward the failure region.
 	const pilotN = 256
-	pilot, err := montecarlo.Run(context.Background(), montecarlo.Options{
-		Proc: proc, Samples: pilotN, Seed: 31, Metrics: []string{"gain_db", "pm_deg"},
+	pilot, err := runPointMC(montecarlo.Plan{
+		Proc: proc, Points: []montecarlo.PointSpec{{Seed: 31, Samples: pilotN}}, Metrics: metrics,
 	}, eval)
 	if err != nil {
 		b.Fatal(err)
@@ -813,8 +814,8 @@ func BenchmarkMCNaiveVsIS(b *testing.B) {
 	prop := pilotProposal(proc, pilot, z999)
 
 	printTable("variance reduction: naive vs importance-sampled yield MC", func() {
-		naive, nerr := montecarlo.Run(context.Background(), montecarlo.Options{
-			Proc: proc, Samples: 200, Seed: 57, Metrics: []string{"gain_db", "pm_deg"},
+		naive, nerr := runPointMC(montecarlo.Plan{
+			Proc: proc, Points: []montecarlo.PointSpec{{Seed: 57, Samples: 200}}, Metrics: metrics,
 		}, eval)
 		if nerr != nil {
 			fmt.Println("  error:", nerr)
@@ -836,15 +837,16 @@ func BenchmarkMCNaiveVsIS(b *testing.B) {
 		b.Run(strategy.String(), func(b *testing.B) {
 			var ratio, ess, yhat float64
 			for i := 0; i < b.N; i++ {
-				v := montecarlo.VarianceOptions{
-					Strategy: strategy,
-					Proposal: prop,
-					Specs:    []montecarlo.SpecBound{{Col: 0, Bound: bound}},
-				}
-				mc, rerr := montecarlo.RunVariance(context.Background(), montecarlo.Options{
-					Proc: proc, Samples: isSamples, Seed: int64(37 + i),
-					Metrics: []string{"gain_db", "pm_deg"},
-				}, v, func() montecarlo.Evaluator { return eval })
+				mc, rerr := runPointMC(montecarlo.Plan{
+					Proc:    proc,
+					Points:  []montecarlo.PointSpec{{Seed: int64(37 + i), Samples: isSamples}},
+					Metrics: metrics,
+					Variance: montecarlo.VarianceOptions{
+						Strategy: strategy,
+						Proposal: prop,
+						Specs:    []montecarlo.SpecBound{{Col: 0, Bound: bound}},
+					},
+				}, eval)
 				if rerr != nil {
 					b.Fatal(rerr)
 				}
@@ -861,6 +863,18 @@ func BenchmarkMCNaiveVsIS(b *testing.B) {
 			b.ReportMetric(100*yhat, "yield_pct")
 		})
 	}
+}
+
+// runPointMC runs a one-point plan through a shared, stateless
+// evaluator and returns the point's result.
+func runPointMC(plan montecarlo.Plan, eval montecarlo.PointEvaluator) (*montecarlo.Result, error) {
+	var out *montecarlo.Result
+	err := montecarlo.Run(context.Background(), plan, func() montecarlo.PointEvaluator { return eval },
+		func(_ int, res *montecarlo.Result, err error) error {
+			out = res
+			return err
+		})
+	return out, err
 }
 
 // pilotProposal aims a defensive mean-shifted mixture at the low-gain

@@ -23,7 +23,7 @@ type CornerResult struct {
 // corners evaluate through one solver workspace when the problem
 // accepts one, so the design's nominal operating point is solved once.
 func CornerAnalysis(prob CircuitProblem, proc *process.Process, genes []float64, nSigma float64) []CornerResult {
-	eval := mcBatchFactory(prob, [][]float64{genes}, nil)()
+	eval := mcFactory(prob, [][]float64{genes}, nil)()
 	out := make([]CornerResult, 0, 5)
 	for _, c := range process.Corners() {
 		objs, err := eval(0, proc.CornerSample(c, nSigma))
@@ -67,11 +67,6 @@ func VerifyDesignYieldMC(ctx context.Context, prob CircuitProblem, proc *process
 	if samples <= 0 {
 		return nil, fmt.Errorf("core: non-positive sample count %d", samples)
 	}
-	bf := mcBatchFactory(prob, [][]float64{genes}, nil)
-	factory := func() montecarlo.Evaluator {
-		pe := bf()
-		return func(s *process.Sample) ([]float64, error) { return pe(0, s) }
-	}
 	specs := []yield.Spec{spec0, spec1}
 	v := montecarlo.VarianceOptions{Strategy: strategy}
 	for col, sp := range specs {
@@ -79,12 +74,16 @@ func VerifyDesignYieldMC(ctx context.Context, prob CircuitProblem, proc *process
 			Col: col, AtMost: sp.Sense == yield.AtMost, Bound: sp.Bound,
 		})
 	}
-	mc, err := montecarlo.RunVariance(ctx, montecarlo.Options{
-		Proc:    proc,
-		Samples: samples,
-		Seed:    seed,
-		Metrics: prob.ObjectiveNames(),
-	}, v, factory)
+	var mc *montecarlo.Result
+	err := montecarlo.Run(ctx, montecarlo.Plan{
+		Proc:     proc,
+		Points:   []montecarlo.PointSpec{{Seed: seed, Samples: samples}},
+		Metrics:  prob.ObjectiveNames(),
+		Variance: v,
+	}, mcFactory(prob, [][]float64{genes}, nil), func(_ int, res *montecarlo.Result, err error) error {
+		mc = res
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -39,14 +39,12 @@ type FlowConfig struct {
 	CacheSize int
 
 	// MCDispatcher, when non-nil, spreads each Pareto point's Monte
-	// Carlo sample range across peer replicas
-	// (montecarlo.RunBatchDistributed); the server wires one up in
-	// cluster mode. Only the naive strategy distributes — the
-	// variance-reduced estimators keep per-point adaptive state that
-	// must see every sample locally. Results are bit-identical to a
-	// local run for any shard layout, and the field is deliberately
-	// excluded from the checkpoint fingerprint: a job checkpointed on
-	// one cluster shape resumes on any other.
+	// Carlo sample range across peer replicas (montecarlo.Plan's
+	// Dispatcher, which shards naive points only); the server wires one
+	// up in cluster mode. Results are bit-identical to a local run for
+	// any shard layout, and the field is deliberately excluded from the
+	// checkpoint fingerprint: a job checkpointed on one cluster shape
+	// resumes on any other.
 	MCDispatcher montecarlo.ShardDispatcher
 
 	Model ModelOptions
@@ -218,12 +216,11 @@ func (a wbgaAdapter) NewEvaluator() func([]float64) ([]float64, error) {
 	}
 }
 
-// mcBatchFactory builds the per-worker Monte Carlo evaluator for the
-// whole MC stage: each worker owns one long-lived solver workspace
-// from pool (when the problem supports it) and evaluates any point's
-// genes through it as the batch scheduler moves the worker across
-// points.
-func mcBatchFactory(p CircuitProblem, genes [][]float64, pool *workspaces) montecarlo.BatchFactory {
+// mcFactory builds the per-worker Monte Carlo evaluator for a whole
+// run: each worker owns one long-lived solver workspace from pool
+// (when the problem supports it) and evaluates any point's genes
+// through it as the scheduler moves the worker across points.
+func mcFactory(p CircuitProblem, genes [][]float64, pool *workspaces) montecarlo.Factory {
 	we, ok := p.(WorkspaceEvaluator)
 	if !ok {
 		return func() montecarlo.PointEvaluator {
@@ -305,7 +302,7 @@ func (f *flowRun) save() error {
 // extraction, per-point Monte Carlo, and table-model construction.
 //
 // Cancellation is cooperative: ctx is checked once per WBGA generation
-// and once per Monte Carlo point (plus per sample batch inside a
+// and once per Monte Carlo point (plus before every sample inside a
 // point), so cancellation latency is bounded by one generation or one MC
 // point. A cancelled flow returns the partial FlowResult alongside
 // ctx.Err(); with FlowConfig.Checkpoint set the partial state is also
@@ -483,37 +480,40 @@ func (f *flowRun) runMC(ctx context.Context) error {
 		apply(rec, true)
 	}
 
-	// The remaining points run as ONE batch on a persistent worker pool:
-	// workers stream (point, sample-chunk) items across point boundaries
-	// instead of draining at each one, and the scheduler's in-order
-	// delivery hands finished points back in front position order — so
-	// events, checkpoints and results are bit-identical to the serial
-	// per-point loop for any Workers value.
+	// The remaining points run as ONE plan on a persistent worker pool:
+	// workers stream sample items across point boundaries instead of
+	// draining at each one, and the engine's in-order delivery hands
+	// finished points back in front position order — so events,
+	// checkpoints and results are bit-identical to the serial per-point
+	// loop for any Workers value or shard layout.
 	start := len(f.ck.Done)
 	specs := make([]montecarlo.PointSpec, total-start)
 	genes := make([][]float64, total-start)
 	for i := range specs {
 		pos := start + i
+		genes[i] = res.Archive[res.FrontIdx[pos]].ParamGenes
 		specs[i] = montecarlo.PointSpec{
 			Seed:    cfg.Seed + int64(pos)*1000003,
 			Samples: cfg.MCSamples,
+			Genes:   genes[i],
 		}
-		genes[i] = res.Archive[res.FrontIdx[pos]].ParamGenes
 	}
 	if strategy != montecarlo.StrategyNaive {
 		f.metrics.setMCStrategy(strategy.String())
 	}
 	var essSum float64
 	essPoints := 0
-	batchOpts := montecarlo.BatchOptions{
-		Proc:    cfg.Proc,
-		Workers: cfg.Workers,
-		Metrics: objNames,
-		Gauges:  f.metrics,
+	plan := montecarlo.Plan{
+		Proc:       cfg.Proc,
+		Points:     specs,
+		Workers:    cfg.Workers,
+		Metrics:    objNames,
+		Variance:   montecarlo.VarianceOptions{Strategy: strategy},
+		Gauges:     f.metrics,
+		Dispatcher: cfg.MCDispatcher,
 	}
 	pool := &workspaces{}
 	defer func() { f.metrics.AddOPStats(pool.stats()) }()
-	factory := mcBatchFactory(cfg.Problem, genes, pool)
 	deliver := func(point int, mcRes *montecarlo.Result, merr error) error {
 		pos := start + point
 		rec := mcPointRecord{FrontPos: pos}
@@ -558,19 +558,7 @@ func (f *flowRun) runMC(ctx context.Context) error {
 		return nil
 	}
 
-	// StrategyNaive delegates inside RunVarianceBatch to the exact
-	// RunBatch scheduler, so the default configuration reproduces
-	// earlier releases bit for bit. In cluster mode the naive strategy
-	// runs through the distributed scheduler instead — same samples,
-	// same derivation, bit-identical results for any shard layout.
-	var err error
-	if cfg.MCDispatcher != nil && cfg.MCDispatcher.Shards() > 0 && strategy == montecarlo.StrategyNaive {
-		err = montecarlo.RunBatchDistributed(ctx, batchOpts, specs, genes, factory, cfg.MCDispatcher, deliver)
-	} else {
-		err = montecarlo.RunVarianceBatch(ctx, batchOpts,
-			montecarlo.VarianceOptions{Strategy: strategy}, specs, factory, deliver)
-	}
-	if err != nil {
+	if err := montecarlo.Run(ctx, plan, mcFactory(cfg.Problem, genes, pool), deliver); err != nil {
 		// On cancellation the scheduler has delivered a prefix of completed
 		// points, so the checkpoint written here resumes exactly where
 		// delivery stopped.

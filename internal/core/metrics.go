@@ -147,8 +147,8 @@ func (g *gauge) add(delta int64) {
 }
 
 // AddBusyWorkers, AddQueueDepth and AddPointsInFlight implement
-// montecarlo.Gauges, so a Metrics registry can be handed to the MC batch
-// scheduler as its occupancy sink.
+// montecarlo.Gauges, so a Metrics registry can be handed to
+// montecarlo.Run as its occupancy sink.
 func (m *Metrics) AddBusyWorkers(delta int64)    { m.mcBusyWorkers.add(delta) }
 func (m *Metrics) AddQueueDepth(delta int64)     { m.mcQueueDepth.add(delta) }
 func (m *Metrics) AddPointsInFlight(delta int64) { m.mcPointsInFlight.add(delta) }

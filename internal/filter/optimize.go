@@ -214,9 +214,9 @@ func VerifyYieldMC(ctx context.Context, caps Caps, cfg ota.Config, params ota.Pa
 	// workspace (analysis.SampleOP).
 	key := filterDesign{caps, cfg, params}
 	nominal := func() *circuit.Netlist { return BuildTransistor(caps, cfg, params, nil) }
-	factory := func() montecarlo.Evaluator {
+	factory := func() montecarlo.PointEvaluator {
 		ws := analysis.NewWorkspace()
-		return func(s *process.Sample) ([]float64, error) {
+		return func(_ int, s *process.Sample) ([]float64, error) {
 			n := BuildTransistor(caps, cfg, params, s)
 			op, err := analysis.SampleOP(n, key, nominal, ws)
 			if err != nil {
@@ -229,12 +229,16 @@ func VerifyYieldMC(ctx context.Context, caps Caps, cfg ota.Config, params ota.Pa
 			return []float64{r.DCGainDB, r.PassbandDevDB, r.StopbandAttenDB}, nil
 		}
 	}
-	mc, err := montecarlo.RunVariance(ctx, montecarlo.Options{
-		Proc:    proc,
-		Samples: samples,
-		Seed:    seed,
-		Metrics: []string{"dcgain_db", "passdev_db", "stopatten_db"},
-	}, v, factory)
+	var mc *montecarlo.Result
+	err := montecarlo.Run(ctx, montecarlo.Plan{
+		Proc:     proc,
+		Points:   []montecarlo.PointSpec{{Seed: seed, Samples: samples}},
+		Metrics:  []string{"dcgain_db", "passdev_db", "stopatten_db"},
+		Variance: v,
+	}, factory, func(_ int, res *montecarlo.Result, err error) error {
+		mc = res
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}

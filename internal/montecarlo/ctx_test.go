@@ -22,7 +22,9 @@ func TestRunCancelMidRun(t *testing.T) {
 		}
 		return vthEval(s)
 	}
-	res, err := Run(ctx, Options{Proc: proc(), Samples: 4000, Seed: 1, Workers: 2}, eval)
+	plan := onePoint(1, 4000)
+	plan.Workers = 2
+	res, err := runOne(ctx, plan, shared(eval))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -44,7 +46,9 @@ func TestRunCancelledBeforeStart(t *testing.T) {
 		n.Add(1)
 		return vthEval(s)
 	}
-	if _, err := Run(ctx, Options{Proc: proc(), Samples: 100, Seed: 1, Workers: 1}, eval); !errors.Is(err, context.Canceled) {
+	plan := onePoint(1, 100)
+	plan.Workers = 1
+	if _, err := runOne(ctx, plan, shared(eval)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if got := n.Load(); got > 1 {

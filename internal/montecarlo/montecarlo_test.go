@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"analogyield/internal/process"
+	"analogyield/internal/yield"
 )
 
 func proc() *process.Process { return process.C35() }
@@ -19,8 +21,33 @@ func vthEval(s *process.Sample) ([]float64, error) {
 	return []float64{1 + sh.DVth}, nil
 }
 
+// shared wraps a stateless evaluator as a factory whose workers all
+// call it.
+func shared(eval func(*process.Sample) ([]float64, error)) Factory {
+	return func() PointEvaluator {
+		return func(_ int, s *process.Sample) ([]float64, error) { return eval(s) }
+	}
+}
+
+// onePoint is a plan with a single point.
+func onePoint(seed int64, samples int) Plan {
+	return Plan{Proc: proc(), Points: []PointSpec{{Seed: seed, Samples: samples}}}
+}
+
+// runOne runs a one-point plan and returns the point's result or error.
+func runOne(ctx context.Context, plan Plan, factory Factory) (*Result, error) {
+	var out *Result
+	err := Run(ctx, plan, factory, func(_ int, res *Result, err error) error {
+		out = res
+		return err
+	})
+	return out, err
+}
+
 func TestRunBasicStats(t *testing.T) {
-	res, err := Run(context.Background(), Options{Proc: proc(), Samples: 2000, Seed: 1, Metrics: []string{"v"}}, vthEval)
+	plan := onePoint(1, 2000)
+	plan.Metrics = []string{"v"}
+	res, err := runOne(context.Background(), plan, shared(vthEval))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,17 +76,17 @@ func TestRunBasicStats(t *testing.T) {
 }
 
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
-	opts := func(w int) Options {
-		return Options{Proc: proc(), Samples: 400, Seed: 42, Workers: w}
+	run := func(w int) *Result {
+		t.Helper()
+		plan := onePoint(42, 400)
+		plan.Workers = w
+		res, err := runOne(context.Background(), plan, shared(vthEval))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	a, err := Run(context.Background(), opts(1), vthEval)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(context.Background(), opts(8), vthEval)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := run(1), run(8)
 	for i := range a.Samples {
 		if a.Samples[i][0] != b.Samples[i][0] {
 			t.Fatalf("sample %d differs between 1 and 8 workers", i)
@@ -68,8 +95,8 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 }
 
 func TestRunSeedChangesSamples(t *testing.T) {
-	a, _ := Run(context.Background(), Options{Proc: proc(), Samples: 50, Seed: 1}, vthEval)
-	b, _ := Run(context.Background(), Options{Proc: proc(), Samples: 50, Seed: 2}, vthEval)
+	a, _ := runOne(context.Background(), onePoint(1, 50), shared(vthEval))
+	b, _ := runOne(context.Background(), onePoint(2, 50), shared(vthEval))
 	same := 0
 	for i := range a.Samples {
 		if a.Samples[i][0] == b.Samples[i][0] {
@@ -91,7 +118,9 @@ func TestRunPartialFailures(t *testing.T) {
 		}
 		return []float64{sh.DVth}, nil
 	}
-	res, err := Run(context.Background(), Options{Proc: proc(), Samples: 300, Seed: 3, Workers: 1}, eval)
+	plan := onePoint(3, 300)
+	plan.Workers = 1
+	res, err := runOne(context.Background(), plan, shared(eval))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,9 +132,10 @@ func TestRunPartialFailures(t *testing.T) {
 		t.Errorf("failed samples leaked into stats: max = %g", res.Stats[0].Max)
 	}
 	// Yield counts failures as failing.
-	y, ok := res.Yield(func(m []float64) bool { return true })
-	if !ok {
-		t.Fatal("yield not ok despite successful samples")
+	passAll := []yield.Spec{{Sense: yield.AtLeast, Bound: math.Inf(-1)}}
+	y, err := yield.FromWeightedSamples(res.Samples, res.Weights, passAll, []int{0})
+	if err != nil {
+		t.Fatalf("yield not ok despite successful samples: %v", err)
 	}
 	if y >= 1 {
 		t.Errorf("yield = %g, want < 1 with failures present", y)
@@ -114,64 +144,50 @@ func TestRunPartialFailures(t *testing.T) {
 
 func TestRunAllFail(t *testing.T) {
 	eval := func(*process.Sample) ([]float64, error) { return nil, errors.New("boom") }
-	if _, err := Run(context.Background(), Options{Proc: proc(), Samples: 10, Seed: 1}, eval); err == nil {
+	if _, err := runOne(context.Background(), onePoint(1, 10), shared(eval)); err == nil {
 		t.Fatal("all-fail run should error")
 	}
 }
 
+// TestRunRaggedRowsError: an evaluator whose rows change width must
+// fail the point with an error under every reduction, not panic in it.
+func TestRunRaggedRowsError(t *testing.T) {
+	ragged := func(s *process.Sample) ([]float64, error) {
+		if s.GlobalSigmaUnits()[0] > 0 {
+			return []float64{1}, nil
+		}
+		return []float64{1, 2}, nil
+	}
+	for _, strat := range []Strategy{StrategyNaive, StrategyIS} {
+		plan := onePoint(4, 50)
+		plan.Variance.Strategy = strat
+		_, err := runOne(context.Background(), plan, shared(ragged))
+		if err == nil || !strings.Contains(err.Error(), "metrics") {
+			t.Errorf("%v: err = %v, want a row-width error", strat, err)
+		}
+	}
+}
+
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(context.Background(), Options{Proc: nil, Samples: 10}, vthEval); err == nil {
+	factory := shared(vthEval)
+	noProc := onePoint(1, 10)
+	noProc.Proc = nil
+	if _, err := runOne(context.Background(), noProc, factory); err == nil {
 		t.Error("nil process accepted")
 	}
-	if _, err := Run(context.Background(), Options{Proc: proc(), Samples: 0}, vthEval); err == nil {
+	if _, err := runOne(context.Background(), onePoint(1, 0), factory); err == nil {
 		t.Error("zero samples accepted")
 	}
-	if _, err := Run(context.Background(), Options{Proc: proc(), Samples: 5}, nil); err == nil {
-		t.Error("nil evaluator accepted")
+	if _, err := runOne(context.Background(), onePoint(1, 5), nil); err == nil {
+		t.Error("nil factory accepted")
 	}
-}
-
-func TestYield(t *testing.T) {
-	res := &Result{Samples: [][]float64{{1}, {2}, {3}, nil}}
-	y, ok := res.Yield(func(m []float64) bool { return m[0] >= 2 })
-	if !ok {
-		t.Fatal("yield not ok despite successful samples")
-	}
-	if y != 0.5 {
-		t.Errorf("yield = %g, want 0.5 (2 of 4)", y)
-	}
-	empty := &Result{}
-	if _, ok := empty.Yield(func([]float64) bool { return true }); ok {
-		t.Error("empty result must report ok=false, not a silent zero yield")
-	}
-	allFailed := &Result{Samples: [][]float64{nil, nil}, Failed: 2}
-	if _, ok := allFailed.Yield(func([]float64) bool { return true }); ok {
-		t.Error("all-failed result must report ok=false")
-	}
-}
-
-func TestWeightedYield(t *testing.T) {
-	res := &Result{
-		Samples: [][]float64{{1}, {2}, {3}, nil},
-		Weights: []float64{1, 2, 3, 4},
-	}
-	// Passing samples {2}, {3} carry weight 5 of 10 total (the failed
-	// sample's weight 4 stays in the denominator).
-	y, ok := res.WeightedYield(func(m []float64) bool { return m[0] >= 2 })
-	if !ok || y != 0.5 {
-		t.Errorf("weighted yield = %g ok=%v, want 0.5 true", y, ok)
-	}
-	// Without weights it must agree with Yield exactly.
-	res.Weights = nil
-	yw, _ := res.WeightedYield(func(m []float64) bool { return m[0] >= 2 })
-	yu, _ := res.Yield(func(m []float64) bool { return m[0] >= 2 })
-	if yw != yu {
-		t.Errorf("unweighted WeightedYield %g != Yield %g", yw, yu)
+	if err := Run(context.Background(), onePoint(1, 5), factory, nil); err == nil {
+		t.Error("nil done callback accepted")
 	}
 }
 
 func TestMetricNamesDefault(t *testing.T) {
-	res, err := Run(context.Background(), Options{Proc: proc(), Samples: 10, Seed: 1}, vthEval)
+	res, err := runOne(context.Background(), onePoint(1, 10), shared(vthEval))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,50 +196,80 @@ func TestMetricNamesDefault(t *testing.T) {
 	}
 }
 
-// TestRunFactoryMatchesRun checks per-worker evaluators produce results
-// identical to the shared-evaluator path, and that each worker receives
-// its own evaluator instance.
+// TestRunFactoryMatchesRun checks evaluators carrying per-worker
+// scratch state produce results identical to one stateless evaluator
+// shared by every worker, and that each worker receives its own
+// evaluator instance.
 func TestRunFactoryMatchesRun(t *testing.T) {
-	shared, err := Run(context.Background(), Options{Proc: proc(), Samples: 200, Seed: 3, Workers: 4}, vthEval)
+	plan := onePoint(3, 200)
+	plan.Workers = 4
+	want, err := runOne(context.Background(), plan, shared(vthEval))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var evaluators atomic.Int64
-	factored, err := RunFactory(context.Background(), Options{Proc: proc(), Samples: 200, Seed: 3, Workers: 4},
-		func() Evaluator {
-			evaluators.Add(1)
-			scratch := make([]float64, 1) // stands in for a solver workspace
-			return func(s *process.Sample) ([]float64, error) {
-				m, err := vthEval(s)
-				if err != nil {
-					return nil, err
-				}
-				scratch[0] = m[0]
-				return []float64{scratch[0]}, nil
+	factored, err := runOne(context.Background(), plan, func() PointEvaluator {
+		evaluators.Add(1)
+		scratch := make([]float64, 1) // stands in for a solver workspace
+		return func(_ int, s *process.Sample) ([]float64, error) {
+			m, err := vthEval(s)
+			if err != nil {
+				return nil, err
 			}
-		})
+			scratch[0] = m[0]
+			return []float64{scratch[0]}, nil
+		}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := evaluators.Load(); got != 4 {
 		t.Errorf("factory called %d times, want once per worker (4)", got)
 	}
-	for i := range shared.Samples {
-		if shared.Samples[i][0] != factored.Samples[i][0] {
-			t.Fatalf("sample %d differs between Run and RunFactory", i)
+	for i := range want.Samples {
+		if want.Samples[i][0] != factored.Samples[i][0] {
+			t.Fatalf("sample %d differs between shared and per-worker evaluators", i)
 		}
 	}
 }
 
-// TestRunFactoryValidation checks nil factories and nil evaluators are
-// handled without deadlock.
+// TestRunFactoryValidation checks a factory handing out nil evaluators
+// fails cleanly under every strategy instead of hanging.
 func TestRunFactoryValidation(t *testing.T) {
-	if _, err := RunFactory(context.Background(), Options{Proc: proc(), Samples: 5}, nil); err == nil {
-		t.Error("nil factory accepted")
+	for _, strat := range []Strategy{StrategyNaive, StrategyIS, StrategySurrogate} {
+		plan := onePoint(1, 80)
+		plan.Workers = 2
+		plan.Variance.Strategy = strat
+		if _, err := runOne(context.Background(), plan, func() PointEvaluator { return nil }); err == nil {
+			t.Errorf("%v: all-nil evaluators should error (every sample failed)", strat)
+		}
 	}
-	// A factory returning nil evaluators must fail cleanly, not hang.
-	if _, err := RunFactory(context.Background(), Options{Proc: proc(), Samples: 5, Workers: 2},
-		func() Evaluator { return nil }); err == nil {
-		t.Error("all-nil evaluators should error (every sample failed)")
+}
+
+// TestRunFactoryCalledAtMostWorkers pins the pool contract: one
+// evaluator per worker for the whole run, whatever the strategy's
+// phases and however many points the plan has.
+func TestRunFactoryCalledAtMostWorkers(t *testing.T) {
+	const workers = 3
+	for _, strat := range []Strategy{StrategyNaive, StrategyIS, StrategySurrogate} {
+		for _, points := range []int{1, 4} {
+			plan := Plan{Proc: proc(), Workers: workers, Variance: VarianceOptions{
+				Strategy: strat, TrainSamples: 24, CorrectionSamples: 8, Kappa: 1e12,
+			}}
+			for p := 0; p < points; p++ {
+				plan.Points = append(plan.Points, PointSpec{Seed: int64(p + 1), Samples: 120})
+			}
+			var calls atomic.Int64
+			factory := func() PointEvaluator {
+				calls.Add(1)
+				return func(_ int, s *process.Sample) ([]float64, error) { return smoothEval(s) }
+			}
+			if err := Run(context.Background(), plan, factory, func(_ int, _ *Result, err error) error { return err }); err != nil {
+				t.Fatal(err)
+			}
+			if got := calls.Load(); got > workers {
+				t.Errorf("%v, %d points: factory called %d times, want at most %d", strat, points, got, workers)
+			}
+		}
 	}
 }

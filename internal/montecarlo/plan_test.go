@@ -27,17 +27,17 @@ func batchEval(point int, s *process.Sample) ([]float64, error) {
 	return []float64{float64(point) + sh.DVth, 1 - sh.DVth}, nil
 }
 
-// runFactoryReference computes every point independently via RunFactory
-// — the semantics RunBatch must reproduce bit for bit.
-func runFactoryReference(t *testing.T, specs []PointSpec) []*Result {
+// standaloneResults computes every point as its own one-point plan on
+// one worker — the semantics a multi-point plan must reproduce bit for
+// bit.
+func standaloneResults(t *testing.T, specs []PointSpec) []*Result {
 	t.Helper()
 	out := make([]*Result, len(specs))
 	for p, spec := range specs {
-		pp := p
-		res, err := RunFactory(context.Background(),
-			Options{Proc: proc(), Samples: spec.Samples, Seed: spec.Seed, Workers: 1, Metrics: []string{"a", "b"}},
-			func() Evaluator {
-				return func(s *process.Sample) ([]float64, error) { return batchEval(pp, s) }
+		res, err := runOne(context.Background(),
+			Plan{Proc: proc(), Points: []PointSpec{spec}, Workers: 1, Metrics: []string{"a", "b"}},
+			func() PointEvaluator {
+				return func(_ int, s *process.Sample) ([]float64, error) { return batchEval(p, s) }
 			})
 		if err != nil {
 			t.Fatal(err)
@@ -47,35 +47,36 @@ func runFactoryReference(t *testing.T, specs []PointSpec) []*Result {
 	return out
 }
 
+// TestRunBatchMatchesRunFactory checks a multi-point plan delivers in
+// point order and reproduces each point's standalone one-point run bit
+// for bit, for any worker count. The two sides cut their samples into
+// different item sizes.
 func TestRunBatchMatchesRunFactory(t *testing.T) {
 	specs := batchSpecs()
-	want := runFactoryReference(t, specs)
+	want := standaloneResults(t, specs)
 	for _, workers := range []int{1, 2, 8} {
-		for _, chunk := range []int{1, 7, 32, 1000} {
-			var got []*Result
-			var order []int
-			err := RunBatch(context.Background(),
-				BatchOptions{Proc: proc(), Workers: workers, ChunkSize: chunk, Metrics: []string{"a", "b"}},
-				specs,
-				func() PointEvaluator { return batchEval },
-				func(point int, res *Result, err error) error {
-					if err != nil {
-						return err
-					}
-					order = append(order, point)
-					got = append(got, res)
-					return nil
-				})
-			if err != nil {
-				t.Fatalf("workers=%d chunk=%d: %v", workers, chunk, err)
-			}
-			if wantOrder := []int{0, 1, 2, 3}; !reflect.DeepEqual(order, wantOrder) {
-				t.Fatalf("workers=%d chunk=%d: delivery order %v, want %v", workers, chunk, order, wantOrder)
-			}
-			for p := range specs {
-				if !reflect.DeepEqual(got[p], want[p]) {
-					t.Errorf("workers=%d chunk=%d: point %d differs from RunFactory", workers, chunk, p)
+		var got []*Result
+		var order []int
+		err := Run(context.Background(),
+			Plan{Proc: proc(), Points: specs, Workers: workers, Metrics: []string{"a", "b"}},
+			func() PointEvaluator { return batchEval },
+			func(point int, res *Result, err error) error {
+				if err != nil {
+					return err
 				}
+				order = append(order, point)
+				got = append(got, res)
+				return nil
+			})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if wantOrder := []int{0, 1, 2, 3}; !reflect.DeepEqual(order, wantOrder) {
+			t.Fatalf("workers=%d: delivery order %v, want %v", workers, order, wantOrder)
+		}
+		for p := range specs {
+			if !reflect.DeepEqual(got[p], want[p]) {
+				t.Errorf("workers=%d: point %d differs from its standalone run", workers, p)
 			}
 		}
 	}
@@ -86,9 +87,8 @@ func TestRunBatchFailedPoint(t *testing.T) {
 	boom := errors.New("solver diverged")
 	var pointErrs []error
 	var okPoints []int
-	err := RunBatch(context.Background(),
-		BatchOptions{Proc: proc(), Workers: 4, ChunkSize: 3},
-		specs,
+	err := Run(context.Background(),
+		Plan{Proc: proc(), Points: specs, Workers: 4},
 		func() PointEvaluator {
 			return func(point int, s *process.Sample) ([]float64, error) {
 				if point == 1 {
@@ -123,9 +123,8 @@ func TestRunBatchDoneErrorAborts(t *testing.T) {
 	specs := batchSpecs()
 	abort := errors.New("stop here")
 	calls := 0
-	err := RunBatch(context.Background(),
-		BatchOptions{Proc: proc(), Workers: 2, ChunkSize: 8},
-		specs,
+	err := Run(context.Background(),
+		Plan{Proc: proc(), Points: specs, Workers: 2},
 		func() PointEvaluator { return batchEval },
 		func(point int, res *Result, err error) error {
 			calls++
@@ -149,15 +148,14 @@ func TestRunBatchCancellation(t *testing.T) {
 	for p := range specs {
 		specs[p] = PointSpec{Seed: int64(p + 1), Samples: 40}
 	}
-	want := runFactoryReference(t, specs)
+	want := standaloneResults(t, specs)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	var evals atomic.Int64
 	var deliveredPoints []int
 	var delivered []*Result
-	err := RunBatch(ctx,
-		BatchOptions{Proc: proc(), Workers: 2, ChunkSize: 4, Metrics: []string{"a", "b"}},
-		specs,
+	err := Run(ctx,
+		Plan{Proc: proc(), Points: specs, Workers: 2, Metrics: []string{"a", "b"}},
 		func() PointEvaluator {
 			return func(point int, s *process.Sample) ([]float64, error) {
 				if evals.Add(1) == 300 {
@@ -193,22 +191,20 @@ func TestRunBatchCancellation(t *testing.T) {
 func TestRunBatchValidation(t *testing.T) {
 	factory := func() PointEvaluator { return batchEval }
 	done := func(int, *Result, error) error { return nil }
-	cases := []struct {
-		name string
-		err  error
-	}{
-		{"nil process", RunBatch(context.Background(), BatchOptions{}, []PointSpec{{Seed: 1, Samples: 1}}, factory, done)},
-		{"nil factory", RunBatch(context.Background(), BatchOptions{Proc: proc()}, []PointSpec{{Seed: 1, Samples: 1}}, nil, done)},
-		{"nil done", RunBatch(context.Background(), BatchOptions{Proc: proc()}, []PointSpec{{Seed: 1, Samples: 1}}, factory, nil)},
-		{"bad samples", RunBatch(context.Background(), BatchOptions{Proc: proc()}, []PointSpec{{Seed: 1, Samples: 0}}, factory, done)},
+	specs := []PointSpec{{Seed: 1, Samples: 3}, {Seed: 2, Samples: 0}}
+	if err := Run(context.Background(), Plan{Proc: proc(), Points: specs}, factory, done); err == nil {
+		t.Error("a point with zero samples accepted")
 	}
-	for _, c := range cases {
-		if c.err == nil {
-			t.Errorf("%s: expected error", c.name)
-		}
+	bad := Plan{Proc: proc(), Points: batchSpecs(), Variance: VarianceOptions{Strategy: Strategy(99)}}
+	if err := Run(context.Background(), bad, factory, done); err == nil {
+		t.Error("unknown strategy accepted")
 	}
-	if err := RunBatch(context.Background(), BatchOptions{Proc: proc()}, nil, factory, done); err != nil {
-		t.Errorf("empty batch: %v", err)
+	unnamed := Plan{Proc: proc(), Points: batchSpecs(), Dispatcher: failingDispatcher{shards: 1}}
+	if err := Run(context.Background(), unnamed, factory, done); err == nil {
+		t.Error("a sharded plan without metric names accepted")
+	}
+	if err := Run(context.Background(), Plan{Proc: proc()}, factory, done); err != nil {
+		t.Errorf("empty plan: %v", err)
 	}
 }
 
@@ -224,9 +220,8 @@ func (g *gaugeRecorder) AddPointsInFlight(d int64) { g.inflight.Add(d) }
 
 func TestRunBatchGaugesSettle(t *testing.T) {
 	var g gaugeRecorder
-	err := RunBatch(context.Background(),
-		BatchOptions{Proc: proc(), Workers: 3, ChunkSize: 5, Gauges: &g},
-		batchSpecs(),
+	err := Run(context.Background(),
+		Plan{Proc: proc(), Points: batchSpecs(), Workers: 3, Gauges: &g},
 		func() PointEvaluator { return batchEval },
 		func(int, *Result, error) error { return nil })
 	if err != nil {
@@ -245,9 +240,8 @@ func TestRunBatchGaugesSettleOnCancel(t *testing.T) {
 	var g gaugeRecorder
 	ctx, cancel := context.WithCancel(context.Background())
 	var evals atomic.Int64
-	err := RunBatch(ctx,
-		BatchOptions{Proc: proc(), Workers: 2, ChunkSize: 2, Gauges: &g},
-		batchSpecs(),
+	err := Run(ctx,
+		Plan{Proc: proc(), Points: batchSpecs(), Workers: 2, Gauges: &g},
 		func() PointEvaluator {
 			return func(point int, s *process.Sample) ([]float64, error) {
 				if evals.Add(1) == 20 {
@@ -274,11 +268,11 @@ func BenchmarkRunBatch(b *testing.B) {
 	for p := range specs {
 		specs[p] = PointSpec{Seed: int64(p), Samples: 64}
 	}
-	opts := BatchOptions{Proc: proc(), Workers: 4, ChunkSize: 16}
+	plan := Plan{Proc: proc(), Points: specs, Workers: 4}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		err := RunBatch(context.Background(), opts, specs,
+		err := Run(context.Background(), plan,
 			func() PointEvaluator { return batchEval },
 			func(int, *Result, error) error { return nil })
 		if err != nil {

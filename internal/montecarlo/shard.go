@@ -1,20 +1,17 @@
-// Distributed extension of the batch scheduler. RunBatchDistributed
-// splits every point's sample range into contiguous shards, evaluates
-// shard 0 on the local worker pool (the exact RunBatch machinery) and
-// farms the rest to a ShardDispatcher — in the ayd server, peer
-// replicas reached over an internal HTTP route. Because sample i of
-// point p is ALWAYS process sample (points[p].Seed, i) no matter which
-// machine computes it, and because the merged sample array is assembled
-// by absolute index before statistics run, a point's Result is
-// bit-identical for ANY shard layout — 1, 2 or 4 replicas, or a peer
-// failing over to local evaluation mid-batch. That invariant is the
+// Distributed naive points. A plan with a ShardDispatcher splits every
+// naive point's sample range into contiguous shards, evaluates shard 0
+// on the local pool and farms the rest to the dispatcher — in the ayd
+// server, peer replicas reached over an internal HTTP route. Because
+// sample i of point p is ALWAYS process sample (Points[p].Seed, i) no
+// matter which machine computes it, and because the merged sample array
+// is assembled by absolute index before statistics run, a point's Result
+// is bit-identical for ANY shard layout — 1, 2 or 4 replicas, or a peer
+// failing over to local evaluation mid-run. That invariant is the
 // correctness contract of cluster mode and is pinned by tests.
 package montecarlo
 
 import (
 	"context"
-	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -59,220 +56,53 @@ func shardRanges(n, parts int) [][2]int {
 	return out
 }
 
-// RunBatchDistributed is RunBatch with the sample space of every point
-// spread across the local pool and the dispatcher's remote shards. With
-// a nil dispatcher (or Shards() == 0) it IS RunBatch. genes[p] carries
-// point p's genome for the remote side; the local evaluator keeps
-// receiving the batch position exactly as in RunBatch.
-//
-// Delivery, cancellation and error semantics match RunBatch: done runs
-// once per point in point order, a done error aborts the batch, and a
-// remote failure silently degrades that shard to local evaluation (the
-// dispatcher records the fallback for observability).
-func RunBatchDistributed(ctx context.Context, opts BatchOptions, points []PointSpec, genes [][]float64, factory BatchFactory, disp ShardDispatcher, done func(point int, res *Result, err error) error) error {
-	if disp == nil || disp.Shards() <= 0 {
-		return RunBatch(ctx, opts, points, factory, done)
+// shard evaluates naive point p's samples across the local pool and the
+// dispatcher's remote shards, storing rows into res and counting failed
+// samples in failed. run evaluates a range of sample indices locally.
+func (e *engine) shard(ctx context.Context, p int, res *Result, failed *atomic.Int64, run func(idxs []int)) {
+	ranges := shardRanges(len(res.Samples), e.shards+1)
+	var fetchers sync.WaitGroup
+	for _, r := range ranges[1:] {
+		fetchers.Add(1)
+		go func(lo, hi int) {
+			defer fetchers.Done()
+			rows := e.fetch(ctx, p, lo, hi)
+			if rows == nil {
+				// Unserved shard: evaluate it here. Same samples, same
+				// derivation — the result cannot differ.
+				run(ints(lo, hi))
+				return
+			}
+			for k, row := range rows {
+				if row == nil {
+					failed.Add(1)
+					continue
+				}
+				res.Samples[lo+k] = row
+			}
+		}(r[0], r[1])
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if opts.Proc == nil {
-		return fmt.Errorf("montecarlo: nil process")
-	}
-	if factory == nil {
-		return fmt.Errorf("montecarlo: nil evaluator factory")
-	}
-	if done == nil {
-		return fmt.Errorf("montecarlo: nil done callback")
-	}
-	if len(genes) != len(points) {
-		return fmt.Errorf("montecarlo: %d gene vectors for %d points", len(genes), len(points))
-	}
-	for p, spec := range points {
-		if spec.Samples <= 0 {
-			return fmt.Errorf("montecarlo: point %d: Samples must be positive, got %d", p, spec.Samples)
-		}
-	}
-	if len(points) == 0 {
+	// Shard 0 stays local: the owning replica always contributes, and a
+	// point never stalls on peers alone.
+	run(ints(ranges[0][0], ranges[0][1]))
+	fetchers.Wait()
+}
+
+// fetch asks the dispatcher for samples [lo, hi) of point p. It returns
+// the rows only when the shard came back whole — hi−lo rows, each nil
+// (a failed sample) or as wide as the plan's metrics — and nil
+// otherwise, so a peer on another build costs throughput, never a panic
+// or a wrong result.
+func (e *engine) fetch(ctx context.Context, p, lo, hi int) [][]float64 {
+	pt := e.plan.Points[p]
+	rows, err := e.plan.Dispatcher.EvalShard(ctx, pt.Genes, pt.Seed, lo, hi)
+	if err != nil || len(rows) != hi-lo {
 		return nil
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	chunk := opts.ChunkSize
-	if chunk <= 0 {
-		chunk = 32
-	}
-	gauges := opts.Gauges
-	if gauges == nil {
-		gauges = nopGauges{}
-	}
-	shards := disp.Shards()
-
-	ictx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	state := make([]batchPoint, len(points))
-	for p := range state {
-		state[p].res = &Result{Samples: make([][]float64, points[p].Samples)}
-		state[p].remaining.Store(int64(points[p].Samples))
-	}
-
-	type item struct{ p, lo, hi int }
-	work := make(chan item, 2*workers)
-	completed := make(chan int, len(points))
-
-	var started atomic.Int64
-	delivered := 0
-	defer func() {
-		gauges.AddPointsInFlight(int64(delivered) - started.Load())
-	}()
-
-	// enqueueLocal chunks [lo, hi) of point p onto the local pool.
-	enqueueLocal := func(p, lo, hi int) {
-		for ; lo < hi; lo += chunk {
-			end := lo + chunk
-			if end > hi {
-				end = hi
-			}
-			select {
-			case work <- item{p, lo, end}:
-				gauges.AddQueueDepth(1)
-			case <-ictx.Done():
-				return
-			}
+	for _, row := range rows {
+		if row != nil && len(row) != len(e.plan.Metrics) {
+			return nil
 		}
 	}
-
-	// producers covers the dispatch loop and every remote fetcher: the
-	// work channel closes only when no goroutine can still enqueue local
-	// items (fetchers enqueue their range as a fallback on error).
-	var producers sync.WaitGroup
-	// remoteSem bounds concurrent remote calls so a thousand-point batch
-	// doesn't open a thousand simultaneous requests per peer.
-	remoteSem := make(chan struct{}, 4*shards)
-
-	producers.Add(1)
-	go func() {
-		defer producers.Done()
-		for p, spec := range points {
-			started.Add(1)
-			gauges.AddPointsInFlight(1)
-			ranges := shardRanges(spec.Samples, shards+1)
-			for ri, r := range ranges {
-				lo, hi := r[0], r[1]
-				if hi <= lo {
-					continue
-				}
-				if ri == 0 {
-					// Shard 0 stays local: the owning replica always
-					// contributes, and a batch never stalls on peers alone.
-					enqueueLocal(p, lo, hi)
-					continue
-				}
-				select {
-				case remoteSem <- struct{}{}:
-				case <-ictx.Done():
-					return
-				}
-				producers.Add(1)
-				go func(p, lo, hi int) {
-					defer producers.Done()
-					defer func() { <-remoteSem }()
-					rows, err := disp.EvalShard(ictx, genes[p], points[p].Seed, lo, hi)
-					if err != nil || len(rows) != hi-lo {
-						// Unserved shard: evaluate it here. Same samples,
-						// same derivation — the result cannot differ.
-						enqueueLocal(p, lo, hi)
-						return
-					}
-					st := &state[p]
-					for k, row := range rows {
-						if row == nil {
-							st.failed.Add(1)
-							continue
-						}
-						st.res.Samples[lo+k] = row
-					}
-					if st.remaining.Add(int64(lo-hi)) == 0 {
-						completed <- p
-					}
-				}(p, lo, hi)
-			}
-			if ictx.Err() != nil {
-				return
-			}
-		}
-	}()
-	go func() {
-		producers.Wait()
-		close(work)
-	}()
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			eval := factory()
-			for it := range work {
-				gauges.AddQueueDepth(-1)
-				gauges.AddBusyWorkers(1)
-				st := &state[it.p]
-				for i := it.lo; i < it.hi; i++ {
-					if eval == nil {
-						st.failed.Add(1)
-						continue
-					}
-					s := opts.Proc.NewSample(points[it.p].Seed, i)
-					m, err := eval(it.p, s)
-					if err != nil {
-						st.failed.Add(1)
-						continue
-					}
-					st.res.Samples[i] = m
-				}
-				gauges.AddBusyWorkers(-1)
-				if st.remaining.Add(int64(it.lo-it.hi)) == 0 {
-					completed <- it.p
-				}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(completed)
-	}()
-
-	// In-order delivery, exactly as RunBatch: done sees points 0, 1, 2…
-	// whatever the completion order across machines.
-	isDone := make([]bool, len(points))
-	frontier := 0
-	var firstErr error
-	for p := range completed {
-		isDone[p] = true
-		for firstErr == nil && ctx.Err() == nil && frontier < len(points) && isDone[frontier] {
-			st := &state[frontier]
-			st.res.Failed = int(st.failed.Load())
-			err := finishStats(st.res, opts.Metrics)
-			var derr error
-			if err != nil {
-				derr = done(frontier, nil, err)
-			} else {
-				derr = done(frontier, st.res, nil)
-			}
-			delivered++
-			gauges.AddPointsInFlight(-1)
-			frontier++
-			if derr != nil {
-				firstErr = derr
-				cancel()
-			}
-		}
-	}
-	if firstErr != nil {
-		return firstErr
-	}
-	return ctx.Err()
+	return rows
 }

@@ -75,41 +75,37 @@ func shardGenes(n int) [][]float64 {
 	return out
 }
 
-// referenceResults computes the batch through plain RunBatch — the
-// single-node truth every shard layout must reproduce bit for bit.
-func referenceResults(t *testing.T, specs []PointSpec, genes [][]float64) []*Result {
-	t.Helper()
-	var out []*Result
-	err := RunBatch(context.Background(),
-		BatchOptions{Proc: proc(), Workers: 1, Metrics: []string{"a", "b"}},
-		specs,
-		func() PointEvaluator {
-			return func(point int, s *process.Sample) ([]float64, error) { return genesEval(genes[point], s) }
-		},
-		func(point int, res *Result, err error) error {
-			if err != nil {
-				return err
-			}
-			out = append(out, res)
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
+// shardSpecs attaches each point's genome to batchSpecs.
+func shardSpecs() []PointSpec {
+	specs := batchSpecs()
+	genes := shardGenes(len(specs))
+	for p := range specs {
+		specs[p].Genes = genes[p]
 	}
-	return out
+	return specs
 }
 
-func runDistributed(t *testing.T, specs []PointSpec, genes [][]float64, disp ShardDispatcher, workers, chunk int) ([]*Result, []int) {
+// genesFactory evaluates each point through its genome, as a peer does.
+func genesFactory(specs []PointSpec) Factory {
+	return func() PointEvaluator {
+		return func(point int, s *process.Sample) ([]float64, error) { return genesEval(specs[point].Genes, s) }
+	}
+}
+
+// referenceResults computes the plan on one node and one worker — the
+// single-node truth every shard layout must reproduce bit for bit.
+func referenceResults(t *testing.T, specs []PointSpec) []*Result {
+	t.Helper()
+	return runDistributed(t, specs, nil, 1)
+}
+
+func runDistributed(t *testing.T, specs []PointSpec, disp ShardDispatcher, workers int) []*Result {
 	t.Helper()
 	var got []*Result
 	var order []int
-	err := RunBatchDistributed(context.Background(),
-		BatchOptions{Proc: proc(), Workers: workers, ChunkSize: chunk, Metrics: []string{"a", "b"}},
-		specs, genes,
-		func() PointEvaluator {
-			return func(point int, s *process.Sample) ([]float64, error) { return genesEval(genes[point], s) }
-		},
-		disp,
+	err := Run(context.Background(),
+		Plan{Proc: proc(), Points: specs, Workers: workers, Metrics: []string{"a", "b"}, Dispatcher: disp},
+		genesFactory(specs),
 		func(point int, res *Result, err error) error {
 			if err != nil {
 				return err
@@ -121,34 +117,38 @@ func runDistributed(t *testing.T, specs []PointSpec, genes [][]float64, disp Sha
 	if err != nil {
 		t.Fatal(err)
 	}
-	return got, order
+	for i, p := range order {
+		if p != i {
+			t.Fatalf("delivery order %v", order)
+		}
+	}
+	return got
 }
 
 // TestRunBatchDistributedBitIdentical pins the cluster correctness
 // contract: for ANY shard layout (0/1/2/3 remote shards — i.e. 1, 2, 3
-// or 4 replicas' worth of splitting), any worker count and any chunk
-// size, every point's Result is bit-identical to the single-node run.
+// or 4 replicas' worth of splitting) and any worker count, every
+// point's Result is bit-identical to the single-node run, with either
+// item size (a multi-point plan and a one-point plan).
 func TestRunBatchDistributedBitIdentical(t *testing.T) {
-	specs := batchSpecs()
-	genes := shardGenes(len(specs))
-	want := referenceResults(t, specs, genes)
+	specs := shardSpecs()
+	want := referenceResults(t, specs)
 	for _, shards := range []int{0, 1, 2, 3} {
 		for _, workers := range []int{1, 4} {
-			for _, chunk := range []int{5, 32} {
-				var disp ShardDispatcher
-				if shards > 0 {
-					disp = &peerDispatcher{shards: shards, proc: proc(), eval: genesEval}
+			var disp ShardDispatcher
+			if shards > 0 {
+				disp = &peerDispatcher{shards: shards, proc: proc(), eval: genesEval}
+			}
+			got := runDistributed(t, specs, disp, workers)
+			for p := range specs {
+				if !reflect.DeepEqual(got[p], want[p]) {
+					t.Errorf("shards=%d workers=%d: point %d differs from single-node run (failed %d vs %d)",
+						shards, workers, p, got[p].Failed, want[p].Failed)
 				}
-				got, order := runDistributed(t, specs, genes, disp, workers, chunk)
-				if wantOrder := []int{0, 1, 2, 3}; !reflect.DeepEqual(order, wantOrder) {
-					t.Fatalf("shards=%d workers=%d chunk=%d: delivery order %v", shards, workers, chunk, order)
-				}
-				for p := range specs {
-					if !reflect.DeepEqual(got[p], want[p]) {
-						t.Errorf("shards=%d workers=%d chunk=%d: point %d differs from single-node run (failed %d vs %d)",
-							shards, workers, chunk, p, got[p].Failed, want[p].Failed)
-					}
-				}
+			}
+			one := runDistributed(t, specs[3:], disp, workers)
+			if !reflect.DeepEqual(one[0], want[3]) {
+				t.Errorf("shards=%d workers=%d: one-point plan differs from single-node run", shards, workers)
 			}
 		}
 	}
@@ -156,32 +156,60 @@ func TestRunBatchDistributedBitIdentical(t *testing.T) {
 
 // TestRunBatchDistributedRemoteActuallyUsed guards against a scheduler
 // that silently evaluates everything locally (which would also pass the
-// bit-identity test).
+// bit-identity test), and checks only naive plans are sharded.
 func TestRunBatchDistributedRemoteActuallyUsed(t *testing.T) {
-	specs := batchSpecs()
-	genes := shardGenes(len(specs))
+	specs := shardSpecs()
 	disp := &peerDispatcher{shards: 2, proc: proc(), eval: genesEval}
-	runDistributed(t, specs, genes, disp, 2, 16)
+	runDistributed(t, specs, disp, 2)
 	if disp.calls.Load() == 0 {
 		t.Fatal("dispatcher never called")
 	}
+	is := &peerDispatcher{shards: 2, proc: proc(), eval: genesEval}
+	err := Run(context.Background(),
+		Plan{Proc: proc(), Points: specs, Variance: VarianceOptions{Strategy: StrategyIS}, Dispatcher: is},
+		genesFactory(specs), func(_ int, _ *Result, err error) error { return err })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := is.calls.Load(); n != 0 {
+		t.Errorf("an importance-sampled plan sent %d shards to peers", n)
+	}
+}
+
+// raggedDispatcher answers every shard with one-column rows, as a peer
+// on another build might.
+type raggedDispatcher struct {
+	shards int
+	calls  atomic.Int64
+}
+
+func (d *raggedDispatcher) Shards() int { return d.shards }
+func (d *raggedDispatcher) EvalShard(_ context.Context, _ []float64, _ int64, lo, hi int) ([][]float64, error) {
+	d.calls.Add(1)
+	rows := make([][]float64, hi-lo)
+	for k := range rows {
+		rows[k] = []float64{float64(k)}
+	}
+	return rows, nil
 }
 
 // TestRunBatchDistributedFallback pins degraded-mode correctness: with
-// every peer down (or flaking), results still match the single-node run
-// bit for bit — the failed shards are re-evaluated locally.
+// every peer down, flaking or answering rows of the wrong width,
+// results still match the single-node run bit for bit — the unserved
+// shards are re-evaluated locally.
 func TestRunBatchDistributedFallback(t *testing.T) {
-	specs := batchSpecs()
-	genes := shardGenes(len(specs))
-	want := referenceResults(t, specs, genes)
+	specs := shardSpecs()
+	want := referenceResults(t, specs)
 
+	ragged := &raggedDispatcher{shards: 2}
 	dispatchers := map[string]ShardDispatcher{
 		"all-peers-down": failingDispatcher{shards: 3},
 		"flaky-peers":    &flakyDispatcher{peerDispatcher: peerDispatcher{shards: 2, proc: proc(), eval: genesEval}},
+		"ragged-rows":    ragged,
 	}
 	for name, disp := range dispatchers {
 		t.Run(name, func(t *testing.T) {
-			got, _ := runDistributed(t, specs, genes, disp, 2, 16)
+			got := runDistributed(t, specs, disp, 2)
 			for p := range specs {
 				if !reflect.DeepEqual(got[p], want[p]) {
 					t.Errorf("point %d differs from single-node run", p)
@@ -189,26 +217,30 @@ func TestRunBatchDistributedFallback(t *testing.T) {
 			}
 		})
 	}
+	if ragged.calls.Load() == 0 {
+		t.Error("ragged dispatcher never called")
+	}
 }
 
-// TestRunBatchDistributedCancel mirrors RunBatch's cancellation
+// TestRunBatchDistributedCancel mirrors the local cancellation
 // semantics: the scheduler unwinds promptly and reports ctx.Err().
 func TestRunBatchDistributedCancel(t *testing.T) {
 	specs := []PointSpec{{Seed: 1, Samples: 400}, {Seed: 2, Samples: 400}, {Seed: 3, Samples: 400}}
 	genes := shardGenes(len(specs))
+	for p := range specs {
+		specs[p].Genes = genes[p]
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	disp := &peerDispatcher{shards: 2, proc: proc(), eval: genesEval}
 	delivered := 0
-	err := RunBatchDistributed(ctx,
-		BatchOptions{Proc: proc(), Workers: 2, ChunkSize: 8, Metrics: []string{"a", "b"}},
-		specs, genes,
+	err := Run(ctx,
+		Plan{Proc: proc(), Points: specs, Workers: 2, Metrics: []string{"a", "b"}, Dispatcher: disp},
 		func() PointEvaluator {
 			return func(point int, s *process.Sample) ([]float64, error) {
 				cancel() // first evaluation pulls the plug
 				return genesEval(genes[point], s)
 			}
 		},
-		disp,
 		func(point int, res *Result, err error) error {
 			delivered++
 			return nil

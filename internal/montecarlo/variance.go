@@ -3,11 +3,10 @@
 //
 // The naive estimator needs ~100/p samples to resolve a failure
 // probability p, which makes high-sigma yield targets (99.9 % and up)
-// unreachable inside an optimisation loop. RunVariance and
-// RunVarianceBatch keep the engine's determinism contract — sample i is
-// always derived from (seed, i), so results are bit-identical for any
-// worker count — while spending circuit evaluations far more
-// effectively:
+// unreachable inside an optimisation loop. The strategies below keep
+// the engine's determinism contract — sample i is always derived from
+// (seed, i), so results are bit-identical for any worker count — while
+// spending circuit evaluations far more effectively:
 //
 //   - StrategyIS draws the global-variation point from a proposal
 //     distribution that over-samples the tails and reweights each
@@ -20,19 +19,15 @@
 //     prediction. Every decision is logged in Result.Decisions.
 //   - StrategyISSurrogate composes both.
 //
-// Batched runs assign each point wholly to one worker instead of
-// chunking samples across the pool: the per-point phases (train → fit →
-// classify → verify) are inherently sequential, and whole-point
-// assignment preserves bit-identical results for any worker count
-// without a barrier per phase.
+// A point's phases (train → fit → classify → verify) are sequential, so
+// they run on the point's own goroutine; only each phase's circuit
+// evaluations go to the pool.
 package montecarlo
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"analogyield/internal/process"
@@ -44,8 +39,7 @@ import (
 type Strategy uint8
 
 const (
-	// StrategyNaive is plain Monte Carlo — the default, bit-identical
-	// to RunFactory/RunBatch.
+	// StrategyNaive is plain Monte Carlo — the default.
 	StrategyNaive Strategy = iota
 	// StrategyIS draws from an importance-sampling proposal and
 	// reweights.
@@ -179,214 +173,14 @@ func (v *VarianceOptions) validate() error {
 	return nil
 }
 
-// RunVariance is RunFactory with a variance-reduction strategy.
-// StrategyNaive delegates to RunFactory exactly (bit-identical results,
-// same scheduling); the other strategies run their sequential phases on
-// a parallel evaluation pool. Sampling stays deterministic in (Seed,
-// sample index) regardless of worker count.
-func RunVariance(ctx context.Context, opts Options, v VarianceOptions, factory Factory) (*Result, error) {
-	if v.Strategy == StrategyNaive {
-		return RunFactory(ctx, opts, factory)
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if opts.Proc == nil {
-		return nil, fmt.Errorf("montecarlo: nil process")
-	}
-	if opts.Samples <= 0 {
-		return nil, fmt.Errorf("montecarlo: Samples must be positive, got %d", opts.Samples)
-	}
-	if factory == nil {
-		return nil, fmt.Errorf("montecarlo: nil evaluator factory")
-	}
-	if err := v.validate(); err != nil {
-		return nil, err
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return runVariancePoint(ctx, opts.Proc, opts.Seed, opts.Samples, v, parMapper(factory, workers), opts.Metrics)
-}
-
-// RunVarianceBatch is RunBatch with a variance-reduction strategy.
-// StrategyNaive delegates to RunBatch exactly. The other strategies
-// keep RunBatch's contract — one persistent worker pool, in-order
-// delivery through done, cooperative cancellation, per-point
-// determinism for any worker count — but assign each point wholly to
-// one worker, since the strategy phases within a point are sequential.
-func RunVarianceBatch(ctx context.Context, opts BatchOptions, v VarianceOptions, points []PointSpec, factory BatchFactory, done func(point int, res *Result, err error) error) error {
-	if v.Strategy == StrategyNaive {
-		return RunBatch(ctx, opts, points, factory, done)
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if opts.Proc == nil {
-		return fmt.Errorf("montecarlo: nil process")
-	}
-	if factory == nil {
-		return fmt.Errorf("montecarlo: nil evaluator factory")
-	}
-	if done == nil {
-		return fmt.Errorf("montecarlo: nil done callback")
-	}
-	for p, spec := range points {
-		if spec.Samples <= 0 {
-			return fmt.Errorf("montecarlo: point %d: Samples must be positive, got %d", p, spec.Samples)
-		}
-	}
-	if err := v.validate(); err != nil {
-		return err
-	}
-	if len(points) == 0 {
-		return nil
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(points) {
-		workers = len(points)
-	}
-	gauges := opts.Gauges
-	if gauges == nil {
-		gauges = nopGauges{}
-	}
-
-	ictx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	results := make([]*Result, len(points))
-	errs := make([]error, len(points))
-	pointCh := make(chan int)
-	completed := make(chan int, len(points))
-
-	var started atomic.Int64
-	delivered := 0
-	defer func() {
-		gauges.AddPointsInFlight(int64(delivered) - started.Load())
-	}()
-
-	go func() {
-		defer close(pointCh)
-		for p := range points {
-			started.Add(1)
-			gauges.AddPointsInFlight(1)
-			select {
-			case pointCh <- p:
-				gauges.AddQueueDepth(1)
-			case <-ictx.Done():
-				return
-			}
-		}
-	}()
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			pe := factory()
-			for p := range pointCh {
-				gauges.AddQueueDepth(-1)
-				var eval Evaluator
-				if pe != nil {
-					point := p
-					eval = func(s *process.Sample) ([]float64, error) { return pe(point, s) }
-				}
-				gauges.AddBusyWorkers(1)
-				res, err := runVariancePoint(ictx, opts.Proc, points[p].Seed, points[p].Samples, v, seqMapper(eval), opts.Metrics)
-				gauges.AddBusyWorkers(-1)
-				if ictx.Err() != nil {
-					// Cancelled mid-point: never deliver a partial point.
-					return
-				}
-				results[p], errs[p] = res, err
-				completed <- p
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(completed)
-	}()
-
-	// In-order delivery, as in RunBatch.
-	isDone := make([]bool, len(points))
-	frontier := 0
-	var firstErr error
-	for p := range completed {
-		isDone[p] = true
-		for firstErr == nil && ctx.Err() == nil && frontier < len(points) && isDone[frontier] {
-			derr := done(frontier, results[frontier], errs[frontier])
-			delivered++
-			gauges.AddPointsInFlight(-1)
-			frontier++
-			if derr != nil {
-				firstErr = derr
-				cancel()
-			}
-		}
-	}
-	if firstErr != nil {
-		return firstErr
-	}
-	return ctx.Err()
-}
-
-// mapper applies f (with a worker-local evaluator) to each listed
-// sample index, either sequentially or on a worker pool. It returns
-// when every index is processed or ctx is cancelled.
-type mapper func(ctx context.Context, idxs []int, f func(eval Evaluator, i int))
-
-func seqMapper(eval Evaluator) mapper {
-	return func(ctx context.Context, idxs []int, f func(Evaluator, int)) {
-		for _, i := range idxs {
-			if ctx.Err() != nil {
-				return
-			}
-			f(eval, i)
-		}
-	}
-}
-
-func parMapper(factory Factory, workers int) mapper {
-	return func(ctx context.Context, idxs []int, f func(Evaluator, int)) {
-		if len(idxs) == 0 {
-			return
-		}
-		w := workers
-		if w > len(idxs) {
-			w = len(idxs)
-		}
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for j := 0; j < w; j++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				eval := factory()
-				for {
-					k := int(next.Add(1)) - 1
-					if k >= len(idxs) || ctx.Err() != nil {
-						return
-					}
-					f(eval, idxs[k])
-				}
-			}()
-		}
-		wg.Wait()
-	}
-}
-
-// runVariancePoint runs one point's variance-reduced analysis. The
-// sample stream (weights, features, evaluator inputs) is derived purely
-// from (seed, index), so the result does not depend on how run
-// parallelises the evaluation phases.
-func runVariancePoint(ctx context.Context, proc *process.Process, seed int64, samples int, v VarianceOptions, run mapper, metrics []string) (*Result, error) {
-	v = v.withDefaults()
+// point runs point p's strategy phases on the calling goroutine,
+// queueing each phase's samples on the pool. The sample stream
+// (weights, features, evaluator inputs) is derived purely from (seed,
+// index), so the result does not depend on which worker evaluates which
+// sample.
+func (e *engine) point(ctx context.Context, p int) (*Result, error) {
+	proc, v, metrics := e.plan.Proc, e.v, e.plan.Metrics
+	seed, samples := e.plan.Points[p].Seed, e.plan.Points[p].Samples
 	isOn := v.Strategy.usesIS()
 	surOn := v.Strategy.usesSurrogate()
 
@@ -425,21 +219,26 @@ func runVariancePoint(ctx context.Context, proc *process.Process, seed int64, sa
 		return proc.NewSample(seed, i)
 	}
 	var failed atomic.Int64
-	evalOne := func(eval Evaluator, i int) {
+	evalOne := func(eval PointEvaluator, i int) {
 		if eval == nil {
 			failed.Add(1)
 			return
 		}
-		m, err := eval(draw(i))
+		m, err := eval(p, draw(i))
 		if err != nil {
 			failed.Add(1)
 			return
 		}
 		res.Samples[i] = m
 	}
+	run := func(idxs []int) { e.run(ctx, idxs, evalOne) }
 
 	if !surOn {
-		run(ctx, ints(0, samples), evalOne)
+		if e.shards > 0 {
+			e.shard(ctx, p, res, &failed, run)
+		} else {
+			run(ints(0, samples))
+		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -464,7 +263,7 @@ func runVariancePoint(ctx context.Context, proc *process.Process, seed int64, sa
 	}
 	prefix := nTrain + nCorr
 
-	run(ctx, ints(0, prefix), evalOne)
+	run(ints(0, prefix))
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -486,7 +285,7 @@ func runVariancePoint(ctx context.Context, proc *process.Process, seed int64, sa
 	// unavailable — the run degrades to naive/IS, never to a guess.
 	simulateAll := func() (*Result, error) {
 		rest := ints(prefix, samples)
-		run(ctx, rest, evalOne)
+		run(rest)
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -581,7 +380,7 @@ func runVariancePoint(ctx context.Context, proc *process.Process, seed int64, sa
 		}
 	}
 
-	run(ctx, toEval, evalOne)
+	run(toEval)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -670,15 +469,9 @@ func finishVariance(res *Result, metrics []string, predVarSum []float64) error {
 	if res.Weights == nil && predVarSum == nil {
 		return finishStats(res, metrics)
 	}
-	var width int
-	for _, s := range res.Samples {
-		if s != nil {
-			width = len(s)
-			break
-		}
-	}
-	if width == 0 {
-		return fmt.Errorf("montecarlo: every sample failed (%d of %d)", res.Failed, len(res.Samples))
+	width, err := rowWidth(res)
+	if err != nil {
+		return err
 	}
 	acc := make([]waccum, width)
 	for i, s := range res.Samples {

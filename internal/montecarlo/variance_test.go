@@ -5,9 +5,13 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"analogyield/internal/process"
+	"analogyield/internal/yield"
 )
 
 // sigmaEval returns the NMOS global Vth shift in sigma units — an
@@ -16,8 +20,6 @@ import (
 func sigmaEval(s *process.Sample) ([]float64, error) {
 	return []float64{s.GlobalSigmaUnits()[0]}, nil
 }
-
-func sigmaFactory() Evaluator { return sigmaEval }
 
 // smoothEval is a smooth function of the global shifts only (no
 // mismatch), which the surrogate can learn almost perfectly.
@@ -48,22 +50,28 @@ func TestParseStrategy(t *testing.T) {
 	}
 }
 
-// TestRunVarianceNaiveDelegates checks the naive strategy is literally
-// the existing engine: bit-identical samples and statistics.
+// TestRunVarianceNaiveDelegates checks the zero VarianceOptions is plain
+// Monte Carlo: sample i is exactly the evaluation of process sample
+// (seed, i), the statistics are the one-pass reduction of those
+// samples, and the result carries no IS weights or filter decisions.
 func TestRunVarianceNaiveDelegates(t *testing.T) {
-	opts := Options{Proc: proc(), Samples: 300, Seed: 9, Workers: 4}
-	a, err := RunVariance(context.Background(), opts, VarianceOptions{}, sigmaFactory)
+	plan := onePoint(9, 300)
+	plan.Workers = 4
+	got, err := runOne(context.Background(), plan, shared(sigmaEval))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunFactory(context.Background(), opts, sigmaFactory)
-	if err != nil {
+	want := &Result{Samples: make([][]float64, 300)}
+	for i := range want.Samples {
+		want.Samples[i], _ = sigmaEval(proc().NewSample(9, i))
+	}
+	if err := finishStats(want, nil); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a, b) {
-		t.Error("StrategyNaive result differs from RunFactory")
+	if !reflect.DeepEqual(got, want) {
+		t.Error("StrategyNaive result differs from plain sampling")
 	}
-	if a.Weights != nil || a.Decisions != nil {
+	if got.Weights != nil || got.Decisions != nil {
 		t.Error("naive run must not carry IS weights or filter decisions")
 	}
 }
@@ -76,9 +84,9 @@ func TestISIdenticalAcrossWorkers(t *testing.T) {
 		v := VarianceOptions{Strategy: strat, TrainSamples: 32, CorrectionSamples: 8}
 		run := func(workers int) *Result {
 			t.Helper()
-			res, err := RunVariance(context.Background(),
-				Options{Proc: proc(), Samples: 400, Seed: 17, Workers: workers},
-				v, func() Evaluator { return smoothEval })
+			res, err := runOne(context.Background(),
+				Plan{Proc: proc(), Points: []PointSpec{{Seed: 17, Samples: 400}}, Workers: workers, Variance: v},
+				shared(smoothEval))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,16 +108,15 @@ func TestISIdenticalAcrossWorkers(t *testing.T) {
 func TestISUnbiasedHighSigmaSpec(t *testing.T) {
 	const bound = 3.0902323061678132 // Φ(bound) = 0.999
 	trueYield := 0.999
-	pass := func(m []float64) bool { return m[0] <= bound }
+	pass := []yield.Spec{{Sense: yield.AtMost, Bound: bound}}
 
 	// Naive 200-sample runs: expected failures per run is 0.2, so the
 	// typical run reports 100 % yield — the spec is out of reach.
-	naive, err := RunFactory(context.Background(),
-		Options{Proc: proc(), Samples: 200, Seed: 1}, sigmaFactory)
+	naive, err := runOne(context.Background(), onePoint(1, 200), shared(sigmaEval))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if y, ok := naive.Yield(pass); !ok || y != 1 {
+	if y, err := yield.FromWeightedSamples(naive.Samples, naive.Weights, pass, []int{0}); err != nil || y != 1 {
 		// A different seed could catch a failure; the point stands as
 		// long as the estimate cannot distinguish 99.9 % from 100 %.
 		t.Logf("naive 200-sample yield = %g (resolution 1/200)", y)
@@ -120,15 +127,15 @@ func TestISUnbiasedHighSigmaSpec(t *testing.T) {
 	ests := make([]float64, reps)
 	tailHits := 0
 	for r := 0; r < reps; r++ {
-		res, err := RunVariance(context.Background(),
-			Options{Proc: proc(), Samples: 1000, Seed: int64(100 + r)},
-			VarianceOptions{Strategy: StrategyIS}, sigmaFactory)
+		plan := onePoint(int64(100+r), 1000)
+		plan.Variance.Strategy = StrategyIS
+		res, err := runOne(context.Background(), plan, shared(sigmaEval))
 		if err != nil {
 			t.Fatal(err)
 		}
-		y, ok := res.WeightedYield(pass)
-		if !ok {
-			t.Fatal("weighted yield not ok")
+		y, err := yield.FromWeightedSamples(res.Samples, res.Weights, pass, []int{0})
+		if err != nil {
+			t.Fatalf("weighted yield not ok: %v", err)
 		}
 		ests[r] = y
 		for _, m := range res.Samples {
@@ -168,14 +175,13 @@ func TestISUnbiasedHighSigmaSpec(t *testing.T) {
 // large brute-force run, with tolerance scaled to the pooled standard
 // errors of both estimators.
 func TestISMomentsMatchBruteForce(t *testing.T) {
-	brute, err := RunFactory(context.Background(),
-		Options{Proc: proc(), Samples: 100000, Seed: 2}, sigmaFactory)
+	brute, err := runOne(context.Background(), onePoint(2, 100000), shared(sigmaEval))
 	if err != nil {
 		t.Fatal(err)
 	}
-	is, err := RunVariance(context.Background(),
-		Options{Proc: proc(), Samples: 8000, Seed: 3},
-		VarianceOptions{Strategy: StrategyIS}, sigmaFactory)
+	isPlan := onePoint(3, 8000)
+	isPlan.Variance.Strategy = StrategyIS
+	is, err := runOne(context.Background(), isPlan, shared(sigmaEval))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,9 +213,9 @@ func TestSurrogateFilterAudit(t *testing.T) {
 		CorrectionSamples: 16,
 		Specs:             []SpecBound{{Col: 0, AtMost: false, Bound: 10}},
 	}
-	res, err := RunVariance(context.Background(),
-		Options{Proc: proc(), Samples: samples, Seed: 21},
-		v, func() Evaluator { return smoothEval })
+	plan := onePoint(21, samples)
+	plan.Variance = v
+	res, err := runOne(context.Background(), plan, shared(smoothEval))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,8 +251,7 @@ func TestSurrogateFilterAudit(t *testing.T) {
 	}
 
 	// The filtered estimate must agree with the full simulation.
-	full, err := Run(context.Background(),
-		Options{Proc: proc(), Samples: samples, Seed: 21}, smoothEval)
+	full, err := runOne(context.Background(), onePoint(21, samples), shared(smoothEval))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,17 +277,16 @@ func TestSurrogateParanoidKappaEqualsNaive(t *testing.T) {
 		Kappa: 1e12,
 		Specs: []SpecBound{{Col: 0, AtMost: false, Bound: 10}},
 	}
-	res, err := RunVariance(context.Background(),
-		Options{Proc: proc(), Samples: samples, Seed: 5},
-		v, func() Evaluator { return smoothEval })
+	plan := onePoint(5, samples)
+	plan.Variance = v
+	res, err := runOne(context.Background(), plan, shared(smoothEval))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Predicted != 0 || res.FullEvals != samples {
 		t.Fatalf("paranoid filter still predicted %d samples", res.Predicted)
 	}
-	naive, err := Run(context.Background(),
-		Options{Proc: proc(), Samples: samples, Seed: 5}, smoothEval)
+	naive, err := runOne(context.Background(), onePoint(5, samples), shared(smoothEval))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,20 +298,17 @@ func TestSurrogateParanoidKappaEqualsNaive(t *testing.T) {
 	}
 }
 
-// TestRunVarianceBatchMatchesStandalone checks batched variance runs
-// deliver in point order and reproduce standalone results bit-exactly
-// for any worker count.
+// TestRunVarianceBatchMatchesStandalone checks multi-point variance
+// runs deliver in point order and reproduce standalone one-point runs
+// bit-exactly for any worker count.
 func TestRunVarianceBatchMatchesStandalone(t *testing.T) {
 	points := []PointSpec{{Seed: 31, Samples: 150}, {Seed: 32, Samples: 90}, {Seed: 33, Samples: 210}}
 	v := VarianceOptions{Strategy: StrategyISSurrogate, TrainSamples: 24, CorrectionSamples: 8}
-	factory := func() PointEvaluator {
-		return func(point int, s *process.Sample) ([]float64, error) { return smoothEval(s) }
-	}
 	for _, workers := range []int{1, 4} {
 		var order []int
 		var got []*Result
-		err := RunVarianceBatch(context.Background(),
-			BatchOptions{Proc: proc(), Workers: workers}, v, points, factory,
+		err := Run(context.Background(),
+			Plan{Proc: proc(), Points: points, Workers: workers, Variance: v}, shared(smoothEval),
 			func(p int, res *Result, err error) error {
 				if err != nil {
 					return err
@@ -323,9 +324,8 @@ func TestRunVarianceBatchMatchesStandalone(t *testing.T) {
 			t.Fatalf("workers=%d: delivery order %v", workers, order)
 		}
 		for p := range points {
-			want, err := RunVariance(context.Background(),
-				Options{Proc: proc(), Samples: points[p].Samples, Seed: points[p].Seed},
-				v, func() Evaluator { return smoothEval })
+			want, err := runOne(context.Background(),
+				Plan{Proc: proc(), Points: points[p : p+1], Variance: v}, shared(smoothEval))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -336,15 +336,59 @@ func TestRunVarianceBatchMatchesStandalone(t *testing.T) {
 	}
 }
 
-func TestRunVarianceAllFailed(t *testing.T) {
-	boom := func() Evaluator {
-		return func(*process.Sample) ([]float64, error) { return nil, errors.New("boom") }
+// TestSurrogateBandSpreadsOverWorkers: a one-point surrogate run hands
+// its uncertain band to the whole pool, not to one worker. The first
+// band sample waits until a second evaluator reaches the band, so a
+// scheduler that kept the band on one worker fails on the timeout.
+func TestSurrogateBandSpreadsOverWorkers(t *testing.T) {
+	const train, corr = 32, 8
+	plan := onePoint(6, 300)
+	plan.Workers = 4
+	plan.Variance = VarianceOptions{
+		Strategy: StrategySurrogate, TrainSamples: train, CorrectionSamples: corr,
+		Kappa: 1e12, Specs: []SpecBound{{Col: 0, Bound: 10}},
 	}
+	// The band is queued only once the training prefix has finished, so
+	// every evaluation after the first train+corr is a band sample.
+	var ids, evals, first atomic.Int64
+	second := make(chan struct{})
+	var once sync.Once
+	factory := func() PointEvaluator {
+		id := ids.Add(1)
+		return func(_ int, s *process.Sample) ([]float64, error) {
+			if evals.Add(1) > train+corr {
+				if first.CompareAndSwap(0, id) {
+					select {
+					case <-second:
+					case <-time.After(10 * time.Second):
+					}
+				} else if first.Load() != id {
+					once.Do(func() { close(second) })
+				}
+			}
+			return smoothEval(s)
+		}
+	}
+	res, err := runOne(context.Background(), plan, factory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FullEvals != 300 {
+		t.Fatalf("paranoid filter simulated %d of 300 samples", res.FullEvals)
+	}
+	select {
+	case <-second:
+	default:
+		t.Error("the uncertain band ran on one evaluator")
+	}
+}
+
+func TestRunVarianceAllFailed(t *testing.T) {
+	boom := shared(func(*process.Sample) ([]float64, error) { return nil, errors.New("boom") })
 	for _, strat := range []Strategy{StrategyIS, StrategySurrogate} {
-		_, err := RunVariance(context.Background(),
-			Options{Proc: proc(), Samples: 50, Seed: 1},
-			VarianceOptions{Strategy: strat}, boom)
-		if err == nil {
+		plan := onePoint(1, 50)
+		plan.Variance.Strategy = strat
+		if _, err := runOne(context.Background(), plan, boom); err == nil {
 			t.Errorf("%v: all-fail run should error", strat)
 		}
 	}
@@ -353,18 +397,17 @@ func TestRunVarianceAllFailed(t *testing.T) {
 func TestRunVarianceCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	n := 0
-	slow := func() Evaluator {
-		return func(s *process.Sample) ([]float64, error) {
-			n++
-			if n == 10 {
-				cancel()
-			}
-			return sigmaEval(s)
+	slow := shared(func(s *process.Sample) ([]float64, error) {
+		n++
+		if n == 10 {
+			cancel()
 		}
-	}
-	_, err := RunVariance(ctx,
-		Options{Proc: proc(), Samples: 10000, Seed: 1, Workers: 1},
-		VarianceOptions{Strategy: StrategyIS}, slow)
+		return sigmaEval(s)
+	})
+	plan := onePoint(1, 10000)
+	plan.Workers = 1
+	plan.Variance.Strategy = StrategyIS
+	_, err := runOne(ctx, plan, slow)
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
@@ -374,21 +417,24 @@ func TestRunVarianceCancellation(t *testing.T) {
 }
 
 func TestVarianceOptionsValidation(t *testing.T) {
-	opts := Options{Proc: proc(), Samples: 10, Seed: 1}
+	run := func(samples int, v VarianceOptions, eval func(*process.Sample) ([]float64, error)) error {
+		plan := onePoint(1, samples)
+		plan.Variance = v
+		_, err := runOne(context.Background(), plan, shared(eval))
+		return err
+	}
 	bad := VarianceOptions{Strategy: StrategyIS,
 		Proposal: &process.Proposal{Components: []process.ProposalComponent{{Weight: -1, Scale: 1}}}}
-	if _, err := RunVariance(context.Background(), opts, bad, sigmaFactory); err == nil {
+	if err := run(10, bad, sigmaEval); err == nil {
 		t.Error("invalid proposal accepted")
 	}
 	negCol := VarianceOptions{Strategy: StrategySurrogate, Specs: []SpecBound{{Col: -1}}}
-	if _, err := RunVariance(context.Background(), opts, negCol, sigmaFactory); err == nil {
+	if err := run(10, negCol, sigmaEval); err == nil {
 		t.Error("negative spec column accepted")
 	}
 	wide := VarianceOptions{Strategy: StrategySurrogate, TrainSamples: 48, CorrectionSamples: 16,
 		Specs: []SpecBound{{Col: 5, Bound: 1}}}
-	if _, err := RunVariance(context.Background(),
-		Options{Proc: proc(), Samples: 300, Seed: 1}, wide,
-		func() Evaluator { return smoothEval }); err == nil {
+	if err := run(300, wide, smoothEval); err == nil {
 		t.Error("out-of-range spec column accepted")
 	}
 }

@@ -7,7 +7,7 @@
 //     replica to evaluate samples [lo, hi) of one Pareto point. The
 //     evaluation uses the exact per-(seed, index) sample derivation the
 //     owner would use locally, so the answer is bit-identical to local
-//     work (montecarlo.RunBatchDistributed's correctness contract).
+//     work (the correctness contract of a montecarlo.Plan's Dispatcher).
 //   - httpShardDispatcher is the owner's side: it implements
 //     montecarlo.ShardDispatcher by round-robining shard requests over
 //     the configured peers, degrading any failure to local fallback.
@@ -175,7 +175,7 @@ func (d *httpShardDispatcher) post(ctx context.Context, peer string, body []byte
 }
 
 // newShardDispatcher builds one job's dispatcher, or nil when the
-// server has no peers (single-node: the flow runs plain RunBatch).
+// server has no peers (single-node: every sample runs locally).
 func (m *JobManager) newShardDispatcher(tenant, problem, proc string) montecarlo.ShardDispatcher {
 	cl := m.cluster
 	if cl == nil || len(cl.peers) == 0 {

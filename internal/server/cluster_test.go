@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -111,16 +112,9 @@ func TestClusterShardedFlowBitIdentical(t *testing.T) {
 		})
 		return srv
 	}
-	run := func(t *testing.T, peers int) string {
-		var urls []string
-		var peerSrvs []*Server
-		for i := 0; i < peers; i++ {
-			ps := newSrv(fmt.Sprintf("peer-%d", i), nil)
-			hs := httptest.NewServer(ps.Handler())
-			t.Cleanup(hs.Close)
-			urls = append(urls, hs.URL)
-			peerSrvs = append(peerSrvs, ps)
-		}
+	// flow runs the job on an owner whose peers are urls and returns the
+	// installed model's version.
+	flow := func(t *testing.T, urls []string) (string, *Server) {
 		owner := newSrv("owner", urls)
 		st, err := owner.Jobs().Submit(req)
 		if err != nil {
@@ -132,8 +126,25 @@ func TestClusterShardedFlowBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got.State != api.JobSucceeded {
-			t.Fatalf("peers=%d: state %q (%s)", peers, got.State, got.Error)
+			t.Fatalf("peers=%d: state %q (%s)", len(urls), got.State, got.Error)
 		}
+		info, err := owner.Registry().Info(api.DefaultTenant, "shard-e2e")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info.Version, owner
+	}
+	run := func(t *testing.T, peers int) string {
+		var urls []string
+		var peerSrvs []*Server
+		for i := 0; i < peers; i++ {
+			ps := newSrv(fmt.Sprintf("peer-%d", i), nil)
+			hs := httptest.NewServer(ps.Handler())
+			t.Cleanup(hs.Close)
+			urls = append(urls, hs.URL)
+			peerSrvs = append(peerSrvs, ps)
+		}
+		version, owner := flow(t, urls)
 		if peers > 0 {
 			// Guard against a dispatcher that silently does everything
 			// locally (which would also pass the bit-identity check).
@@ -148,11 +159,7 @@ func TestClusterShardedFlowBitIdentical(t *testing.T) {
 				t.Errorf("peers=%d: no peer served a shard", peers)
 			}
 		}
-		info, err := owner.Registry().Info(api.DefaultTenant, "shard-e2e")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return info.Version
+		return version
 	}
 	base := run(t, 0) // single replica
 	for _, peers := range []int{1, 3} {
@@ -160,6 +167,31 @@ func TestClusterShardedFlowBitIdentical(t *testing.T) {
 			t.Errorf("%d-replica layout: model version %s, single-node %s — results not bit-identical",
 				peers+1, v, base)
 		}
+	}
+
+	// A peer on another build answers every shard with one-column rows,
+	// which the wire format accepts. The owner must evaluate those
+	// shards itself rather than panic indexing the second metric.
+	var asked atomic.Int64
+	ragged := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var sr api.ShardRequest
+		if err := json.NewDecoder(r.Body).Decode(&sr); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		asked.Add(1)
+		rows := make([]string, sr.Hi-sr.Lo)
+		for k := range rows {
+			rows[k] = api.EncodeFloats([]float64{1})
+		}
+		json.NewEncoder(w).Encode(api.ShardResponse{Rows: rows})
+	}))
+	t.Cleanup(ragged.Close)
+	if v, _ := flow(t, []string{ragged.URL}); v != base {
+		t.Errorf("owner with a ragged peer: model version %s, single-node %s", v, base)
+	}
+	if asked.Load() == 0 {
+		t.Error("the ragged peer was never asked for a shard")
 	}
 }
 

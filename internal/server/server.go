@@ -133,7 +133,7 @@ type Config struct {
 	// Peers lists the other replicas' base URLs (e.g.
 	// "http://127.0.0.1:8081"). When non-empty, each flow job's Monte
 	// Carlo stage is sharded across them (results stay bit-identical to
-	// a single-node run — see montecarlo.RunBatchDistributed). Ignored
+	// a single-node run — see montecarlo.Plan's Dispatcher). Ignored
 	// without ReplicaID.
 	Peers []string
 	// LeaseTTL is the job-lease heartbeat window: a replica silent for

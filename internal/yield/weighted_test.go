@@ -57,22 +57,3 @@ func TestFromWeightedSamplesErrors(t *testing.T) {
 		t.Error("out-of-range column accepted")
 	}
 }
-
-func TestESS(t *testing.T) {
-	if ess := ESS([]float64{1, 1, 1, 1}); ess != 4 {
-		t.Errorf("uniform ESS = %g, want 4", ess)
-	}
-	// One dominant weight collapses the ESS towards 1.
-	if ess := ESS([]float64{100, 0.01, 0.01, 0.01}); ess > 1.01 {
-		t.Errorf("degenerate ESS = %g, want ~1", ess)
-	}
-	if ESS(nil) != 0 || ESS([]float64{}) != 0 {
-		t.Error("empty weight vector should have ESS 0")
-	}
-	// Scale invariance.
-	a := ESS([]float64{1, 2, 3})
-	b := ESS([]float64{10, 20, 30})
-	if math.Abs(a-b) > 1e-12 {
-		t.Errorf("ESS not scale-invariant: %g vs %g", a, b)
-	}
-}

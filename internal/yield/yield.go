@@ -197,23 +197,6 @@ sample:
 	return swPass / sw, nil
 }
 
-// ESS is the effective sample size (Σw)²/Σw² of an importance-sampling
-// weight vector — the number of plain Monte Carlo samples carrying the
-// same estimator information. It equals len(weights) for uniform
-// weights and degrades as the weights spread; a nil or empty vector has
-// ESS 0.
-func ESS(weights []float64) float64 {
-	var sw, sw2 float64
-	for _, w := range weights {
-		sw += w
-		sw2 += w * w
-	}
-	if sw2 == 0 {
-		return 0
-	}
-	return sw * sw / sw2
-}
-
 // WilsonInterval returns the 95% Wilson score confidence interval for a
 // yield estimated from k passes out of n Monte Carlo samples. The paper
 // reports "100% yield at 500 samples"; the Wilson interval quantifies

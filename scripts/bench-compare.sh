@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Compare two `go test -bench` outputs by ns/op and fail when any shared
 # benchmark regressed more than BENCH_MAX_REGRESSION_PCT percent
-# (default 5). Usage: bench-compare.sh baseline.txt latest.txt
+# (default 5), or when a baseline benchmark is missing from the new run
+# (a renamed or deleted benchmark must not drop out of the gate
+# silently). Usage: bench-compare.sh baseline.txt latest.txt
 #
 # Offline replacement for benchstat: no statistics, just the mean ns/op
 # per benchmark name (averaged across -count repetitions).
@@ -28,7 +30,7 @@ FNR == 1 { in_base = (FILENAME == base_file) }
     for (i = 2; i <= NF; i++) {
         if ($i == "ns/op") {
             name = bench_name($1)
-            if (in_base) { bsum[name] += $(i-1); bn[name]++ }
+            if (in_base) { bsum[name] += $(i-1); if (!(name in bn)) border[++bk] = name; bn[name]++ }
             else         { nsum[name] += $(i-1); nn[name]++; if (!(name in seen)) order[++k] = name; seen[name] = 1 }
         }
     }
@@ -47,9 +49,14 @@ END {
         if (pct > max_pct + 0) { mark = "  REGRESSION"; fail = 1 }
         printf "%-40s %12.0f %12.0f %+7.1f%%%s\n", name, b, n, pct, mark
     }
-    if (fail) {
-        printf "FAIL: benchmark regression beyond %s%%\n", max_pct
-        exit 1
+    for (j = 1; j <= bk; j++) {
+        name = border[j]
+        if (name in seen) continue
+        printf "%-40s %12.0f %12s %8s  MISSING\n", name, bsum[name] / bn[name], "-", "-"
+        missing = 1
     }
+    if (missing) print "FAIL: baseline benchmarks missing from the new run"
+    if (fail) printf "FAIL: benchmark regression beyond %s%%\n", max_pct
+    if (fail || missing) exit 1
     print "OK: no benchmark regressed beyond the threshold"
 }' "$BASE" "$NEW"
