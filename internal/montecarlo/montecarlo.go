@@ -77,9 +77,8 @@ type Plan struct {
 	Variance VarianceOptions
 	Gauges   Gauges // optional scheduler occupancy sink
 	// Dispatcher optionally spreads each point's samples across peer
-	// replicas. Only naive points are sharded: the variance-reduced
-	// estimators keep per-point adaptive state that must see every
-	// sample locally, so under any other strategy it is ignored.
+	// replicas. Only naive points are sharded; under any other strategy
+	// it is ignored.
 	Dispatcher ShardDispatcher
 }
 
@@ -145,12 +144,14 @@ func Run(ctx context.Context, plan Plan, factory Factory, done func(point int, r
 	if n == 0 {
 		return nil
 	}
-	e := &engine{plan: plan, v: plan.Variance.withDefaults(), gauges: plan.Gauges}
+	e := &engine{
+		plan:   plan,
+		v:      plan.Variance.withDefaults(),
+		gauges: plan.Gauges,
+		shards: plan.shards(),
+	}
 	if e.gauges == nil {
 		e.gauges = nopGauges{}
-	}
-	if plan.Dispatcher != nil && plan.Variance.Strategy == StrategyNaive {
-		e.shards = max(plan.Dispatcher.Shards(), 0)
 	}
 	workers := plan.Workers
 	if workers <= 0 {
@@ -286,11 +287,20 @@ func (plan *Plan) validate(factory Factory, done func(int, *Result, error) error
 	if err := plan.Variance.validate(); err != nil {
 		return err
 	}
-	if plan.Dispatcher != nil && plan.Variance.Strategy == StrategyNaive &&
-		plan.Dispatcher.Shards() > 0 && len(plan.Metrics) == 0 {
+	if plan.shards() > 0 && len(plan.Metrics) == 0 {
 		return fmt.Errorf("montecarlo: a sharded plan must name its metrics")
 	}
 	return nil
+}
+
+// shards is the number of remote shards per point. Only naive points
+// are sharded: the variance-reduced estimators keep per-point adaptive
+// state that must see every sample locally.
+func (plan *Plan) shards() int {
+	if plan.Dispatcher == nil || plan.Variance.Strategy != StrategyNaive {
+		return 0
+	}
+	return max(plan.Dispatcher.Shards(), 0)
 }
 
 // engine is one Run's shared scheduling state.
