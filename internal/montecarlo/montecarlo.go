@@ -199,8 +199,12 @@ func Run(ctx context.Context, plan Plan, factory Factory, done func(point int, r
 	// the pool never waits for a point goroutine between phases. A
 	// sharded point evaluates only 1/(shards+1) of its samples locally
 	// while it waits for its peers, so proportionally more points run.
-	// The bound also caps the remote calls in flight at inflight×shards.
 	inflight := (workers + 1) * (e.shards + 1)
+	// remote bounds the dispatcher calls in flight to about four per
+	// peer, however many points are running: a peer caps its heavy
+	// routes and sheds the excess, which the owner then evaluates
+	// itself, so a long plan must not open dozens of requests per peer.
+	e.remote = make(chan struct{}, 4*e.shards)
 	go func() {
 		var points sync.WaitGroup
 		slots := make(chan struct{}, inflight)
@@ -308,8 +312,9 @@ type engine struct {
 	plan   Plan
 	v      VarianceOptions // plan.Variance with defaults filled in
 	gauges Gauges
-	shards int // remote shards per point; 0 runs every sample locally
-	chunk  int // samples per work item
+	shards int           // remote shards per point; 0 runs every sample locally
+	remote chan struct{} // semaphore over in-flight EvalShard calls
+	chunk  int           // samples per work item
 	phases chan *phase
 	work   chan item
 }

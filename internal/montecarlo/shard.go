@@ -88,14 +88,20 @@ func (e *engine) shard(ctx context.Context, p int, res *Result, failed *atomic.I
 	fetchers.Wait()
 }
 
-// fetch asks the dispatcher for samples [lo, hi) of point p. It returns
-// the rows only when the shard came back whole — hi−lo rows, each nil
-// (a failed sample) or as wide as the plan's metrics — and nil
-// otherwise, so a peer on another build costs throughput, never a panic
-// or a wrong result.
+// fetch asks the dispatcher for samples [lo, hi) of point p once one of
+// the run's remote-call slots is free. It returns the rows only when the
+// shard came back whole — hi−lo rows, each nil (a failed sample) or as
+// wide as the plan's metrics — and nil otherwise, so a peer on another
+// build costs throughput, never a panic or a wrong result.
 func (e *engine) fetch(ctx context.Context, p, lo, hi int) [][]float64 {
+	select {
+	case e.remote <- struct{}{}:
+	case <-ctx.Done():
+		return nil
+	}
 	pt := e.plan.Points[p]
 	rows, err := e.plan.Dispatcher.EvalShard(ctx, pt.Genes, pt.Seed, lo, hi)
+	<-e.remote
 	if err != nil || len(rows) != hi-lo {
 		return nil
 	}

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"analogyield/internal/process"
 )
@@ -173,6 +174,42 @@ func TestRunBatchDistributedRemoteActuallyUsed(t *testing.T) {
 	}
 	if n := is.calls.Load(); n != 0 {
 		t.Errorf("an importance-sampled plan sent %d shards to peers", n)
+	}
+}
+
+// slowDispatcher is a peerDispatcher whose calls take a while, and
+// which records the most calls it ever had in flight at once.
+type slowDispatcher struct {
+	peerDispatcher
+	inFlight, peak atomic.Int64
+}
+
+func (d *slowDispatcher) EvalShard(ctx context.Context, genes []float64, seed int64, lo, hi int) ([][]float64, error) {
+	n := d.inFlight.Add(1)
+	defer d.inFlight.Add(-1)
+	for p := d.peak.Load(); n > p && !d.peak.CompareAndSwap(p, n); p = d.peak.Load() {
+	}
+	time.Sleep(2 * time.Millisecond)
+	return d.peerDispatcher.EvalShard(ctx, genes, seed, lo, hi)
+}
+
+// TestRunShardCallsBounded pins the load one run puts on its peers: at
+// most four calls per remote shard in flight at once, however many
+// points and workers the plan has, so a peer's heavy-route cap does not
+// shed the owner's shards back to local evaluation.
+func TestRunShardCallsBounded(t *testing.T) {
+	specs := make([]PointSpec, 40)
+	for p := range specs {
+		specs[p] = PointSpec{Seed: int64(p + 1), Samples: 20, Genes: []float64{float64(p)}}
+	}
+	const shards = 3
+	disp := &slowDispatcher{peerDispatcher: peerDispatcher{shards: shards, proc: proc(), eval: genesEval}}
+	runDistributed(t, specs, disp, 8)
+	if got := disp.calls.Load(); got != int64(len(specs)*shards) {
+		t.Errorf("dispatcher served %d shards, want %d", got, len(specs)*shards)
+	}
+	if peak := disp.peak.Load(); peak > 4*shards {
+		t.Errorf("%d shard calls in flight at once, want at most %d", peak, 4*shards)
 	}
 }
 

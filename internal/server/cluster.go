@@ -112,15 +112,17 @@ type httpShardDispatcher struct {
 	client  *http.Client
 	metrics *core.Metrics
 	req     api.ShardRequest // template: tenant/problem/process filled in
+	width   int              // metric columns of every served row
 	next    atomic.Uint64
 }
 
 func (d *httpShardDispatcher) Shards() int { return len(d.peers) }
 
 // EvalShard sends one shard to the next peer in round-robin order. Any
-// failure — transport, non-200, undecodable or short response — returns
-// an error; the scheduler then evaluates the range locally, so a dead
-// peer costs throughput, never correctness.
+// failure — transport, non-200, undecodable or short response, or a
+// row of the wrong width from a peer on another build — returns an
+// error and counts a fallback; the scheduler then evaluates the range
+// locally, so a dead peer costs throughput, never correctness.
 func (d *httpShardDispatcher) EvalShard(ctx context.Context, genes []float64, seed int64, lo, hi int) ([][]float64, error) {
 	peer := d.peers[int(d.next.Add(1)-1)%len(d.peers)]
 	wreq := d.req
@@ -169,14 +171,18 @@ func (d *httpShardDispatcher) post(ctx context.Context, peer string, body []byte
 		if err != nil {
 			return nil, fmt.Errorf("server: peer %s: %w", peer, err)
 		}
+		if len(row) != d.width {
+			return nil, fmt.Errorf("server: peer %s: row %d has %d metrics, want %d", peer, k, len(row), d.width)
+		}
 		rows[k] = row
 	}
 	return rows, nil
 }
 
 // newShardDispatcher builds one job's dispatcher, or nil when the
-// server has no peers (single-node: every sample runs locally).
-func (m *JobManager) newShardDispatcher(tenant, problem, proc string) montecarlo.ShardDispatcher {
+// server has no peers (single-node: every sample runs locally). width
+// is the problem's objective count, the width every peer row must have.
+func (m *JobManager) newShardDispatcher(tenant, problem, proc string, width int) montecarlo.ShardDispatcher {
 	cl := m.cluster
 	if cl == nil || len(cl.peers) == 0 {
 		return nil
@@ -186,5 +192,6 @@ func (m *JobManager) newShardDispatcher(tenant, problem, proc string) montecarlo
 		client:  cl.client,
 		metrics: m.metrics,
 		req:     api.ShardRequest{Tenant: tenant, Problem: problem, Process: proc},
+		width:   width,
 	}
 }

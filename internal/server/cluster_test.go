@@ -187,11 +187,18 @@ func TestClusterShardedFlowBitIdentical(t *testing.T) {
 		json.NewEncoder(w).Encode(api.ShardResponse{Rows: rows})
 	}))
 	t.Cleanup(ragged.Close)
-	if v, _ := flow(t, []string{ragged.URL}); v != base {
+	v, owner := flow(t, []string{ragged.URL})
+	if v != base {
 		t.Errorf("owner with a ragged peer: model version %s, single-node %s", v, base)
 	}
 	if asked.Load() == 0 {
 		t.Error("the ragged peer was never asked for a shard")
+	}
+	// Every rejected shard shows in the owner's counters as a fallback,
+	// not as healthy dispatch.
+	if m := owner.Metrics().Snapshot(); m.MCShardsFallback != asked.Load() || m.MCShardsDispatched != 0 {
+		t.Errorf("ragged peer asked %d times: owner counted %d fallbacks, %d dispatched; want %d, 0",
+			asked.Load(), m.MCShardsFallback, m.MCShardsDispatched, asked.Load())
 	}
 }
 

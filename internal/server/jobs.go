@@ -337,8 +337,9 @@ func (m *JobManager) submit(req api.FlowRequest, adopted *store.Lease) (*api.Job
 	if strategy == "" {
 		strategy = m.defaultMCStrategy
 	}
+	problem := pf()
 	cfg := core.FlowConfig{
-		Problem:         pf(),
+		Problem:         problem,
 		Proc:            prf(),
 		PopSize:         req.PopSize,
 		Generations:     req.Generations,
@@ -350,7 +351,7 @@ func (m *JobManager) submit(req api.FlowRequest, adopted *store.Lease) (*api.Job
 		CheckpointEvery: req.CheckpointEvery,
 		MCStrategy:      strategy,
 		Metrics:         m.metrics,
-		MCDispatcher:    m.newShardDispatcher(tenant, req.Problem, procName),
+		MCDispatcher:    m.newShardDispatcher(tenant, req.Problem, procName, len(problem.ObjectiveNames())),
 	}
 	if err := cfg.Validate(); err != nil {
 		return fail(err)
