@@ -12,7 +12,6 @@ package main
 
 import (
 	"context"
-	"expvar"
 	"flag"
 	"fmt"
 	"math"
@@ -35,23 +34,8 @@ func fail(err error) {
 	os.Exit(1)
 }
 
-// expvar counters: published under "asim" so embedding asim's analysis
-// loop in a served process exposes them alongside memstats; the -perf
-// flag renders the same map on stderr.
-var (
-	simStats      = expvar.NewMap("asim")
-	statAnalyses  = new(expvar.Int)
-	statNewton    = new(expvar.Int)
-	statSolves    = new(expvar.Int)
-	statACWorkers = new(expvar.Int)
-)
-
-func init() {
-	simStats.Set("analyses", statAnalyses)
-	simStats.Set("newton_iterations", statNewton)
-	simStats.Set("linear_solves", statSolves)
-	simStats.Set("ac_workers", statACWorkers)
-}
+// Work counters the -perf flag prints on stderr.
+var statAnalyses, statNewton, statSolves int
 
 func main() {
 	var (
@@ -119,7 +103,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "# perf: %.3fms wall, %d heap allocs, %.1f KiB allocated\n",
 			float64(time.Since(t0).Microseconds())/1000,
 			m1.Mallocs-m0.Mallocs, float64(m1.TotalAlloc-m0.TotalAlloc)/1024)
-		fmt.Fprintf(os.Stderr, "# metrics: %s\n", simStats.String())
+		fmt.Fprintf(os.Stderr, "# metrics: analyses=%d newton_iterations=%d linear_solves=%d\n",
+			statAnalyses, statNewton, statSolves)
 	}
 }
 
@@ -147,9 +132,9 @@ func runOP(n *circuit.Netlist, probes []string, devices bool) {
 	if err != nil {
 		fail(err)
 	}
-	statAnalyses.Add(1)
-	statNewton.Add(int64(op.Iterations))
-	statSolves.Add(int64(op.Iterations))
+	statAnalyses++
+	statNewton += op.Iterations
+	statSolves += op.Iterations
 	fmt.Printf("# operating point (%d Newton iterations)\n", op.Iterations)
 	for _, node := range probes {
 		v, err := op.V(node)
@@ -188,17 +173,13 @@ func runAC(n *circuit.Netlist, probes []string, arg string) {
 	if err != nil {
 		fail(err)
 	}
-	// The sweep is bit-identical for any worker count, so parallelism is
-	// free to follow the machine size.
-	workers := runtime.GOMAXPROCS(0)
-	statACWorkers.Set(int64(workers))
-	res, err := analysis.ACDecadeWorkers(n, op, fStart, fStop, ppd, workers, nil)
+	res, err := analysis.ACDecade(n, op, fStart, fStop, ppd)
 	if err != nil {
 		fail(err)
 	}
-	statAnalyses.Add(1)
-	statNewton.Add(int64(op.Iterations))
-	statSolves.Add(int64(len(res.Freqs)))
+	statAnalyses++
+	statNewton += op.Iterations
+	statSolves += len(res.Freqs)
 	fmt.Printf("# freq_hz")
 	for _, p := range probes {
 		fmt.Printf(" mag_db(%s) phase_deg(%s)", p, p)
@@ -241,8 +222,8 @@ func runDC(n *circuit.Netlist, probes []string, arg string) {
 	if err != nil {
 		fail(err)
 	}
-	statAnalyses.Add(1)
-	statSolves.Add(int64(len(pts)))
+	statAnalyses++
+	statSolves += len(pts)
 	fmt.Printf("# %s", src)
 	for _, p := range probes {
 		fmt.Printf(" V(%s)", p)
@@ -292,9 +273,9 @@ func runNoise(n *circuit.Netlist, arg string) {
 	if err != nil {
 		fail(err)
 	}
-	statAnalyses.Add(1)
-	statNewton.Add(int64(op.Iterations))
-	statSolves.Add(int64(len(res.Freqs)))
+	statAnalyses++
+	statNewton += op.Iterations
+	statSolves += len(res.Freqs)
 	fmt.Printf("# freq_hz vnoise_v_per_rthz\n")
 	for i, f := range res.Freqs {
 		fmt.Printf("%.6g %.6g\n", f, math.Sqrt(res.OutputPSD[i]))
@@ -319,8 +300,8 @@ func runTran(n *circuit.Netlist, probes []string, arg string) {
 	if err != nil {
 		fail(err)
 	}
-	statAnalyses.Add(1)
-	statSolves.Add(int64(len(res.Times)))
+	statAnalyses++
+	statSolves += len(res.Times)
 	fmt.Printf("# time_s")
 	for _, p := range probes {
 		fmt.Printf(" V(%s)", p)

@@ -30,14 +30,14 @@
 // panic recovery, request IDs, body limits, per-route and global
 // in-flight caps, trusted-proxy client-IP resolution, optional CORS and
 // TLS with modern defaults. GET /metrics exposes the full counter and
-// latency-histogram registry in Prometheus text format alongside the
-// expvar export at /debug/vars.
+// latency-histogram registry in Prometheus text format; GET /healthz is
+// liveness only.
 //
 // With -store disk (the default) model artefacts and job checkpoints
 // persist content-addressed under -models, shared safely with other ayd
 // processes on the same directory; -store mem keeps everything
-// in-process (artefacts die with the server). Models saved in the
-// legacy per-directory layout under -models are imported at boot.
+// in-process (artefacts die with the server). A model saved by otaflow
+// or yieldtool reaches the server through POST /v1/models.
 //
 // SIGINT/SIGTERM shut the server down gracefully: in-flight queries
 // drain, running flows checkpoint and stop (resumable on the next
@@ -57,7 +57,6 @@ import (
 	"syscall"
 	"time"
 
-	"analogyield/internal/core"
 	"analogyield/internal/montecarlo"
 	"analogyield/internal/server"
 	"analogyield/internal/store"
@@ -81,7 +80,7 @@ func serve(args []string) int {
 		idleTO      = fs.Duration("idle-timeout", 120*time.Second, "keep-alive: max idle time between requests on a connection (negative = unlimited)")
 		maxHdr      = fs.Int("max-header-bytes", 0, "max request header bytes per connection (0 = Go default, 1 MiB)")
 		storeKind   = fs.String("store", "disk", "artefact store backend: disk (durable, shareable) or mem (in-process)")
-		models      = fs.String("models", "ayd-models", "artefact store root; legacy per-directory models here are imported at boot")
+		models      = fs.String("models", "ayd-models", "artefact store root (with -store disk) and default -data directory")
 		data        = fs.String("data", "", "job state directory (checkpoints); defaults to -models")
 		workers     = fs.Int("workers", 2, "flow worker pool size")
 		maxModels   = fs.Int("max-models", 8, "maximum models resident in memory (LRU beyond)")
@@ -124,9 +123,6 @@ func serve(args []string) int {
 		}()
 	}
 
-	metrics := &core.Metrics{}
-	metrics.Publish("ayd")
-
 	var st store.Store
 	switch *storeKind {
 	case "disk":
@@ -159,7 +155,6 @@ func serve(args []string) int {
 		TLSKeyFile:     *tlsKey,
 		TrustedProxies: splitList(*proxies),
 		CORSOrigins:    splitList(*corsOrigins),
-		Metrics:        metrics,
 		Logger:         log,
 
 		DefaultMCStrategy: *mcStrategy,

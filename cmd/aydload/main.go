@@ -32,6 +32,23 @@
 // the server sustains inside the SLO. scripts/capacity.sh wraps this
 // into benchmarks/BENCH_capacity.json.
 //
+// Soak mode:
+//
+//	aydload -soak -addr 127.0.0.1:0 [-duration 60s] [-qps 500] [-inflight 64]
+//	        [-o benchmarks/SOAK.json]
+//
+// -soak is the leak hunter the in-process benchmarks cannot be: it holds
+// one separate serving process (-addr, or -url) at -qps for -duration in
+// back-to-back 2 s windows, scrapes the target's go_goroutines and
+// process_resident_memory_bytes from /metrics after each window, and
+// submits a small ota flow every 15 s. Samples after the first quarter
+// of the run must show goroutine growth ≤ 50, RSS growth ≤ 35%, a
+// late-vs-early p99 drift ≤ 300% and errors ≤ 1%; a run with no
+// readings fails, and so does a spawned child that exits non-zero (a
+// -race build that saw a data race exits 66). scripts/soak-smoke.sh
+// wraps this into benchmarks/SOAK.json. -warmup does not apply: the
+// first quarter is the warm-up.
+//
 // With no -url, aydload starts an in-process server on a loopback port,
 // installs a synthetic behavioural model and drives that — a
 // self-contained smoke mode used by scripts/loadtest.sh and CI. The
@@ -180,6 +197,7 @@ func main() {
 		model    = flag.String("model", "loadtest", "model name to query")
 		out      = flag.String("o", "", "write the JSON report here (default stdout)")
 
+		soak        = flag.Bool("soak", false, "soak one -addr or -url target: hold -qps for -duration, fail on goroutine/RSS growth, p99 drift, errors or a failed child")
 		sweep       = flag.Bool("sweep", false, "capacity sweep: ramp target qps until the SLO breaks, report the curve and knee")
 		sweepStart  = flag.Float64("sweep-start", 2000, "first sweep step's target qps")
 		sweepFactor = flag.Float64("sweep-factor", 2, "geometric ramp factor between sweep steps (> 1)")
@@ -212,7 +230,7 @@ func main() {
 		url: *url, addr: *addr, qps: *qps,
 		duration: *duration, warmup: *warmup,
 		inflight: *inflight, batch: *batch, conns: *conns, listeners: *listens,
-		model: *model, out: *out,
+		model: *model, out: *out, soak: *soak,
 		sweep: *sweep, sweepStart: *sweepStart, sweepFactor: *sweepFactor,
 		sweepMax: *sweepMax, sweepRefine: *sweepRefine, sweepRetries: *sweepRetry,
 		sloP99: *sloP99, errBudget: *errBudget,
@@ -244,7 +262,7 @@ type runConfig struct {
 	batch                 int
 	listeners             int
 	model, out            string
-	sweep                 bool
+	soak, sweep           bool
 	sweepStart            float64
 	sweepFactor, sweepMax float64
 	sweepRefine           int
@@ -254,6 +272,10 @@ type runConfig struct {
 }
 
 func run(cfg runConfig) error {
+	if cfg.soak && (cfg.sweep || len(splitList(cfg.url))+len(splitList(cfg.addr)) != 1) {
+		// Soaking the load generator's own process would measure nothing.
+		return fmt.Errorf("-soak takes one -addr or -url target and no -sweep")
+	}
 	if !cfg.sweep && cfg.qps <= 0 {
 		return fmt.Errorf("non-positive -qps %g", cfg.qps)
 	}
@@ -266,8 +288,8 @@ func run(cfg runConfig) error {
 	if cfg.batch < 1 {
 		return fmt.Errorf("non-positive -batch %d", cfg.batch)
 	}
-
 	urls := splitList(cfg.url)
+	var child func() error // the spawned child's stop, which -soak judges
 	inProcess := false
 	switch {
 	case len(urls) > 0:
@@ -279,11 +301,12 @@ func run(cfg runConfig) error {
 			if err != nil {
 				return err
 			}
-			defer stop()
+			defer stop() //nolint:errcheck // only -soak judges the child's exit
+			child = stop
 			urls = append(urls, childURL)
 		}
 	default:
-		srv, err := startServer("127.0.0.1:0", cfg.model, cfg.listeners)
+		srv, err := startServer("127.0.0.1:0", cfg.model, cfg.listeners, "")
 		if err != nil {
 			return err
 		}
@@ -337,6 +360,9 @@ func run(cfg runConfig) error {
 		}
 	}()
 
+	if cfg.soak {
+		return runSoak(lg, urls[0], cfg, child)
+	}
 	var report any
 	if cfg.sweep {
 		cap := sweepCapacity(lg, cfg)
@@ -802,12 +828,18 @@ func splitList(s string) []string {
 // serveChild is the re-executed serving process of -addr mode: it binds
 // the requested address, installs the synthetic model, announces the
 // bound address on stdout, and serves until the parent closes its
-// stdin.
+// stdin. Flow checkpoints go to a temporary directory, never the
+// caller's working directory.
 func serveChild(addr, model string, listeners int) error {
 	if model == "" {
 		model = "loadtest"
 	}
-	srv, err := startServer(addr, model, listeners)
+	dataDir, err := os.MkdirTemp("", "aydload-serve-")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(dataDir)
+	srv, err := startServer(addr, model, listeners, dataDir)
 	if err != nil {
 		return err
 	}
@@ -821,10 +853,10 @@ func serveChild(addr, model string, listeners int) error {
 	return srv.Shutdown(ctx)
 }
 
-// spawnChild re-executes this binary as a separate serving process and
-// waits for its ready line; the returned stop closes the child's stdin
-// (its shutdown signal) and reaps it.
-func spawnChild(addr, model string, listeners int) (url string, stop func(), err error) {
+// spawnChild re-executes this binary as a separate serving process, its
+// stderr passed through, and waits for its ready line; the returned stop
+// runs stopChild once and returns its result on every call.
+func spawnChild(addr, model string, listeners int) (url string, stop func() error, err error) {
 	exe, err := os.Executable()
 	if err != nil {
 		return "", nil, err
@@ -846,32 +878,37 @@ func spawnChild(addr, model string, listeners int) (url string, stop func(), err
 	if err := cmd.Start(); err != nil {
 		return "", nil, err
 	}
-	stop = func() {
-		stdin.Close()
-		done := make(chan struct{})
-		go func() { cmd.Wait(); close(done) }() //nolint:errcheck
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			cmd.Process.Kill() //nolint:errcheck // drain hung; reap hard
-			<-done
-		}
-	}
+	stop = sync.OnceValue(func() error { return stopChild(cmd, stdin) })
 	sc := bufio.NewScanner(stdout)
 	for sc.Scan() {
 		if boundAddr, ok := strings.CutPrefix(sc.Text(), "AYDLOAD_READY "); ok {
 			return "http://" + boundAddr, stop, nil
 		}
 	}
-	stop()
+	stop() //nolint:errcheck // the missing ready line is the error
 	return "", nil, fmt.Errorf("serving child exited before announcing readiness")
+}
+
+// stopChild closes a started child's stdin, its shutdown signal, and
+// reaps it, killing it after 10 s. It returns the child's exit error.
+func stopChild(cmd *exec.Cmd, stdin io.Closer) error {
+	stdin.Close()
+	done := make(chan error, 1)
+	go func() { done <- cmd.Wait() }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(10 * time.Second):
+		cmd.Process.Kill() //nolint:errcheck // drain hung; reap hard
+		return <-done
+	}
 }
 
 // startServer starts a serving stack bound to addr (sharded across the
 // given listener count) with a synthetic 64-point model installed under
 // the given name — the same analytic front the server package's tests
-// and benchmarks use.
-func startServer(addr, model string, listeners int) (*server.Server, error) {
+// and benchmarks use — and flow checkpoints under dataDir.
+func startServer(addr, model string, listeners int, dataDir string) (*server.Server, error) {
 	const n = 64
 	pts := make([]core.ParetoPoint, n)
 	for i := range pts {
@@ -893,6 +930,7 @@ func startServer(addr, model string, listeners int) (*server.Server, error) {
 	srv := server.New(server.Config{
 		Addr:      addr,
 		Listeners: listeners,
+		DataDir:   dataDir,
 		// Level-gated, not just discarded: with Info filtered out the
 		// access-log middleware skips per-request attribute formatting
 		// instead of rendering lines nobody reads.

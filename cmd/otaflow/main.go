@@ -60,8 +60,6 @@ func main() {
 		ckptPath = ""
 	}
 
-	metrics := &core.Metrics{}
-	metrics.Publish("analogyield.flow")
 	cfg := core.FlowConfig{
 		Problem:         core.NewOTAProblem(),
 		Proc:            process.C35(),
@@ -74,7 +72,6 @@ func main() {
 		Model:           core.ModelOptions{MaxTablePoints: *knots},
 		Checkpoint:      ckptPath,
 		CheckpointEvery: *ckptEvery,
-		Metrics:         metrics,
 	}
 	if !*quiet {
 		cfg.Obs = progressObserver()
@@ -172,7 +169,7 @@ func progressObserver() core.Observer {
 }
 
 // summary prints the Table 5-style design parameter summary plus the
-// flow metrics registry (also exported via expvar as analogyield.flow).
+// flow metrics snapshot.
 func summary(res *core.FlowResult, t0 time.Time) {
 	if res == nil {
 		return

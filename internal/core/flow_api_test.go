@@ -427,11 +427,4 @@ func TestRunFlowMetrics(t *testing.T) {
 	if got := reg.Snapshot(); got.Flows != 2 || got.Evaluations != 100 {
 		t.Errorf("registry did not accumulate: %+v", got)
 	}
-	// expvar export: first publish wins, republish is a no-op.
-	if !reg.Publish("test.flow.metrics") {
-		t.Error("first Publish refused")
-	}
-	if reg.Publish("test.flow.metrics") {
-		t.Error("duplicate Publish accepted")
-	}
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"encoding/json"
-	"expvar"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -15,10 +13,9 @@ import (
 // failures, genome-cache traffic, dropped points, checkpoints, and
 // per-stage wall clock. All methods are safe for concurrent use, so one
 // registry may be shared by several flows (a long-lived server
-// accumulates across runs). The zero value is ready to use.
+// accumulates across runs). The zero value is ready to use; the ayd
+// server exports it at GET /metrics (internal/telemetry).
 //
-// Metrics implements expvar.Var; Publish exports a registry under a
-// global expvar name for scraping alongside memstats.
 // Counters that sit on hot paths (per-evaluation, per-sample, or — via
 // the server — per-request) are ShardedCounters: increments scatter
 // across cache-line-padded shards and are only summed when the registry
@@ -82,7 +79,7 @@ type Metrics struct {
 }
 
 // MetricsSnapshot is a point-in-time copy of a Metrics registry, as
-// rendered by otaflow's summary and the expvar export.
+// rendered by otaflow's summary and the /metrics exposition.
 type MetricsSnapshot struct {
 	Flows          int64   `json:"flows"`
 	Evaluations    int64   `json:"evaluations"`
@@ -217,8 +214,7 @@ func (m *Metrics) addStage(s Stage, d time.Duration) {
 
 // Histogram returns the named latency histogram, creating it on first
 // use. Histograms live inside the registry, so a server's per-route
-// latency distributions are exported through the same expvar variable
-// as the flow counters.
+// latency distributions are exported alongside the flow counters.
 func (m *Metrics) Histogram(name string) *Histogram {
 	m.histMu.Lock()
 	defer m.histMu.Unlock()
@@ -289,27 +285,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 	}
 	m.histMu.Unlock()
 	return s
-}
-
-// String renders the snapshot as JSON, satisfying expvar.Var.
-func (m *Metrics) String() string {
-	b, err := json.Marshal(m.Snapshot())
-	if err != nil {
-		return "{}"
-	}
-	return string(b)
-}
-
-// Publish exports the registry under the given expvar name (e.g.
-// "analogyield.flow"). It reports false when the name is already taken —
-// expvar panics on duplicate registration, so republishing the same
-// registry across flows is a harmless no-op here.
-func (m *Metrics) Publish(name string) bool {
-	if expvar.Get(name) != nil {
-		return false
-	}
-	expvar.Publish(name, m)
-	return true
 }
 
 // histBuckets is the number of exponential latency buckets. Bucket i
@@ -496,14 +471,4 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		s.MeanMillis = float64(sumNano) / 1e6 / float64(s.Count)
 	}
 	return s
-}
-
-// String renders the snapshot as JSON, satisfying expvar.Var so a
-// histogram can also be published standalone.
-func (h *Histogram) String() string {
-	b, err := json.Marshal(h.Snapshot())
-	if err != nil {
-		return "{}"
-	}
-	return string(b)
 }

@@ -136,17 +136,6 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// Health fetches /healthz as a loosely typed document. Cluster tooling
-// reads the "replica" section (id, held leases, takeover counters) a
-// cluster-mode server adds; single-node servers omit it.
-func (c *Client) Health(ctx context.Context) (map[string]any, error) {
-	var out map[string]any
-	if err := c.do(ctx, http.MethodGet, "/healthz", nil, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Query answers one yield query.
 func (c *Client) Query(ctx context.Context, req api.QueryRequest) (*api.QueryResponse, error) {
 	var out api.QueryResponse

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -410,21 +411,14 @@ func TestClusterChaosTakeoverBitIdentical(t *testing.T) {
 	}
 }
 
-// TestClusterHealthExposition pins backward compatibility of /healthz:
-// single-node responses carry no replica section; cluster-mode
-// responses identify the replica and its lease/shard counters.
+// TestClusterHealthExposition pins /healthz to liveness only, the same
+// body in single-node and cluster mode; counters live on /metrics, and
+// /debug/vars is gone.
 func TestClusterHealthExposition(t *testing.T) {
-	health := func(srv *Server) map[string]any {
+	get := func(srv *Server, path string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
-		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("healthz: HTTP %d", rec.Code)
-		}
-		var body map[string]any
-		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
-			t.Fatal(err)
-		}
-		return body
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		return rec
 	}
 	shutdown := func(srv *Server) {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -434,18 +428,19 @@ func TestClusterHealthExposition(t *testing.T) {
 
 	single := New(Config{Store: store.NewMemory(), DataDir: t.TempDir(), Logger: quietLog()})
 	t.Cleanup(func() { shutdown(single) })
-	if _, ok := health(single)["replica"]; ok {
-		t.Error("single-node healthz grew a replica section")
-	}
-
 	clustered := New(Config{Store: store.NewMemory(), DataDir: t.TempDir(),
 		ReplicaID: "r9", Logger: quietLog()})
 	t.Cleanup(func() { shutdown(clustered) })
-	rep, ok := health(clustered)["replica"].(map[string]any)
-	if !ok {
-		t.Fatal("cluster healthz missing replica section")
+	for name, srv := range map[string]*Server{"single-node": single, "cluster": clustered} {
+		rec := get(srv, "/healthz")
+		if rec.Code != http.StatusOK || rec.Body.String() != `{"status":"ok"}` {
+			t.Errorf("%s healthz: HTTP %d %q, want 200 {\"status\":\"ok\"}", name, rec.Code, rec.Body)
+		}
+		if rec := get(srv, "/debug/vars"); rec.Code != http.StatusNotFound {
+			t.Errorf("%s /debug/vars: HTTP %d, want 404", name, rec.Code)
+		}
 	}
-	if rep["id"] != "r9" {
-		t.Errorf("replica id = %v, want r9", rep["id"])
+	if !strings.Contains(get(clustered, "/metrics").Body.String(), `ayd_replica_info{replica="r9"} 1`) {
+		t.Error("cluster /metrics lacks ayd_replica_info for r9")
 	}
 }

@@ -120,7 +120,7 @@ func TestRequestIDRoundTrip(t *testing.T) {
 }
 
 // TestMetricsEndpoint scrapes /metrics after real traffic and pins the
-// exposition's counters against the same registry's expvar snapshot.
+// exposition's counters against the same registry's snapshot.
 func TestMetricsEndpoint(t *testing.T) {
 	metrics := &core.Metrics{}
 	srv := New(Config{ModelsDir: t.TempDir(), Metrics: metrics, Logger: quietLog()})
@@ -158,7 +158,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	text := string(raw)
 
 	// The query route histogram must have counted the 5 queries, and the
-	// scalar counters must match the registry snapshot (the expvar view).
+	// scalar counters must match the registry snapshot.
 	snap := metrics.Snapshot()
 	var routeCount int64
 	for name, hs := range snap.Latencies {

@@ -14,8 +14,7 @@ import (
 // the two route-level wrappers that need server state.
 
 // observeLatency records route latency into a registry histogram (the
-// p50/p95 figures exported through the core.Metrics expvar variable and
-// the bucket ladders exported at /metrics).
+// bucket ladders exported at /metrics).
 func observeLatency(h *core.Histogram, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()

@@ -42,7 +42,7 @@ type Registry struct {
 	clock atomic.Int64 // LRU recency source
 
 	// compiled and interpreted count queries by the engine that answered
-	// them, so the compiled-path hit rate is observable (healthz). They
+	// them, so the compiled-path hit rate is observable (QueryStats). They
 	// tick on every request, so they are sharded like the rest of the
 	// per-request counters — at six-figure qps a lone atomic here is a
 	// cross-core cache-line fight.

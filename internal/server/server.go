@@ -36,7 +36,6 @@ import (
 	"crypto/tls"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"log/slog"
 	"net"
@@ -63,9 +62,7 @@ type Config struct {
 	// when set, otherwise an in-process store.Memory (artefacts die with
 	// the server).
 	Store store.Store
-	// ModelsDir roots the default disk store and is scanned at startup
-	// for models in the legacy per-directory layout (front.tbl), which
-	// are imported into the store under the default tenant.
+	// ModelsDir roots the default disk store and the default DataDir.
 	ModelsDir string
 	// DataDir holds job state (checkpoints). Empty = ModelsDir.
 	DataDir string
@@ -229,13 +226,6 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	reg := NewRegistry(cfg.Store, cfg.MaxModels)
-	if cfg.ModelsDir != "" {
-		if n, err := importLegacy(cfg.ModelsDir, reg, cfg.Logger); err != nil {
-			cfg.Logger.Warn("legacy model scan failed", "dir", cfg.ModelsDir, "err", err)
-		} else if n > 0 {
-			cfg.Logger.Info("legacy models imported", "dir", cfg.ModelsDir, "count", n)
-		}
-	}
 	proxies, err := httpx.ParseProxies(cfg.TrustedProxies)
 	if err != nil {
 		// A typo'd proxy CIDR must not silently widen trust: trust
@@ -317,8 +307,7 @@ func (s *Server) Handler() http.Handler {
 	// receives the route — and capped like the other compute-heavy
 	// routes so a misbehaving peer cannot starve the query path.
 	mux.Handle("POST /internal/mc/shard", heavy(timedHard("mc_shard", s.handleShardEval)))
-	mux.Handle("GET /healthz", http.HandlerFunc(s.handleHealth))
-	mux.Handle("GET /debug/vars", expvar.Handler())
+	mux.Handle("GET /healthz", http.HandlerFunc(handleHealth))
 	mux.Handle("GET /metrics", telemetry.Handler(m))
 
 	// Hardening chain, innermost (closest to the mux) first: body
@@ -677,51 +666,10 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	// The MC scheduler gauges make a bare health poll show whether a
-	// running flow's Monte Carlo stage is actually parallel (busy
-	// workers vs queue) without scraping the full expvar export.
-	ms := s.cfg.Metrics.Snapshot()
-	qc, qi := s.reg.QueryStats()
-	body := map[string]any{
-		"status":          "ok",
-		"store":           s.reg.Store().Backend(),
-		"resident_models": s.reg.Resident(),
-		"query_engine": map[string]int64{
-			"compiled":    qc,
-			"interpreted": qi,
-		},
-		"mc_scheduler": map[string]int64{
-			"busy_workers":          ms.MCBusyWorkers,
-			"busy_workers_peak":     ms.MCBusyWorkersPeak,
-			"queue_depth":           ms.MCQueueDepth,
-			"queue_depth_peak":      ms.MCQueueDepthPeak,
-			"points_in_flight":      ms.MCPointsInFlight,
-			"points_in_flight_peak": ms.MCPointsInFlightPeak,
-		},
-	}
-	// Present only once a variance-reduced flow has run, so naive-only
-	// deployments keep the pre-strategy health shape.
-	if ms.MCStrategy != "" {
-		body["mc_variance"] = map[string]any{
-			"strategy":  ms.MCStrategy,
-			"predicted": ms.MCPredicted,
-			"mean_ess":  ms.MCMeanESS,
-		}
-	}
-	// Present only in cluster mode (ReplicaID set), so single-node
-	// deployments keep the pre-cluster health shape.
-	if ms.Replica != "" {
-		body["replica"] = map[string]any{
-			"id":                   ms.Replica,
-			"peers":                len(s.cfg.Peers),
-			"leases_held":          ms.LeasesHeld,
-			"lease_takeovers":      ms.LeaseTakeovers,
-			"lease_rejections":     ms.LeaseRejections,
-			"mc_shards_dispatched": ms.MCShardsDispatched,
-			"mc_shards_fallback":   ms.MCShardsFallback,
-			"mc_shards_served":     ms.MCShardsServed,
-		}
-	}
-	writeJSON(w, http.StatusOK, body)
+// healthBody is the whole /healthz answer: liveness only. Counters and
+// gauges are on GET /metrics.
+var healthBody = []byte(`{"status":"ok"}`)
+
+func handleHealth(w http.ResponseWriter, r *http.Request) {
+	writeJSONBytes(w, http.StatusOK, healthBody)
 }

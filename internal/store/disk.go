@@ -37,9 +37,6 @@ type Disk struct {
 // of an empty directory performs no I/O.
 func OpenDisk(root string) *Disk { return &Disk{root: root} }
 
-// Backend implements Store.
-func (s *Disk) Backend() string { return "disk" }
-
 // Root reports the store's root directory.
 func (s *Disk) Root() string { return s.root }
 

@@ -37,9 +37,6 @@ func NewMemory() *Memory {
 	return &Memory{tenants: map[string]map[Kind]map[string]*memName{}}
 }
 
-// Backend implements Store.
-func (s *Memory) Backend() string { return "memory" }
-
 // Put implements Store.
 func (s *Memory) Put(tenant string, kind Kind, name string, payload []byte) (Info, error) {
 	key := Key{Tenant: tenant, Kind: kind, Name: name}

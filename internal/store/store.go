@@ -93,10 +93,6 @@ type Store interface {
 	// ErrNotFound.
 	Delete(key Key) error
 
-	// Backend names the implementation ("memory", "disk") for health
-	// reporting.
-	Backend() string
-
 	// AcquireLease claims exclusive, TTL-bounded ownership of
 	// (tenant, name) for owner. It fails with ErrLeaseHeld while a live
 	// lease exists (held by anyone — re-entry goes through RenewLease).

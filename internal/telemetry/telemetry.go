@@ -1,10 +1,9 @@
 // Package telemetry exports the repo's core.Metrics registry in the
 // Prometheus text exposition format (version 0.0.4), pure stdlib — no
-// client library. It is the scrapeable twin of the existing expvar
-// export: the same counters, gauges and per-route latency histograms
-// that /debug/vars renders as one JSON blob appear as individually
-// typed time series at GET /metrics, which is what fleet monitoring
-// actually ingests.
+// client library. It is the service's one metrics surface: the
+// counters, gauges and per-route latency histograms of the registry
+// appear as individually typed time series at GET /metrics, which is
+// what fleet monitoring ingests.
 //
 // Flow counters become `ayd_*_total` counters, the MC scheduler
 // occupancy gauges keep their current/peak split, per-route latency
@@ -12,8 +11,8 @@
 // a `route` label (full cumulative bucket ladders, not just quantiles —
 // Prometheus computes quantiles server-side across scrapes), and two
 // process-level gauges (`go_goroutines`,
-// `process_resident_memory_bytes`) give leak hunters like cmd/soak a
-// uniform signal to sample.
+// `process_resident_memory_bytes`) give leak hunters like `aydload
+// -soak` a uniform signal to sample.
 package telemetry
 
 import (

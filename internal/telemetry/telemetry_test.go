@@ -163,7 +163,7 @@ func TestWriteExpositionFormat(t *testing.T) {
 	samples, types := parseExposition(t, buf.String())
 
 	// The golden comparison: every exported number must equal the same
-	// registry's expvar-facing Snapshot.
+	// registry's Snapshot.
 	snap := m.Snapshot()
 	for name, want := range map[string]float64{
 		"ayd_flows_total":                      float64(snap.Flows),
@@ -251,7 +251,7 @@ func TestWriteExpositionFormat(t *testing.T) {
 		if !infSeen {
 			t.Fatalf("route %s has no +Inf bucket", route)
 		}
-		// Cross-check against the expvar-facing histogram snapshot.
+		// Cross-check against the histogram snapshot.
 		if hs := snap.Latencies[route]; float64(hs.Count) != count {
 			t.Errorf("route %s exposition count %v != snapshot count %d", route, count, hs.Count)
 		}

@@ -76,8 +76,8 @@ echo "cluster-smoke: owner SIGKILLed mid-flow; waiting for B to take over (TTL $
 deadline=$((SECONDS + TIMEOUT))
 takeover=""
 while [ "$SECONDS" -lt "$deadline" ]; do
-    rep="$(curl -fsS "$B/healthz" | python3 -c 'import json,sys; print(json.load(sys.stdin)["replica"]["lease_takeovers"])')"
-    if [ -z "$takeover" ] && [ "$rep" -ge 1 ]; then
+    rep="$(curl -fsS "$B/metrics" | awk '$1 == "ayd_lease_takeovers_total" { print $2 }')"
+    if [ -z "$takeover" ] && [ "${rep:-0}" -ge 1 ]; then
         takeover=1
         echo "cluster-smoke: B adopted the job (lease_takeovers=$rep)"
     fi

@@ -5,7 +5,7 @@
 # short job-lease TTL so crash takeover is quick to watch.
 #
 #   scripts/cluster.sh up 3      # boot 3 replicas on 127.0.0.1:9180..9182
-#   scripts/cluster.sh status    # per-replica /healthz incl. lease counters
+#   scripts/cluster.sh status    # per-replica lease and shard counters from /metrics
 #   scripts/cluster.sh down      # stop everything, remove runtime state
 #
 # `make cluster` / `make cluster-down` wrap up/down. After `up`, the
@@ -151,8 +151,8 @@ status() {
     IFS=, read -ra urls < "$STATE_DIR/urls"
     for u in "${urls[@]}"; do
         echo "== $u"
-        curl -fsS "$u/healthz" || echo "  (unreachable)"
-        echo
+        curl -fsS "$u/metrics" | grep -E '^ayd_(replica_info|leases_held|lease_|mc_shards_)' \
+            || echo "  (unreachable)"
     done
 }
 

@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
-# Short soak of the real binary: build ayd (race detector on by
-# default), let cmd/soak spawn it, and hold mixed query/flow load on it
-# long enough to see a leak trend — goroutine count, RSS and tail
-# latency are sampled over the run and the thresholds fail the script.
+# Short soak of a separate serving process: build aydload (race
+# detector on by default) and let `aydload -soak` spawn its serving
+# child on a free loopback port and hold mixed query/flow load on it
+# long enough to see a leak trend. Goroutine count, RSS and tail latency
+# are sampled over the run and the thresholds fail the script, as does a
+# child that exits non-zero: a -race child that saw a data race exits
+# 66, and its race report passes through on stderr.
 #
 #   scripts/soak-smoke.sh                30s at 300 qps, -race build
 #   DURATION=10m QPS=1000 scripts/soak-smoke.sh
@@ -27,11 +30,11 @@ if [ "$RACE" = "1" ]; then
     BUILD_FLAGS+=(-race)
 fi
 
-echo "== building ayd (race=$RACE)"
-go build "${BUILD_FLAGS[@]}" -o bin/ayd-soak ./cmd/ayd
+echo "== building aydload (race=$RACE)"
+go build "${BUILD_FLAGS[@]}" -o bin/aydload-soak ./cmd/aydload
 
 echo "== soak: duration=$DURATION qps=$QPS inflight=$INFLIGHT"
-go run ./cmd/soak -bin bin/ayd-soak \
+bin/aydload-soak -soak -addr 127.0.0.1:0 \
     -duration "$DURATION" -qps "$QPS" -inflight "$INFLIGHT" \
     -o "$OUT"
 echo "== wrote $OUT"
