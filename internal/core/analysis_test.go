@@ -185,3 +185,32 @@ func TestDesignForScaledValidation(t *testing.T) {
 		t.Error("zero scale accepted")
 	}
 }
+
+// TestDesignForScaledNonFiniteTarget: a finite scale whose product with
+// Δ% overflows must not turn into an infinite target that the
+// feasibility test then accepts.
+func TestDesignForScaledNonFiniteTarget(t *testing.T) {
+	var pts []ParetoPoint
+	for i := 0; i < 12; i++ {
+		x := float64(i) / 11
+		pts = append(pts, ParetoPoint{
+			Params:   []float64{1 + x},
+			Perf:     [2]float64{10 + 10*x, -2 - 3*x},
+			DeltaPct: [2]float64{0, 2},
+		})
+	}
+	m, err := BuildModel(pts, []string{"a", "b"}, []string{"P1"}, []string{"um"}, ModelOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := yield.Spec{Name: "a", Sense: yield.AtMost, Bound: 15}
+	b := yield.Spec{Name: "b", Sense: yield.AtMost, Bound: -3}
+	if _, err := m.DesignForScaled(a, b, 1); err != nil {
+		t.Fatalf("scale 1: %v", err)
+	}
+	_, err = m.DesignForScaled(a, b, 1e308)
+	want := "core: guard-banded b target +Inf is not finite (guard-band scale 1e+308)"
+	if err == nil || err.Error() != want {
+		t.Fatalf("scale 1e308: err = %v, want %q", err, want)
+	}
+}

@@ -232,6 +232,14 @@ func (m *Model) DesignForScaled(spec0, spec1 yield.Spec, scale float64) (*Design
 	}
 	d.Target[0] = yield.GuardBand(spec0, scale*d.DeltaPct[0])
 	d.Target[1] = yield.GuardBand(spec1, scale*d.DeltaPct[1])
+	// A huge scale can overflow scale·Δ%; an infinite target would pass
+	// the feasibility test below for the right sign of bound.
+	for k, spec := range d.Specs {
+		if math.IsInf(d.Target[k], 0) || math.IsNaN(d.Target[k]) {
+			return nil, fmt.Errorf("core: guard-banded %s target %g is not finite (guard-band scale %g)",
+				spec.Name, d.Target[k], scale)
+		}
+	}
 
 	// Feasibility: the front's perf-1 at the perf-0 target must meet the
 	// perf-1 target (both specs must hold at one design point).

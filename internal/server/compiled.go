@@ -12,24 +12,22 @@ import (
 	"analogyield/internal/yield"
 )
 
-// This file is the compiled yield-query engine: when a model enters the
-// registry it is compiled once into an immutable CompiledModel, and the
-// serving hot path (POST /v1/yield/query) runs entirely against that
+// This file is the yield-query engine: when a model enters the registry
+// it is compiled once into an immutable CompiledModel, and every query
+// (single, rendered, batched or version-pinned) runs against that
 // compiled form — struct-of-arrays spline coefficients evaluated with
 // segment-hint reuse, the projection coarse scan resolved against a
 // precomputed grid, parameter clamp ranges and the static parts of the
 // response JSON pre-rendered — with per-query scratch drawn from a
 // sync.Pool so the steady state allocates nothing.
 //
-// The engine's contract is bit-identity: CompiledModel.solve reproduces
-// solveQuery (the interpreted reference path, which stays in
-// registry.go) bit for bit, because every floating-point expression is
-// evaluated in the same order on the same values. Whenever the compiled
-// path cannot answer (spec parse failure, out-of-range bound, infeasible
-// spec pair, uncompilable table degree) it reports !ok and the caller
-// re-runs the interpreted path, which produces the exact error the
-// pre-compiled server returned. Golden tests (compiled_test.go) assert
-// both properties.
+// The engine's contract is bit-identity with core.Model.DesignForScaled:
+// CompiledModel.solve reproduces the interpreted Table 3 arithmetic bit
+// for bit, because every floating-point expression is evaluated in the
+// same order on the same values. A query the engine cannot answer takes
+// its error from DesignForScaled itself, so core stays the one place
+// Table 3's error text is written. Golden tests (compiled_test.go) and
+// FuzzQueryMatchesOracle check both against the interpreted oracle.
 
 // projGridN is the resolution of the projection coarse scan. It MUST
 // equal the `const n = 256` inside table.CurveModel2D.Project: the
@@ -41,21 +39,19 @@ const projGridN = 256
 // All fields are read-only after CompileModel returns, so any number of
 // query goroutines share one instance without synchronisation.
 type CompiledModel struct {
-	model  *core.Model // interpreted reference (error paths, fallbacks)
+	model  *core.Model // source model: error text, labels, catalog info
 	tenant string      // catalog namespace ("" never occurs; default stays off the wire)
 	name   string      // catalog name
 
 	// Variation and front tables (Model1D, Error extrapolation).
 	delta0, delta1, front compiled1D
-	delta0Tbl, delta1Tbl  *table.Model1D // batch staging via table.EvalBatch
-	lo0, hi0              float64        // Delta[0].Domain(): feasibility window of target 0
+	lo0, hi0              float64 // Delta[0].Domain(): feasibility window of target 0
 
 	// Projection onto the Pareto front (CurveModel2D #0).
 	fx1, fx2     *spline.Compiled
 	span1, span2 float64
 	gx1, gx2     []float64 // fx1/fx2 at the coarse-scan grid u = i/projGridN
 	gseg         []int32   // u-axis segment at each grid point (hint seed)
-	inv          *inverseTable
 
 	// Parameter outputs Y_k(u) with their precomputed clamp ranges.
 	params []compiledParam
@@ -92,7 +88,7 @@ func compile1D(m *table.Model1D) (compiled1D, error) {
 }
 
 // evalHint evaluates with Model1D.Eval's exact range check; false means
-// out of range (the interpreted path re-runs for the exact error).
+// out of range.
 func (t *compiled1D) evalHint(x float64, hint *int) (float64, bool) {
 	if x < t.lo || x > t.hi {
 		return 0, false
@@ -111,8 +107,8 @@ type compiledParam struct {
 
 // CompileModel builds the compiled query engine for a model served under
 // the given (tenant, name). An error means the model uses a construction
-// the engine does not cover (e.g. quadratic interpolation); the registry
-// then serves it on the interpreted path instead.
+// the engine does not cover (e.g. quadratic interpolation), and the
+// registry refuses the model. core.BuildModel never builds one.
 func CompileModel(tenant, name string, m *core.Model) (*CompiledModel, error) {
 	cm := &CompiledModel{model: m, tenant: tenant, name: name}
 	var err error
@@ -125,7 +121,6 @@ func CompileModel(tenant, name string, m *core.Model) (*CompiledModel, error) {
 	if cm.front, err = compile1D(m.PerfFront); err != nil {
 		return nil, err
 	}
-	cm.delta0Tbl, cm.delta1Tbl = m.Delta[0], m.Delta[1]
 	cm.lo0, cm.hi0 = m.Delta[0].Domain()
 
 	if len(m.ParamTables) == 0 {
@@ -155,7 +150,6 @@ func CompileModel(tenant, name string, m *core.Model) (*CompiledModel, error) {
 		cm.gx2[i], h2 = cm.fx2.EvalHint(u, h2)
 		cm.gseg[i] = int32(h1)
 	}
-	cm.inv = buildInverseTable(cm.fx1, 4*cm.fx1.Segments()+1)
 
 	cm.params = make([]compiledParam, len(m.ParamTables))
 	for k, t := range m.ParamTables {
@@ -186,9 +180,9 @@ func CompileModel(tenant, name string, m *core.Model) (*CompiledModel, error) {
 }
 
 // queryScratch is the per-query reusable state: segment hints warmed
-// across queries, the parameter staging buffer, batch staging vectors
-// and the JSON render buffer. Pooled so the steady-state query path
-// performs zero allocations.
+// across queries, the parameter staging buffer and the JSON render
+// buffer. Pooled so the steady-state query path performs zero
+// allocations.
 type queryScratch struct {
 	params  []float64
 	hParams []int
@@ -196,13 +190,6 @@ type queryScratch struct {
 
 	hDelta0, hDelta1, hFront int
 	hProj1, hProj2           int
-
-	// batch staging (Registry.queryGroup)
-	bounds0, bounds1 []float64
-	d0s, d1s         []float64
-	stage            []int
-	sq               []solvedQuery
-	scales           []float64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
@@ -222,52 +209,64 @@ type solvedQuery struct {
 	predictedYield float64
 }
 
-// solve answers one query on the compiled path. ok == false means the
-// request needs the interpreted path (bad sense, non-positive scale,
-// out-of-range or infeasible specs) — the caller re-runs solveQuery for
-// the bit-identical error.
-func (cm *CompiledModel) solve(req api.QueryRequest, sc *queryScratch) (solvedQuery, bool) {
+// solve answers one query. A query with no design (bad sense,
+// non-positive scale, out-of-range bound, non-finite target, infeasible
+// spec pair) fails with core.Model.DesignForScaled's error for the same
+// specs and scale.
+func (cm *CompiledModel) solve(req api.QueryRequest, sc *queryScratch) (solvedQuery, error) {
 	var s solvedQuery
 	var err error
 	if s.spec0, err = req.Specs[0].ToYield(); err != nil {
-		return s, false
+		return s, err
 	}
 	if s.spec1, err = req.Specs[1].ToYield(); err != nil {
-		return s, false
+		return s, err
 	}
 	scale := req.GuardScale
 	if scale == 0 {
 		scale = 1
 	}
+	if cm.answer(&s, scale, sc) {
+		return s, nil
+	}
+	if _, err := cm.model.DesignForScaled(s.spec0, s.spec1, scale); err != nil {
+		return s, err
+	}
+	return s, fmt.Errorf("server: model %s/%s: the compiled engine refused a query the model answers",
+		cm.tenant, cm.name)
+}
+
+// answer runs the Table 3 arithmetic for s's specs into s. false means
+// the query has no design; solve then asks core for the reason.
+func (cm *CompiledModel) answer(s *solvedQuery, scale float64, sc *queryScratch) bool {
 	if scale <= 0 {
-		return s, false
+		return false
 	}
 	d0, ok := cm.delta0.evalHint(s.spec0.Bound, &sc.hDelta0)
 	if !ok {
-		return s, false
+		return false
 	}
 	d1, ok := cm.delta1.evalHint(s.spec1.Bound, &sc.hDelta1)
 	if !ok {
-		return s, false
+		return false
 	}
-	return cm.solveFrom(&s, scale, d0, d1, sc)
-}
-
-// solveFrom finishes a query whose variation interpolations are already
-// in hand (the batch path stages them through table.EvalBatch).
-func (cm *CompiledModel) solveFrom(s *solvedQuery, scale, d0, d1 float64, sc *queryScratch) (solvedQuery, bool) {
 	s.deltaPct[0], s.deltaPct[1] = d0, d1
 	s.target[0] = yield.GuardBand(s.spec0, scale*d0)
 	s.target[1] = yield.GuardBand(s.spec1, scale*d1)
+	for _, t := range s.target {
+		if math.IsInf(t, 0) || math.IsNaN(t) {
+			return false
+		}
+	}
 	if s.target[0] < cm.lo0 || s.target[0] > cm.hi0 {
-		return *s, false
+		return false
 	}
 	frontP1, ok := cm.front.evalHint(s.target[0], &sc.hFront)
 	if !ok {
-		return *s, false
+		return false
 	}
 	if !meetsSpec(s.spec1, frontP1, s.target[1]) {
-		return *s, false
+		return false
 	}
 
 	u := cm.project(s.target[0], s.target[1], sc)
@@ -292,9 +291,9 @@ func (cm *CompiledModel) solveFrom(s *solvedQuery, scale, d0, d1 float64, sc *qu
 	s.frontPerf[0] = s.target[0]
 	s.frontPerf[1] = frontP1
 
-	// Model-only yield estimate, with solveQuery's edge-of-axis fallback:
-	// a front point outside a variation table's domain reuses the
-	// spec-bound interpolation already computed.
+	// Model-only yield estimate, with the interpreted path's edge-of-axis
+	// fallback: a front point outside a variation table's domain reuses
+	// the spec-bound interpolation already computed.
 	vd0, ok := cm.delta0.evalHint(s.frontPerf[0], &sc.hDelta0)
 	if !ok {
 		vd0 = d0
@@ -305,7 +304,7 @@ func (cm *CompiledModel) solveFrom(s *solvedQuery, scale, d0, d1 float64, sc *qu
 	}
 	s.predictedYield = yield.PredictNormal(s.spec0, s.frontPerf[0], vd0) *
 		yield.PredictNormal(s.spec1, s.frontPerf[1], vd1)
-	return *s, true
+	return true
 }
 
 // evalAt is CurveModel2D.EvalAt on the compiled output spline.
@@ -332,9 +331,8 @@ func meetsSpec(spec yield.Spec, offered, target float64) bool {
 // project replays table.CurveModel2D.Project bit for bit: the coarse
 // scan reads the precomputed grid instead of evaluating two splines 257
 // times, and the golden-section refinement evaluates the compiled
-// splines with segment hints seeded from the grid (or, when the front is
-// monotone in performance 0, from the inverse table's spec→parameter
-// estimate), so the refinement runs without a single binary search.
+// splines with segment hints seeded from the grid point's segment, so
+// the refinement runs without a single binary search.
 func (cm *CompiledModel) project(x1, x2 float64, sc *queryScratch) float64 {
 	const n = projGridN
 	bestU, bestD := 0.0, math.Inf(1)
@@ -348,11 +346,6 @@ func (cm *CompiledModel) project(x1, x2 float64, sc *queryScratch) float64 {
 		}
 	}
 	h := int(cm.gseg[bestI])
-	if cm.inv != nil {
-		if ih, ok := cm.inv.hint(x1); ok {
-			h = ih
-		}
-	}
 	sc.hProj1, sc.hProj2 = h, h
 	dist2 := func(u float64) float64 {
 		v1, h1 := cm.fx1.EvalHint(u, sc.hProj1)
@@ -410,151 +403,4 @@ func (cm *CompiledModel) response(s *solvedQuery) *api.QueryResponse {
 		resp.Params[i] = p
 	}
 	return resp
-}
-
-// inverseTable is the precomputed monotone inverse of a compiled curve:
-// it maps an output value (a guard-banded performance target) back to
-// the input position (the front's curve parameter) that produces it —
-// the spec→parameter direction of the paper's Table 3 lookup. The table
-// is built only when the forward curve is verifiably monotone, and its
-// entries are checked at build time: buildInverseTable returns nil
-// rather than a table that regresses. The query engine uses it to seed
-// segment hints for the projection refinement; FuzzInverseTableMonotonic
-// asserts monotonicity and round-trip accuracy against spline.Cubic.
-type inverseTable struct {
-	ylo, yhi float64
-	xs       []float64 // solved inputs at evenly spaced outputs in [ylo,yhi]
-	segs     []int32   // forward-curve segment containing xs[i]
-	inc      bool      // forward curve increasing in y
-}
-
-// buildInverseTable samples the inverse of c at `points` evenly spaced
-// outputs. It returns nil when the knot values are not strictly
-// monotone, or when the solved inverse itself regresses (a natural cubic
-// overshooting between monotone knots): a nil table only costs the hint
-// seeding, never correctness.
-func buildInverseTable(c *spline.Compiled, points int) *inverseTable {
-	nseg := c.Segments()
-	n := nseg + 1
-	if n < 2 {
-		return nil
-	}
-	inc := c.KnotY(1) > c.KnotY(0)
-	for i := 1; i < n; i++ {
-		if inc && c.KnotY(i) <= c.KnotY(i-1) {
-			return nil
-		}
-		if !inc && c.KnotY(i) >= c.KnotY(i-1) {
-			return nil
-		}
-	}
-	ylo, yhi := c.KnotY(0), c.KnotY(n-1)
-	if !inc {
-		ylo, yhi = yhi, ylo
-	}
-	if points < 2 {
-		points = 2
-	}
-	t := &inverseTable{
-		ylo: ylo, yhi: yhi, inc: inc,
-		xs:   make([]float64, points),
-		segs: make([]int32, points),
-	}
-	// March in x order (ascending input) so the bracketing segment only
-	// ever advances; store in ascending-y order.
-	seg := 0
-	prevX := math.Inf(-1)
-	for j := 0; j < points; j++ {
-		frac := float64(j) / float64(points-1)
-		var y float64
-		if inc {
-			y = ylo + (yhi-ylo)*frac
-		} else {
-			y = yhi + (ylo-yhi)*frac
-		}
-		for seg < nseg-1 {
-			y0, y1 := c.KnotY(seg), c.KnotY(seg+1)
-			if (y0 <= y && y <= y1) || (y1 <= y && y <= y0) {
-				break
-			}
-			seg++
-		}
-		x := bisectSegment(c, seg, y)
-		if x < prevX {
-			return nil // forward curve wiggles inside a segment
-		}
-		prevX = x
-		idx := j
-		if !inc {
-			idx = points - 1 - j
-		}
-		t.xs[idx] = x
-		t.segs[idx] = int32(seg)
-	}
-	return t
-}
-
-// bisectSegment solves c(x) = y inside segment seg (the knot values
-// bracket y by construction), mirroring spline.Cubic.Invert's bisection.
-func bisectSegment(c *spline.Compiled, seg int, y float64) float64 {
-	a, b := c.Knot(seg), c.Knot(seg+1)
-	fa := c.Eval(a) - y
-	if fa == 0 {
-		// The root is the left knot itself (grid endpoints land here);
-		// the sign-based loop below would walk away from it.
-		return a
-	}
-	for iter := 0; iter < 80; iter++ {
-		mid := 0.5 * (a + b)
-		fm := c.Eval(mid) - y
-		if fm == 0 || (b-a) < 1e-15*(math.Abs(a)+math.Abs(b)+1) {
-			return mid
-		}
-		if (fa < 0) == (fm < 0) {
-			a, fa = mid, fm
-		} else {
-			b = mid
-		}
-	}
-	return 0.5 * (a + b)
-}
-
-// hint returns the forward-curve segment believed to contain the input
-// that maps to output y (clamped into the table's range).
-func (t *inverseTable) hint(y float64) (int, bool) {
-	span := t.yhi - t.ylo
-	if span <= 0 {
-		return 0, false
-	}
-	f := (y - t.ylo) / span
-	if f < 0 {
-		f = 0
-	}
-	if f > 1 {
-		f = 1
-	}
-	i := int(f * float64(len(t.xs)-1))
-	if i > len(t.xs)-1 {
-		i = len(t.xs) - 1
-	}
-	return int(t.segs[i]), true
-}
-
-// invert returns the table's input estimate for output y (nearest grid
-// entry) — exported to tests via same-package access; the query path
-// only consumes hint().
-func (t *inverseTable) invert(y float64) float64 {
-	span := t.yhi - t.ylo
-	f := (y - t.ylo) / span
-	if f < 0 {
-		f = 0
-	}
-	if f > 1 {
-		f = 1
-	}
-	i := int(f*float64(len(t.xs)-1) + 0.5)
-	if i > len(t.xs)-1 {
-		i = len(t.xs) - 1
-	}
-	return t.xs[i]
 }

@@ -6,10 +6,11 @@ import (
 	"math"
 	"math/rand"
 	"strconv"
+	"strings"
 	"testing"
 
+	"analogyield/internal/core"
 	"analogyield/internal/server/api"
-	"analogyield/internal/spline"
 )
 
 // sweepRequests spans the synthetic model's behaviour space: in-domain,
@@ -68,8 +69,8 @@ func sweepRequests(model string) []api.QueryRequest {
 
 // TestCompiledGoldenBitIdentical drives the compiled engine and the
 // interpreted reference over the sweep and demands byte-for-byte float
-// agreement on every answered query, and agreement on which queries are
-// answerable at all.
+// agreement on every answered query, agreement on which queries are
+// answerable at all, and the same error text on every refusal.
 func TestCompiledGoldenBitIdentical(t *testing.T) {
 	m := synthModel(t, 12)
 	cm, err := CompileModel(api.DefaultTenant, "m1", m)
@@ -81,11 +82,14 @@ func TestCompiledGoldenBitIdentical(t *testing.T) {
 	answered := 0
 	for i, req := range sweepRequests("m1") {
 		ref := solveQuery(api.DefaultTenant, "m1", m, req)
-		s, ok := cm.solve(req, sc)
-		if ok != (ref.Error == "") {
-			t.Fatalf("req %d: compiled ok=%v, interpreted error=%q", i, ok, ref.Error)
+		s, err := cm.solve(req, sc)
+		if (err == nil) != (ref.Error == "") {
+			t.Fatalf("req %d: compiled error %v, interpreted error=%q", i, err, ref.Error)
 		}
-		if !ok {
+		if err != nil {
+			if err.Error() != ref.Error {
+				t.Errorf("req %d: compiled error %q, interpreted %q", i, err.Error(), ref.Error)
+			}
 			continue
 		}
 		answered++
@@ -136,9 +140,9 @@ func TestCompiledGoldenJSON(t *testing.T) {
 		if ref.Error != "" {
 			continue
 		}
-		s, ok := cm.solve(req, sc)
-		if !ok {
-			t.Fatalf("req %d: interpreted answered but compiled refused", i)
+		s, err := cm.solve(req, sc)
+		if err != nil {
+			t.Fatalf("req %d: interpreted answered but compiled refused: %v", i, err)
 		}
 		got, ok := cm.appendJSON(nil, &s)
 		if !ok {
@@ -155,7 +159,9 @@ func TestCompiledGoldenJSON(t *testing.T) {
 }
 
 // TestCompiledGoldenErrors routes error-producing queries through the
-// registry and checks the message is exactly the interpreted path's.
+// registry and checks the message is exactly the interpreted path's;
+// the whole sweep through QueryBatch must then equal the per-query
+// path, answers and errors alike.
 func TestCompiledGoldenErrors(t *testing.T) {
 	r := NewRegistry(nil, 4)
 	defer r.Close()
@@ -163,7 +169,8 @@ func TestCompiledGoldenErrors(t *testing.T) {
 	if _, err := r.Install(api.DefaultTenant, "m1", m); err != nil {
 		t.Fatal(err)
 	}
-	for i, req := range sweepRequests("m1") {
+	reqs := sweepRequests("m1")
+	for i, req := range reqs {
 		ref := solveQuery(api.DefaultTenant, "m1", m, req)
 		if ref.Error == "" {
 			continue
@@ -176,23 +183,42 @@ func TestCompiledGoldenErrors(t *testing.T) {
 			t.Errorf("req %d: registry error %q, interpreted %q", i, err.Error(), ref.Error)
 		}
 	}
+	for i, res := range r.QueryBatch(t.Context(), reqs) {
+		single, err := r.Query(t.Context(), reqs[i])
+		switch {
+		case err != nil:
+			if res.Error != err.Error() {
+				t.Errorf("req %d: batch error %q, per-query %q", i, res.Error, err.Error())
+			}
+		case res.Error != "":
+			t.Errorf("req %d: batch error %q, per-query answered", i, res.Error)
+		default:
+			if d := sameAnswer(res.Response, single); d != "" {
+				t.Errorf("req %d: batch and per-query answers differ: %s", i, d)
+			}
+		}
+	}
 }
 
-// TestCompiledPathIsUsed guards the benchmark claim: a plain in-domain
-// query against a freshly built model must be answered by the compiled
-// engine, not silently fall back.
-func TestCompiledPathIsUsed(t *testing.T) {
-	r := NewRegistry(nil, 4)
-	defer r.Close()
-	if _, err := r.Install(api.DefaultTenant, "m1", synthModel(t, 12)); err != nil {
+// TestEngineRefusalNeverAnswers: should the engine refuse a query core
+// answers (here forced by narrowing the engine's feasibility window),
+// solve reports an error naming the model, never core's answer.
+func TestEngineRefusalNeverAnswers(t *testing.T) {
+	cm, err := CompileModel("acme", "m1", synthModel(t, 12))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Query(t.Context(), testQuery("m1")); err != nil {
-		t.Fatal(err)
+	narrowed := *cm
+	narrowed.hi0 = narrowed.lo0
+	sc := getScratch()
+	defer putScratch(sc)
+	req := testQuery("m1")
+	if _, err := cm.solve(req, sc); err != nil {
+		t.Fatalf("unmodified engine: %v", err)
 	}
-	c, i := r.QueryStats()
-	if c != 1 || i != 0 {
-		t.Fatalf("QueryStats = (%d compiled, %d interpreted), want (1, 0)", c, i)
+	_, err = narrowed.solve(req, sc)
+	if err == nil || !strings.Contains(err.Error(), "acme/m1") {
+		t.Fatalf("err = %v, want an error naming acme/m1", err)
 	}
 }
 
@@ -228,106 +254,60 @@ func TestAppendJSONFloat(t *testing.T) {
 	}
 }
 
-// monotoneSpline builds a strictly increasing (or decreasing) natural
-// cubic from fuzz-derived data.
-func monotoneSpline(t *testing.T, seed int64, n int, decreasing bool) *spline.Compiled {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	if n < 4 {
-		n = 4
-	}
-	if n > 64 {
-		n = 64
-	}
-	xs := make([]float64, n)
-	ys := make([]float64, n)
-	x, y := rng.Float64()*10-5, rng.Float64()*100-50
-	for i := 0; i < n; i++ {
-		xs[i], ys[i] = x, y
-		x += 0.1 + rng.Float64()*2
-		dy := 0.01 + rng.Float64()*5
-		if decreasing {
-			dy = -dy
+// FuzzQueryMatchesOracle fuzzes bounds, senses and guard scale (up to
+// the float64 maximum) against two models and demands the compiled
+// engine equal the interpreted oracle: bit for bit on an answer, the
+// same text on an error. Every answer must render through appendJSON.
+// On synthModel an overflowing guard band is always infeasible; the
+// overflow model's negative perf1 axis lets one reach an infinite
+// target the feasibility test would accept.
+func FuzzQueryMatchesOracle(f *testing.F) {
+	f.Add(uint8(1), 15.0, -3.0, uint8(1), uint8(1), 1e308) // overflows b's target to +Inf
+	f.Add(uint8(0), 50.0, 76.0, uint8(0), uint8(0), 0.0)
+	f.Add(uint8(0), 48.0, 74.0, uint8(0), uint8(1), math.MaxFloat64)
+	f.Add(uint8(0), 46.0, 80.0, uint8(0), uint8(0), 1.7)
+	f.Add(uint8(1), 12.0, -4.0, uint8(0), uint8(1), 2.5)
+	f.Add(uint8(1), 19.0, -2.5, uint8(1), uint8(0), 5e307)
+	f.Add(uint8(1), 15.0, -3.0, uint8(2), uint8(1), 1.0) // bad sense
+	models := []*core.Model{synthModel(f, 12), overflowModel(f)}
+	engines := make([]*CompiledModel, len(models))
+	for i, m := range models {
+		cm, err := CompileModel(api.DefaultTenant, "m", m)
+		if err != nil {
+			f.Fatal(err)
 		}
-		y += dy
+		engines[i] = cm
 	}
-	itp, err := spline.New(spline.DegreeCubic, xs, ys)
-	if err != nil {
-		t.Fatalf("spline.New: %v", err)
-	}
-	c, err := spline.Compile(itp)
-	if err != nil {
-		t.Fatalf("spline.Compile: %v", err)
-	}
-	return c
-}
-
-// checkInverseTable asserts the fuzz properties: a non-nil table is
-// monotone in x, and round-trips its grid outputs through the forward
-// spline within bisection tolerance.
-func checkInverseTable(t *testing.T, c *spline.Compiled, tab *inverseTable) {
-	t.Helper()
-	if tab == nil {
-		return // natural-cubic overshoot between monotone knots: allowed
-	}
-	// Entries are stored in ascending-y order, so x ascends for an
-	// increasing forward curve and descends for a decreasing one.
-	for i := 1; i < len(tab.xs); i++ {
-		if tab.inc && tab.xs[i] < tab.xs[i-1] {
-			t.Fatalf("inverse table regresses at %d: %g < %g", i, tab.xs[i], tab.xs[i-1])
+	senses := []string{">=", "<=", "bogus"}
+	f.Fuzz(func(t *testing.T, which uint8, b0, b1 float64, s0, s1 uint8, scale float64) {
+		k := int(which) % len(models)
+		names := models[k].ObjectiveNames
+		req := api.QueryRequest{
+			TenantRef: api.TenantRef{Model: "m"},
+			Specs: [2]api.Spec{
+				{Name: names[0], Sense: senses[int(s0)%len(senses)], Bound: b0},
+				{Name: names[1], Sense: senses[int(s1)%len(senses)], Bound: b1},
+			},
+			GuardScale: scale,
 		}
-		if !tab.inc && tab.xs[i] > tab.xs[i-1] {
-			t.Fatalf("inverse table regresses at %d: %g > %g", i, tab.xs[i], tab.xs[i-1])
+		ref := solveQuery(api.DefaultTenant, "m", models[k], req)
+		sc := getScratch()
+		defer putScratch(sc)
+		s, err := engines[k].solve(req, sc)
+		if ref.Error != "" {
+			if err == nil || err.Error() != ref.Error {
+				t.Fatalf("%+v: engine error %v, oracle %q", req, err, ref.Error)
+			}
+			return
 		}
-	}
-	lo, hi := c.Domain()
-	span := tab.yhi - tab.ylo
-	tol := 1e-9 * (math.Abs(tab.ylo) + math.Abs(tab.yhi) + 1)
-	for j := 0; j < len(tab.xs); j++ {
-		y := tab.ylo + span*float64(j)/float64(len(tab.xs)-1)
-		x := tab.invert(y)
-		if x < lo || x > hi {
-			t.Fatalf("invert(%g) = %g outside domain [%g, %g]", y, x, lo, hi)
+		if err != nil {
+			t.Fatalf("%+v: engine error %v, oracle answered", req, err)
 		}
-		if got := c.Eval(x); math.Abs(got-y) > tol {
-			t.Fatalf("round trip: f(invert(%g)) = %g (|err| %g > %g)", y, got, math.Abs(got-y), tol)
+		if d := sameAnswer(engines[k].response(&s), ref.Response); d != "" {
+			t.Fatalf("%+v: %s", req, d)
 		}
-		// The hint must name a real segment.
-		if seg := int(tab.segs[j]); seg < 0 || seg >= c.Segments() {
-			t.Fatalf("entry %d: segment hint %d outside [0, %d)", j, seg, c.Segments())
+		if _, ok := engines[k].appendJSON(nil, &s); !ok {
+			t.Fatalf("%+v: answer does not render: %+v", req, s)
 		}
-	}
-}
-
-func TestInverseTableMonotonic(t *testing.T) {
-	for seed := int64(0); seed < 30; seed++ {
-		c := monotoneSpline(t, seed, 8+int(seed)%20, seed%2 == 1)
-		checkInverseTable(t, c, buildInverseTable(c, 4*c.Segments()+1))
-	}
-	// Non-monotone knots must yield no table.
-	itp, err := spline.New(spline.DegreeCubic, []float64{0, 1, 2, 3}, []float64{0, 5, 2, 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := spline.Compile(itp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if buildInverseTable(c, 9) != nil {
-		t.Fatal("non-monotone spline produced an inverse table")
-	}
-}
-
-// FuzzInverseTableMonotonic fuzzes the inverse-table builder over random
-// monotone splines: whenever a table is built it must be monotone and
-// round-trip within tolerance of the compiled cubic.
-func FuzzInverseTableMonotonic(f *testing.F) {
-	f.Add(int64(1), uint8(12), false, uint8(3))
-	f.Add(int64(99), uint8(40), true, uint8(1))
-	f.Add(int64(-7), uint8(5), false, uint8(9))
-	f.Fuzz(func(t *testing.T, seed int64, n uint8, decreasing bool, density uint8) {
-		c := monotoneSpline(t, seed, int(n), decreasing)
-		points := int(density)*c.Segments() + 2
-		checkInverseTable(t, c, buildInverseTable(c, points))
 	})
 }

@@ -14,12 +14,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/big"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -73,6 +75,102 @@ func TestOversizedBody413(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("small request status = %d", resp2.StatusCode)
+	}
+}
+
+// TestOverflowingGuardScale: a finite guard_scale whose product with Δ%
+// overflows used to answer 200 with an empty body (an infinite target
+// passed the feasibility test, then failed to encode). The single route
+// must answer 422 with the overflow named; a batch must carry it as that
+// query's error and still answer the others.
+func TestOverflowingGuardScale(t *testing.T) {
+	srv := New(Config{ModelsDir: t.TempDir(), Metrics: &core.Metrics{}, Logger: quietLog()})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	post := func(path string, v any) (int, []byte) {
+		t.Helper()
+		body, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, b
+	}
+
+	install := api.InstallModelRequest{Name: "ovf", ObjectiveNames: []string{"a", "b"},
+		ParamNames: []string{"P1"}, ParamUnits: []string{"um"}}
+	for _, p := range overflowPoints() {
+		install.Points = append(install.Points, api.ModelPoint{Perf: p.Perf, DeltaPct: p.DeltaPct, Params: p.Params})
+	}
+	if status, b := post("/v1/models", install); status != http.StatusCreated {
+		t.Fatalf("install: status %d: %s", status, b)
+	}
+	query := func(scale float64) api.QueryRequest {
+		return api.QueryRequest{
+			TenantRef: api.TenantRef{Model: "ovf"},
+			Specs: [2]api.Spec{
+				{Name: "a", Sense: "<=", Bound: 15},
+				{Name: "b", Sense: "<=", Bound: -3},
+			},
+			GuardScale: scale,
+		}
+	}
+	const want = "core: guard-banded b target +Inf is not finite (guard-band scale 1e+308)"
+
+	status, b := post("/v1/yield/query", query(1e308))
+	var apiErr api.Error
+	if err := json.Unmarshal(b, &apiErr); err != nil {
+		t.Fatalf("single route: status %d, body %q is not an api.Error: %v", status, b, err)
+	}
+	if status != http.StatusUnprocessableEntity || apiErr.Message != want {
+		t.Fatalf("single route: status %d, error %q; want 422 and %q", status, apiErr.Message, want)
+	}
+
+	status, b = post("/v1/yield/query", map[string]any{
+		"queries": []api.QueryRequest{query(1), query(1e308), query(2)},
+	})
+	var batch api.BatchQueryResponse
+	if err := json.Unmarshal(b, &batch); err != nil || status != http.StatusOK {
+		t.Fatalf("batch route: status %d, body %q: %v", status, b, err)
+	}
+	if len(batch.Results) != 3 {
+		t.Fatalf("batch route: %d results, want 3", len(batch.Results))
+	}
+	if batch.Results[1].Error != want {
+		t.Errorf("batch route: overflowing query error %q, want %q", batch.Results[1].Error, want)
+	}
+	for _, i := range []int{0, 2} {
+		if r := batch.Results[i]; r.Error != "" || r.Response == nil {
+			t.Errorf("batch route: query %d not answered (error %q)", i, r.Error)
+		}
+	}
+}
+
+// TestWriteJSONEncodeFailure: a body that cannot be encoded is answered
+// 500 with an api.Error, not with the handler's status and no body.
+func TestWriteJSONEncodeFailure(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]float64{"v": math.Inf(1)})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", rec.Code)
+	}
+	var apiErr api.Error
+	if err := json.Unmarshal(rec.Body.Bytes(), &apiErr); err != nil {
+		t.Fatalf("body %q is not an api.Error: %v", rec.Body.Bytes(), err)
+	}
+	if apiErr.Status != http.StatusInternalServerError || apiErr.Message == "" {
+		t.Errorf("error body %+v", apiErr)
+	}
+	if got := rec.Header().Get("Content-Length"); got != strconv.Itoa(rec.Body.Len()) {
+		t.Errorf("Content-Length %s for a %d-byte body", got, rec.Body.Len())
 	}
 }
 

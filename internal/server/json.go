@@ -3,11 +3,19 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"net/http"
 	"strconv"
 	"sync"
+
+	"analogyield/internal/server/api"
 )
+
+// errUnrepresentable reports a response holding a value JSON cannot
+// carry (NaN, ±Inf). The HTTP layer answers it 500: the request was
+// fine, the server cannot say the answer.
+var errUnrepresentable = errors.New("server: response holds a value JSON cannot represent")
 
 // jsonBuf pairs a reusable buffer with an encoder bound to it, so the
 // generic response path neither allocates a buffer nor an encoder per
@@ -25,15 +33,18 @@ var jsonBufPool = sync.Pool{New: func() any {
 
 // writeJSON encodes v into a pooled buffer and writes it with an
 // explicit Content-Length, so responses go out in one write without
-// chunked transfer encoding.
+// chunked transfer encoding. A v that fails to encode is answered 500
+// with an api.Error, never with status and an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	jb := jsonBufPool.Get().(*jsonBuf)
+	defer jsonBufPool.Put(jb)
 	jb.buf.Reset()
-	// An encode error (unrepresentable value, e.g. NaN) leaves a partial
-	// or empty body, matching the previous stream-encoder behaviour.
-	_ = jb.enc.Encode(v)
+	if err := jb.enc.Encode(v); err != nil {
+		// A failed Encode writes nothing, so the buffer is still empty.
+		status = http.StatusInternalServerError
+		jb.enc.Encode(&api.Error{Status: status, Message: "server: encoding response: " + err.Error()})
+	}
 	writeJSONBytes(w, status, jb.buf.Bytes())
-	jsonBufPool.Put(jb)
 }
 
 // writeJSONBytes writes an already-rendered JSON body.

@@ -11,7 +11,6 @@ import (
 	"analogyield/internal/core"
 	"analogyield/internal/server/api"
 	"analogyield/internal/store"
-	"analogyield/internal/yield"
 )
 
 // ErrUnknownModel reports a query against a (tenant, name) that is
@@ -29,9 +28,9 @@ var ErrUnknownModel = errors.New("server: unknown model")
 // The resident set is published as an immutable snapshot behind an
 // atomic.Pointer: queries load the snapshot and answer without taking
 // any lock, writers (install, evict, close) serialise on a mutex and
-// swap in a copied map. Each entry is compiled once at install time
-// (CompileModel) into the struct-of-arrays form the hot path evaluates;
-// recency for LRU eviction is a per-entry atomic counter fed by a
+// swap in a copied map. Every entry is compiled (CompileModel) before it
+// is stored or made resident, and the compiled engine answers every
+// query; recency for LRU eviction is a per-entry atomic counter fed by a
 // global clock, so reads stay lock-free.
 type Registry struct {
 	st  store.Store
@@ -41,13 +40,11 @@ type Registry struct {
 	snap  atomic.Pointer[snapshot]
 	clock atomic.Int64 // LRU recency source
 
-	// compiled and interpreted count queries by the engine that answered
-	// them, so the compiled-path hit rate is observable (QueryStats). They
-	// tick on every request, so they are sharded like the rest of the
-	// per-request counters — at six-figure qps a lone atomic here is a
-	// cross-core cache-line fight.
-	compiled    core.ShardedCounter
-	interpreted core.ShardedCounter
+	// queries counts queries that reached a model (QueryStats). It ticks
+	// on every request, so it is sharded like the rest of the per-request
+	// counters — at six-figure qps a lone atomic here is a cross-core
+	// cache-line fight.
+	queries core.ShardedCounter
 }
 
 // snapshot is one immutable published generation of the resident set,
@@ -60,16 +57,13 @@ type snapshot struct {
 // contain no '/', so the join is unambiguous.
 func entryKey(tenant, name string) string { return tenant + "/" + name }
 
-// modelEntry is one resident model. All fields except lastUsed are
-// immutable after install; entries are shared between snapshot
-// generations, so a recency bump is visible regardless of which
-// generation the reader loaded.
+// modelEntry is one compiled model version: resident, or loaded for
+// one pinned call. All fields except lastUsed are immutable; resident
+// entries are shared between snapshot generations, so a recency bump is
+// visible regardless of which generation the reader loaded.
 type modelEntry struct {
-	tenant   string
-	name     string
+	cm       *CompiledModel
 	version  string // content address of the installed payload
-	model    *core.Model
-	compiled *CompiledModel // nil when the model has no compiled form
 	lastUsed atomic.Int64
 }
 
@@ -115,9 +109,9 @@ func validRef(tenant, name string) error {
 // store (and possibly evicting) as needed. The resident fast path is a
 // single atomic load plus a recency bump — no lock. version "" means
 // latest; a version pin that matches the resident entry is served from
-// residency, any other pin is loaded from the store for this call only
-// (served interpreted, never cached — pinned reads of historical
-// versions must not evict the hot latest set).
+// residency, any other pin is loaded and compiled for this call only
+// (never cached — pinned reads of historical versions must not evict the
+// hot latest set).
 func (r *Registry) get(tenant, name, version string) (*modelEntry, error) {
 	if err := validRef(tenant, name); err != nil {
 		return nil, err
@@ -129,35 +123,55 @@ func (r *Registry) get(tenant, name, version string) (*modelEntry, error) {
 		}
 	}
 
-	// Load outside the writer lock: store reads must not stall installs
-	// of other models.
+	// Load and compile outside the writer lock: store reads must not
+	// stall installs of other models.
+	m, stored, err := r.load(tenant, name, version)
+	if err != nil {
+		return nil, err
+	}
+	cm, err := CompileModel(tenant, name, m)
+	if err != nil {
+		return nil, fmt.Errorf("server: %w: model %s/%s@%s: %v",
+			store.ErrCorrupt, tenant, name, stored, err)
+	}
+	e := &modelEntry{cm: cm, version: stored}
+	if version == "" {
+		r.publish(e)
+	}
+	return e, nil
+}
+
+// load reads one stored model version ("" = latest) and decodes it,
+// returning the version the store resolved.
+func (r *Registry) load(tenant, name, version string) (*core.Model, string, error) {
 	data, info, err := r.st.Get(store.Key{Tenant: tenant, Kind: store.KindModel, Name: name, Version: version})
 	if err != nil {
 		if errors.Is(err, store.ErrNotFound) {
-			return nil, fmt.Errorf("%w: %s/%s", ErrUnknownModel, tenant, name)
+			return nil, "", fmt.Errorf("%w: %s/%s", ErrUnknownModel, tenant, name)
 		}
-		return nil, fmt.Errorf("server: loading model %s/%s: %w", tenant, name, err)
+		return nil, "", fmt.Errorf("server: loading model %s/%s: %w", tenant, name, err)
 	}
 	m, err := core.DecodeModel(data)
 	if err != nil {
-		return nil, fmt.Errorf("server: %w: model %s/%s@%s: %v",
+		return nil, "", fmt.Errorf("server: %w: model %s/%s@%s: %v",
 			store.ErrCorrupt, tenant, name, info.Version, err)
 	}
-	if version != "" {
-		// Historical pin: answer interpreted, skip residency.
-		return &modelEntry{tenant: tenant, name: name, version: info.Version, model: m}, nil
-	}
-	return r.install(tenant, name, info.Version, m), nil
+	return m, info.Version, nil
 }
 
-// Install persists the model's canonical payload to the artefact store
-// under (tenant, name) and makes it resident, replacing any previous
-// model of that name (in-flight queries finish against the entry they
-// already hold; the swap never waits for them). It returns the
-// content-addressed version the store assigned.
+// Install compiles the model, persists its canonical payload to the
+// artefact store under (tenant, name) and makes it resident, replacing
+// any previous model of that name (in-flight queries finish against the
+// entry they already hold; the swap never waits for them). A model the
+// query engine cannot compile is refused before anything is stored. It
+// returns the content-addressed version the store assigned.
 func (r *Registry) Install(tenant, name string, m *core.Model) (string, error) {
 	if err := validRef(tenant, name); err != nil {
 		return "", err
+	}
+	cm, err := CompileModel(tenant, name, m)
+	if err != nil {
+		return "", fmt.Errorf("server: compiling model %s/%s: %w", tenant, name, err)
 	}
 	data, err := core.EncodeModel(m)
 	if err != nil {
@@ -167,20 +181,15 @@ func (r *Registry) Install(tenant, name string, m *core.Model) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("server: persisting model %s/%s: %w", tenant, name, err)
 	}
-	r.install(tenant, name, info.Version, m)
+	r.publish(&modelEntry{cm: cm, version: info.Version})
 	return info.Version, nil
 }
 
-// install compiles the model, then publishes a new snapshot generation
-// containing it, evicting the least recently used entries down to cap.
-// Compilation runs before the writer lock so installs of large models
-// do not serialise on each other's compile time.
-func (r *Registry) install(tenant, name, version string, m *core.Model) *modelEntry {
-	// A model the engine cannot compile (e.g. quadratic tables) serves on
-	// the interpreted path; compiled == nil is a supported state.
-	cm, _ := CompileModel(tenant, name, m)
-
-	e := &modelEntry{tenant: tenant, name: name, version: version, model: m, compiled: cm}
+// publish makes a compiled entry resident: a new snapshot generation
+// containing it, with the least recently used entries evicted down to
+// cap. Callers compile before calling, so installs of large models do
+// not serialise on each other's compile time.
+func (r *Registry) publish(e *modelEntry) {
 	e.lastUsed.Store(r.clock.Add(1))
 
 	r.mu.Lock()
@@ -190,7 +199,7 @@ func (r *Registry) install(tenant, name, version string, m *core.Model) *modelEn
 	for k, v := range old {
 		entries[k] = v
 	}
-	entries[entryKey(tenant, name)] = e
+	entries[entryKey(e.cm.tenant, e.cm.name)] = e
 	for len(entries) > r.cap {
 		var victim *modelEntry
 		for _, v := range entries {
@@ -204,10 +213,9 @@ func (r *Registry) install(tenant, name, version string, m *core.Model) *modelEn
 		if victim == nil {
 			break
 		}
-		delete(entries, entryKey(victim.tenant, victim.name))
+		delete(entries, entryKey(victim.cm.tenant, victim.cm.name))
 	}
 	r.snap.Store(&snapshot{entries: entries})
-	return e
 }
 
 // Evict drops a model from residency (queries reload it from the
@@ -248,75 +256,54 @@ func (r *Registry) Delete(tenant, name string) error {
 	return err
 }
 
-// Query answers one yield query. The hot path — resident model with a
-// compiled form — runs lock-free against the snapshot with pooled
-// scratch; anything the compiled engine cannot answer re-runs on the
-// interpreted path for the bit-identical result or error.
+// Query answers one yield query on the compiled engine, lock-free
+// against the snapshot with pooled scratch.
 func (r *Registry) Query(ctx context.Context, req api.QueryRequest) (*api.QueryResponse, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	e, err := r.get(req.TenantOrDefault(), req.Model, req.Version)
+	sc := getScratch()
+	defer putScratch(sc)
+	cm, s, err := r.solve(ctx, req, sc)
 	if err != nil {
 		return nil, err
 	}
-	if cm := e.compiled; cm != nil {
-		sc := getScratch()
-		if s, ok := cm.solve(req, sc); ok {
-			resp := cm.response(&s)
-			putScratch(sc)
-			r.compiled.Add(1)
-			return resp, nil
-		}
-		putScratch(sc)
-	}
-	r.interpreted.Add(1)
-	res := solveQuery(e.tenant, e.name, e.model, req)
-	if res.Error != "" {
-		return nil, errors.New(res.Error)
-	}
-	return res.Response, nil
+	return cm.response(&s), nil
 }
 
-// QueryRendered answers one query and, when the compiled engine
-// produced the answer, renders it straight into sc.buf from the model's
-// pre-rendered JSON fragments — the zero-allocation HTTP path. body is
-// nil when the caller must encode resp itself (interpreted fallback).
-// The returned body aliases sc.buf: write it out before releasing sc.
-func (r *Registry) QueryRendered(ctx context.Context, req api.QueryRequest, sc *queryScratch) (body []byte, resp *api.QueryResponse, err error) {
+// QueryRendered answers one query and renders it straight into sc.buf
+// from the model's pre-rendered JSON fragments — the zero-allocation
+// HTTP path. The returned body aliases sc.buf: write it out before
+// releasing sc.
+func (r *Registry) QueryRendered(ctx context.Context, req api.QueryRequest, sc *queryScratch) ([]byte, error) {
+	cm, s, err := r.solve(ctx, req, sc)
+	if err != nil {
+		return nil, err
+	}
+	b, ok := cm.appendJSON(sc.buf[:0], &s)
+	sc.buf = b
+	if !ok {
+		return nil, fmt.Errorf("%w (model %s/%s)", errUnrepresentable, cm.tenant, cm.name)
+	}
+	return b, nil
+}
+
+// solve resolves the query's model and answers the query on it.
+func (r *Registry) solve(ctx context.Context, req api.QueryRequest, sc *queryScratch) (*CompiledModel, solvedQuery, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, solvedQuery{}, err
 	}
 	e, err := r.get(req.TenantOrDefault(), req.Model, req.Version)
 	if err != nil {
-		return nil, nil, err
+		return nil, solvedQuery{}, err
 	}
-	if cm := e.compiled; cm != nil {
-		if s, ok := cm.solve(req, sc); ok {
-			r.compiled.Add(1)
-			if b, ok := cm.appendJSON(sc.buf[:0], &s); ok {
-				sc.buf = b
-				return b, nil, nil
-			}
-			// A value JSON cannot represent (NaN/Inf): hand the struct to
-			// the generic encoder for the stock error behaviour.
-			return nil, cm.response(&s), nil
-		}
-	}
-	r.interpreted.Add(1)
-	res := solveQuery(e.tenant, e.name, e.model, req)
-	if res.Error != "" {
-		return nil, nil, errors.New(res.Error)
-	}
-	return nil, res.Response, nil
+	r.queries.Add(1)
+	s, err := e.cm.solve(req, sc)
+	return e.cm, s, err
 }
 
-// QueryBatch answers a batch of queries, grouping them by (tenant,
-// model) so each group's variation-table interpolations stage through
-// table.Model1D.EvalBatch (segment-hint reuse across the whole group)
-// and the remaining per-query arithmetic reuses one warm scratch.
-// Results line up with reqs; per-query failures land in
-// Results[i].Error, exactly as the per-query path would report them.
+// QueryBatch answers a batch of queries. Each (tenant, model, version)
+// is resolved once per batch, and every query runs through one warm
+// scratch, so segment hints carry from query to query. Results line up
+// with reqs; per-query failures land in Results[i].Error, exactly as the
+// per-query path would report them.
 func (r *Registry) QueryBatch(ctx context.Context, reqs []api.QueryRequest) []api.QueryResult {
 	out := make([]api.QueryResult, len(reqs))
 	if err := ctx.Err(); err != nil {
@@ -325,100 +312,41 @@ func (r *Registry) QueryBatch(ctx context.Context, reqs []api.QueryRequest) []ap
 		}
 		return out
 	}
-	// Group request indexes by (tenant, model, version), preserving order
-	// within each group.
-	type groupRef struct{ tenant, model, version string }
-	groups := make(map[groupRef][]int, 2)
-	order := make([]groupRef, 0, 2)
-	for i, q := range reqs {
-		ref := groupRef{q.TenantOrDefault(), q.Model, q.Version}
-		if _, ok := groups[ref]; !ok {
-			order = append(order, ref)
-		}
-		groups[ref] = append(groups[ref], i)
+	type ref struct{ tenant, model, version string }
+	type resolved struct {
+		e   *modelEntry
+		err error
 	}
+	models := make(map[ref]resolved, 2)
 	sc := getScratch()
 	defer putScratch(sc)
-	for _, ref := range order {
-		idxs := groups[ref]
-		e, err := r.get(ref.tenant, ref.model, ref.version)
-		if err != nil {
-			for _, i := range idxs {
-				out[i] = api.QueryResult{Error: err.Error()}
-			}
+	for i, q := range reqs {
+		k := ref{q.TenantOrDefault(), q.Model, q.Version}
+		m, ok := models[k]
+		if !ok {
+			m.e, m.err = r.get(k.tenant, k.model, k.version)
+			models[k] = m
+		}
+		if m.err != nil {
+			out[i] = api.QueryResult{Error: m.err.Error()}
 			continue
 		}
-		r.queryGroup(e, reqs, idxs, out, sc)
+		r.queries.Add(1)
+		s, err := m.e.cm.solve(q, sc)
+		if err != nil {
+			out[i] = api.QueryResult{Error: err.Error()}
+			continue
+		}
+		out[i] = api.QueryResult{Response: m.e.cm.response(&s)}
 	}
 	return out
 }
 
-// queryGroup answers one model's share of a batch. Spec bounds that
-// parse and fall inside the variation tables' domains are evaluated in
-// one EvalBatch per axis; each query then finishes through the compiled
-// solveFrom. Everything else (parse errors, out-of-range bounds, models
-// with no compiled form, infeasible spec pairs) re-runs the interpreted
-// path for the bit-identical error.
-func (r *Registry) queryGroup(e *modelEntry, reqs []api.QueryRequest, idxs []int, out []api.QueryResult, sc *queryScratch) {
-	cm := e.compiled
-	if cm == nil {
-		for _, i := range idxs {
-			r.interpreted.Add(1)
-			out[i] = solveQuery(e.tenant, e.name, e.model, reqs[i])
-		}
-		return
-	}
-	sc.stage = sc.stage[:0]
-	sc.sq = sc.sq[:0]
-	sc.scales = sc.scales[:0]
-	sc.bounds0 = sc.bounds0[:0]
-	sc.bounds1 = sc.bounds1[:0]
-	for _, i := range idxs {
-		req := reqs[i]
-		spec0, err0 := req.Specs[0].ToYield()
-		spec1, err1 := req.Specs[1].ToYield()
-		scale := req.GuardScale
-		if scale == 0 {
-			scale = 1
-		}
-		if err0 != nil || err1 != nil || scale <= 0 ||
-			spec0.Bound < cm.delta0.lo || spec0.Bound > cm.delta0.hi ||
-			spec1.Bound < cm.delta1.lo || spec1.Bound > cm.delta1.hi {
-			r.interpreted.Add(1)
-			out[i] = solveQuery(e.tenant, e.name, e.model, req)
-			continue
-		}
-		sc.stage = append(sc.stage, i)
-		sc.sq = append(sc.sq, solvedQuery{spec0: spec0, spec1: spec1})
-		sc.scales = append(sc.scales, scale)
-		sc.bounds0 = append(sc.bounds0, spec0.Bound)
-		sc.bounds1 = append(sc.bounds1, spec1.Bound)
-	}
-	if len(sc.stage) == 0 {
-		return
-	}
-	// The bounds were range-checked with Model1D.Eval's exact comparison,
-	// so Error-mode extrapolation cannot fire and the batch cannot fail.
-	sc.d0s, _ = cm.delta0Tbl.EvalBatch(sc.d0s[:0], sc.bounds0)
-	sc.d1s, _ = cm.delta1Tbl.EvalBatch(sc.d1s[:0], sc.bounds1)
-	for j, i := range sc.stage {
-		s := &sc.sq[j]
-		solved, ok := cm.solveFrom(s, sc.scales[j], sc.d0s[j], sc.d1s[j], sc)
-		if !ok {
-			r.interpreted.Add(1)
-			out[i] = solveQuery(e.tenant, e.name, e.model, reqs[i])
-			continue
-		}
-		r.compiled.Add(1)
-		out[i] = api.QueryResult{Response: cm.response(&solved)}
-	}
-}
-
-// QueryStats reports how many queries each engine has answered since
-// start: the compiled hot path vs the interpreted reference path
-// (errors, uncompiled models, edge cases).
+// QueryStats reports how many queries have reached a model since start.
+// The compiled engine answers every one of them, so interpreted is
+// always 0; the pair survives for callers that report a ratio.
 func (r *Registry) QueryStats() (compiled, interpreted int64) {
-	return r.compiled.Load(), r.interpreted.Load()
+	return r.queries.Load(), 0
 }
 
 // wireTenant renders a tenant for a response: the default tenant stays
@@ -430,64 +358,6 @@ func wireTenant(tenant string) string {
 	return tenant
 }
 
-// solveQuery runs the Table 3 arithmetic against a model. It is the
-// interpreted reference path: CompiledModel.solve must agree with it
-// bit for bit on success, and every compiled-path refusal re-runs here
-// so errors come from one place.
-func solveQuery(tenant, name string, m *core.Model, req api.QueryRequest) api.QueryResult {
-	fail := func(err error) api.QueryResult { return api.QueryResult{Error: err.Error()} }
-	spec0, err := req.Specs[0].ToYield()
-	if err != nil {
-		return fail(err)
-	}
-	spec1, err := req.Specs[1].ToYield()
-	if err != nil {
-		return fail(err)
-	}
-	scale := req.GuardScale
-	if scale == 0 {
-		scale = 1
-	}
-	d, err := m.DesignForScaled(spec0, spec1, scale)
-	if err != nil {
-		return fail(err)
-	}
-	resp := &api.QueryResponse{
-		Model:      name,
-		Tenant:     wireTenant(tenant),
-		Targets:    d.Target,
-		DeltaPct:   d.DeltaPct,
-		FrontPerf:  d.FrontPerf,
-		CurveParam: d.CurveParam,
-		Params:     make([]api.Param, len(d.Params)),
-	}
-	for i, v := range d.Params {
-		p := api.Param{Name: m.ParamNames[i], Value: v}
-		if i < len(m.ParamUnits) {
-			p.Unit = m.ParamUnits[i]
-		}
-		resp.Params[i] = p
-	}
-	// Model-only yield estimate at the selected front point: the
-	// variation tables give Δ% at the design's nominal performance.
-	var deltas [2]float64
-	for k := 0; k < 2; k++ {
-		dp, derr := m.VariationAt(k, d.FrontPerf[k])
-		if derr != nil {
-			// The front point can sit at the very edge of the k=1 axis;
-			// fall back to the spec-bound interpolation already computed.
-			dp = d.DeltaPct[k]
-		}
-		deltas[k] = dp
-	}
-	resp.PredictedYield, err = yield.PredictJoint(
-		[]yield.Spec{spec0, spec1}, d.FrontPerf[:], deltas[:])
-	if err != nil {
-		return fail(err)
-	}
-	return api.QueryResult{Response: resp}
-}
-
 // List enumerates a tenant's models — resident ones plus everything in
 // the artefact store — sorted by name.
 func (r *Registry) List(tenant string) []api.ModelInfo {
@@ -496,8 +366,8 @@ func (r *Registry) List(tenant string) []api.ModelInfo {
 	}
 	names := map[string]bool{}
 	for _, e := range r.snap.Load().entries {
-		if e.tenant == tenant {
-			names[e.name] = true
+		if e.cm.tenant == tenant {
+			names[e.cm.name] = true
 		}
 	}
 	if infos, err := r.st.List(tenant, store.KindModel); err == nil {
@@ -529,7 +399,7 @@ func (r *Registry) Tenants() []string {
 		}
 	}
 	for _, e := range r.snap.Load().entries {
-		seen[e.tenant] = true
+		seen[e.cm.tenant] = true
 	}
 	out := make([]string, 0, len(seen))
 	for t := range seen {
@@ -550,20 +420,12 @@ func (r *Registry) Info(tenant, name string) (*api.ModelInfo, error) {
 	var m *core.Model
 	var version string
 	if resident {
-		m, version = e.model, e.version
+		m, version = e.cm.model, e.version
 	} else {
-		data, info, err := r.st.Get(store.Key{Tenant: tenant, Kind: store.KindModel, Name: name})
-		if err != nil {
-			if errors.Is(err, store.ErrNotFound) {
-				return nil, fmt.Errorf("%w: %s/%s", ErrUnknownModel, tenant, name)
-			}
-			return nil, fmt.Errorf("server: loading model %s/%s: %w", tenant, name, err)
+		var err error
+		if m, version, err = r.load(tenant, name, ""); err != nil {
+			return nil, err
 		}
-		if m, err = core.DecodeModel(data); err != nil {
-			return nil, fmt.Errorf("server: %w: model %s/%s@%s: %v",
-				store.ErrCorrupt, tenant, name, info.Version, err)
-		}
-		version = info.Version
 	}
 	lo, hi := m.Domain()
 	lo1, hi1 := m.Delta[1].Domain()

@@ -9,7 +9,9 @@ import (
 	"time"
 
 	"analogyield/internal/server/api"
+	"analogyield/internal/spline"
 	"analogyield/internal/store"
+	"analogyield/internal/table"
 )
 
 func testQuery(model string) api.QueryRequest {
@@ -267,4 +269,106 @@ loop:
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestHistoricalPinMatchesOracle: a query pinned to an older version is
+// compiled for that call only. It answers bit-identically to the oracle
+// on that version's model and leaves residency alone, and a batch that
+// mixes latest and pinned queries equals the per-query answers.
+func TestHistoricalPinMatchesOracle(t *testing.T) {
+	r := NewRegistry(nil, 4)
+	defer r.Close()
+	ctx := context.Background()
+	m1 := synthModel(t, 12)
+	pts := benchPoints(14)
+	for i := range pts {
+		pts[i].DeltaPct[0] *= 1.5 // a different guard band, so answers differ
+	}
+	m2, err := buildBenchModel(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1, err := r.Install(api.DefaultTenant, "m", m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2, err := r.Install(api.DefaultTenant, "m", m2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v1 == v2 {
+		t.Fatal("two different models share a version")
+	}
+	resident := r.Resident()
+
+	pinned := testQuery("m")
+	pinned.Version = v1
+	got, err := r.Query(ctx, pinned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := sameAnswer(got, solveQuery(api.DefaultTenant, "m", m1, pinned).Response); d != "" {
+		t.Errorf("v1-pinned answer differs from the oracle on v1: %s", d)
+	}
+	if sameAnswer(got, solveQuery(api.DefaultTenant, "m", m2, testQuery("m")).Response) == "" {
+		t.Fatal("v1 and v2 answer alike; the pin is not being tested")
+	}
+	checkResidency := func(when string) {
+		t.Helper()
+		if n := r.Resident(); n != resident {
+			t.Errorf("%s: Resident = %d, want %d", when, n, resident)
+		}
+		info, err := r.Info(api.DefaultTenant, "m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !info.Resident || info.Version != v2 {
+			t.Errorf("%s: resident %v at version %s, want v2 %s", when, info.Resident, info.Version, v2)
+		}
+	}
+	checkResidency("after a pinned query")
+
+	other := testQuery("m")
+	other.Specs[0].Bound = 48
+	otherPinned := other
+	otherPinned.Version = v1
+	batch := []api.QueryRequest{testQuery("m"), pinned, other, otherPinned}
+	for i, res := range r.QueryBatch(ctx, batch) {
+		single, err := r.Query(ctx, batch[i])
+		if err != nil || res.Error != "" {
+			t.Fatalf("query %d: batch error %q, per-query error %v", i, res.Error, err)
+		}
+		if d := sameAnswer(res.Response, single); d != "" {
+			t.Errorf("query %d: batch and per-query answers differ: %s", i, d)
+		}
+	}
+	checkResidency("after a mixed batch")
+}
+
+// TestInstallRefusesUncompilable: a model the query engine cannot
+// compile (here a quadratic Δ% table, which core.BuildModel never
+// builds) is refused before anything is stored or made resident.
+func TestInstallRefusesUncompilable(t *testing.T) {
+	r := NewRegistry(nil, 4)
+	defer r.Close()
+	m := synthModel(t, 12)
+	xs, ys := m.Delta[0].Samples()
+	quad, err := table.NewModel1D(xs, ys, table.Control{Degree: spline.DegreeQuadratic, Extrap: table.ExtrapError})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Delta[0] = quad
+	if _, err := r.Install(api.DefaultTenant, "m1", m); err == nil {
+		t.Fatal("Install accepted a model the engine cannot compile")
+	}
+	infos, err := r.Store().List(api.DefaultTenant, store.KindModel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(infos) != 0 {
+		t.Errorf("store holds %d models after a refused install", len(infos))
+	}
+	if n := r.Resident(); n != 0 {
+		t.Errorf("Resident = %d after a refused install", n)
+	}
 }

@@ -483,6 +483,8 @@ func errStatus(err error) int {
 		return http.StatusServiceUnavailable
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return http.StatusServiceUnavailable
+	case errors.Is(err, errUnrepresentable):
+		return http.StatusInternalServerError
 	default:
 		return http.StatusUnprocessableEntity
 	}
@@ -538,24 +540,20 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if len(body.Queries) > 0 {
-		// Queries group by model and stage through the batch evaluator —
-		// cheaper than the per-query path and free of goroutine fan-out.
+		// One model resolution per (tenant, model, version) and one warm
+		// scratch for the whole batch, with no goroutine fan-out.
 		results := s.reg.QueryBatch(r.Context(), body.Queries)
 		writeJSON(w, http.StatusOK, api.BatchQueryResponse{Results: results})
 		return
 	}
 	sc := getScratch()
 	defer putScratch(sc)
-	rendered, out, err := s.reg.QueryRendered(r.Context(), body.QueryRequest, sc)
+	rendered, err := s.reg.QueryRendered(r.Context(), body.QueryRequest, sc)
 	if err != nil {
 		writeError(w, errStatus(err), "%v", err)
 		return
 	}
-	if rendered != nil {
-		writeJSONBytes(w, http.StatusOK, rendered)
-		return
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSONBytes(w, http.StatusOK, rendered)
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {

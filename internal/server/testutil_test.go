@@ -91,7 +91,7 @@ func (p slowMCProblem) Evaluate(g []float64, s *process.Sample) ([]float64, erro
 
 // synthModel builds a small table model analytically (no flow run):
 // n points along the synthetic front, perf0 ∈ [45, 55].
-func synthModel(t *testing.T, n int) *core.Model {
+func synthModel(t testing.TB, n int) *core.Model {
 	t.Helper()
 	pts := make([]core.ParetoPoint, n)
 	for i := range pts {

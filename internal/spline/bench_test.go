@@ -65,27 +65,3 @@ func BenchmarkCompiledEvalHint(b *testing.B) {
 		_, hint = c.EvalHint(float64(i%199)+0.5, hint)
 	}
 }
-
-// BenchmarkCompiledEvalBatch evaluates 256 ascending points per op —
-// the batch shape the server's grouped queries stage through.
-func BenchmarkCompiledEvalBatch(b *testing.B) {
-	xs, ys := benchKnots()
-	s, err := NewPCHIP(xs, ys)
-	if err != nil {
-		b.Fatal(err)
-	}
-	c, err := Compile(s)
-	if err != nil {
-		b.Fatal(err)
-	}
-	qs := make([]float64, 256)
-	for i := range qs {
-		qs[i] = 199 * float64(i) / float64(len(qs)-1)
-	}
-	dst := make([]float64, 0, len(qs))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = c.EvalBatch(dst[:0], qs)
-	}
-}

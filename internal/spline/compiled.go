@@ -15,9 +15,9 @@ import (
 //   - segment hints: Eval's binary search is replaced by a constant-time
 //     check of the caller's previous segment (and its neighbours), which
 //     almost always hits when consecutive queries are close together —
-//     the access pattern of both batched evaluation and the projection
-//     refinement loop;
-//   - zero allocations: EvalBatch writes into a caller-provided slice.
+//     the access pattern of both a batch of nearby queries and the
+//     projection refinement loop;
+//   - zero allocations: evaluation touches only the coefficient arrays.
 //
 // Bit-identity with the source interpolator is part of the contract
 // (asserted by TestCompiledBitIdentical): every arithmetic expression is
@@ -49,8 +49,8 @@ const (
 // Compile builds the struct-of-arrays form of an interpolator. Linear,
 // Cubic and PCHIP interpolants are supported; other kinds (Quadratic's
 // moving three-point window does not decompose into per-segment
-// coefficients) return an error, and callers fall back to the
-// interpreted path.
+// coefficients) return an error: callers keep evaluating the source
+// interpolator, or refuse the curve.
 func Compile(itp Interpolator) (*Compiled, error) {
 	switch s := itp.(type) {
 	case *Linear:
@@ -84,18 +84,9 @@ func Compile(itp Interpolator) (*Compiled, error) {
 // Domain returns the knot range.
 func (s *Compiled) Domain() (lo, hi float64) { return s.xs[0], s.xs[len(s.xs)-1] }
 
-// Segments returns the number of knot intervals.
-func (s *Compiled) Segments() int { return len(s.xs) - 1 }
-
-// Knot returns the i-th knot abscissa.
-func (s *Compiled) Knot(i int) float64 { return s.xs[i] }
-
-// KnotY returns the sample value at the i-th knot.
-func (s *Compiled) KnotY(i int) float64 { return s.ys[i] }
-
 // Segment locates the knot interval containing x exactly as the
 // interpreted evaluators do (the largest i with xs[i] < x, clamped to
-// [0, Segments()-1]), trying the hinted segment and its neighbours
+// the first and last knot interval), trying the hinted segment and its neighbours
 // before falling back to binary search. Any out-of-range hint (e.g. -1)
 // selects the binary search.
 func (s *Compiled) Segment(x float64, hint int) int {
@@ -152,18 +143,4 @@ func (s *Compiled) Eval(x float64) float64 {
 func (s *Compiled) EvalHint(x float64, hint int) (y float64, seg int) {
 	i := s.Segment(x, hint)
 	return s.evalSegment(x, i), i
-}
-
-// EvalBatch appends the interpolated value at every x in xs to dst and
-// returns the extended slice. The segment hint carries from point to
-// point, so sorted or locally-clustered batches evaluate without any
-// binary search; with a pre-sized dst the call does not allocate.
-func (s *Compiled) EvalBatch(dst, xs []float64) []float64 {
-	hint := -1
-	for _, x := range xs {
-		var y float64
-		y, hint = s.EvalHint(x, hint)
-		dst = append(dst, y)
-	}
-	return dst
 }

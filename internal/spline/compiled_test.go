@@ -104,39 +104,6 @@ func TestCompiledSegmentMatchesSearch(t *testing.T) {
 	}
 }
 
-// TestEvalBatch checks batch evaluation against point evaluation and
-// that a pre-sized destination is reused without growth.
-func TestEvalBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	xs, ys := randomKnots(rng, 40)
-	cub, err := NewCubic(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := Compile(cub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo, hi := c.Domain()
-	qs := make([]float64, 500)
-	for i := range qs {
-		qs[i] = lo + (hi-lo)*rng.Float64()
-	}
-	dst := make([]float64, 0, len(qs))
-	out := c.EvalBatch(dst, qs)
-	if len(out) != len(qs) {
-		t.Fatalf("EvalBatch returned %d values, want %d", len(out), len(qs))
-	}
-	if &out[0] != &dst[:1][0] {
-		t.Error("EvalBatch reallocated a destination with sufficient capacity")
-	}
-	for i, x := range qs {
-		if want := cub.Eval(x); math.Float64bits(out[i]) != math.Float64bits(want) {
-			t.Fatalf("batch[%d] = %g, want %g", i, out[i], want)
-		}
-	}
-}
-
 func TestCompileUnsupported(t *testing.T) {
 	xs, ys := randomKnots(rand.New(rand.NewSource(5)), 8)
 	q, err := NewQuadratic(xs, ys)

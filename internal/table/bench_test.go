@@ -22,31 +22,6 @@ func BenchmarkModel1DEval(b *testing.B) {
 	}
 }
 
-// BenchmarkModel1DEvalBatch is the grouped-query staging path: 256
-// points through the compiled spline with hint reuse, zero allocations.
-func BenchmarkModel1DEvalBatch(b *testing.B) {
-	xs := make([]float64, 200)
-	ys := make([]float64, 200)
-	for i := range xs {
-		xs[i] = float64(i)
-		ys[i] = float64(i) * 0.5
-	}
-	m := MustModel1D(xs, ys, Control{Degree: spline.DegreeMonotoneCubic, Extrap: ExtrapError})
-	qs := make([]float64, 256)
-	for i := range qs {
-		qs[i] = 198 * float64(i) / float64(len(qs)-1)
-	}
-	dst := make([]float64, 0, len(qs))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		if dst, err = m.EvalBatch(dst[:0], qs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkCurveProject times the front projection behind every
 // $table_model(perf0, perf1, ...) parameter lookup.
 func BenchmarkCurveProject(b *testing.B) {

@@ -30,8 +30,8 @@ func NewModel1D(xs, ys []float64, ctrl Control) (*Model1D, error) {
 	lo, hi := itp.Domain()
 	m := &Model1D{ctrl: ctrl, interp: itp, lo: lo, hi: hi}
 	// Compile eagerly: the model is immutable, and the compiled form is
-	// what EvalBatch and the server's query engine evaluate (bit-identical
-	// to interp by spline.Compile's contract; nil for quadratic degree).
+	// what the server's query engine evaluates (bit-identical to interp by
+	// spline.Compile's contract; nil for quadratic degree).
 	m.comp, _ = spline.Compile(itp)
 	m.xs = append(m.xs, xs...)
 	m.ys = append(m.ys, ys...)
@@ -78,58 +78,12 @@ func (m *Model1D) Eval(x float64) (float64, error) {
 	return m.interp.Eval(x), nil
 }
 
-// EvalBatch evaluates the model at every x in xs, appending the results
-// to dst and returning the extended slice. Points are evaluated on the
-// compiled spline with segment-hint reuse, so locally-clustered batches
-// (the server's coalesced query batches, sweep evaluations) skip the
-// per-point binary search; with a pre-sized dst the call does not
-// allocate. Results are bit-identical to calling Eval per point. The
-// first out-of-range point in Error extrapolation mode aborts the batch,
-// returning the values appended so far alongside the error.
-func (m *Model1D) EvalBatch(dst, xs []float64) ([]float64, error) {
-	hint := -1
-	for _, x := range xs {
-		if x < m.lo || x > m.hi {
-			switch m.ctrl.Extrap {
-			case ExtrapError:
-				return dst, fmt.Errorf("%w: x = %g outside [%g, %g]", ErrOutOfRange, x, m.lo, m.hi)
-			case ExtrapClamp:
-				if x < m.lo {
-					x = m.lo
-				} else {
-					x = m.hi
-				}
-			case ExtrapLinear:
-				// Boundary-slope continuation is off the hot path; reuse
-				// the scalar implementation.
-				y, err := m.Eval(x)
-				if err != nil {
-					return dst, err
-				}
-				dst = append(dst, y)
-				continue
-			}
-		}
-		if m.comp != nil {
-			var y float64
-			y, hint = m.comp.EvalHint(x, hint)
-			dst = append(dst, y)
-		} else {
-			dst = append(dst, m.interp.Eval(x))
-		}
-	}
-	return dst, nil
-}
-
 // Domain returns the sampled x range.
 func (m *Model1D) Domain() (lo, hi float64) { return m.lo, m.hi }
 
-// Interpolator exposes the fitted interpolant (the server's query
-// compiler reads it to build its struct-of-arrays form).
-func (m *Model1D) Interpolator() spline.Interpolator { return m.interp }
-
-// Compiled returns the compiled spline behind EvalBatch, or nil when the
-// degree has no compiled form (quadratic).
+// Compiled returns the model's compiled spline (bit-identical to Eval
+// inside the domain), or nil when the degree has no compiled form
+// (quadratic).
 func (m *Model1D) Compiled() *spline.Compiled { return m.comp }
 
 // Control returns the model's control settings.

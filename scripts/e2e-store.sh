@@ -48,7 +48,7 @@ stop() {
   pid=""
 }
 
-# A 4-point synthetic front: enough for the inverse tables to build.
+# A 4-point synthetic front: the fewest points a model table accepts.
 model_json='{
   "name": "e2e-ota",
   "objectives": ["gain_db", "pm_deg"],
