@@ -85,6 +85,7 @@ func TestOversizedBody413(t *testing.T) {
 // query's error and still answer the others.
 func TestOverflowingGuardScale(t *testing.T) {
 	srv := New(Config{ModelsDir: t.TempDir(), Metrics: &core.Metrics{}, Logger: quietLog()})
+	defer shutdown(t, srv)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	post := func(path string, v any) (int, []byte) {
