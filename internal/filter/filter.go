@@ -170,26 +170,37 @@ func addCaps(n *circuit.Netlist, caps Caps, n1, out int) {
 	}
 }
 
-// sweep bounds for filter measurement.
+// The measurement grid: ACDecade's 12 points per decade from fStart to
+// fStop, 61 points in all.
 const (
-	fStart = 1e3
-	fStop  = 100e6
+	fStart          = 1e3
+	fStop           = 100e6
+	pointsPerDecade = 12
 )
 
-// Measure runs the AC analysis of a built filter netlist and reduces it
-// to the spec figures.
+// grid is the measurement grid Measure sweeps; specFreqs picks from it.
+var grid = func() []float64 {
+	f, err := analysis.DecadeFreqs(fStart, fStop, pointsPerDecade)
+	if err != nil {
+		panic(err)
+	}
+	return f
+}()
+
+// Measure runs the AC analysis of a built filter netlist over the whole
+// grid and reduces it to the spec figures, the −3 dB corner and the
+// response series.
 func Measure(n *circuit.Netlist, spec Spec) (Response, error) {
 	op, err := analysis.OP(n, nil)
 	if err != nil {
 		return Response{}, fmt.Errorf("filter: %w", err)
 	}
-	return measureAt(n, op, spec, nil)
+	return measureAt(n, op, spec)
 }
 
-// measureAt is Measure about a solved operating point op, sweeping
-// through the solver workspace ws (nil allocates).
-func measureAt(n *circuit.Netlist, op *analysis.OPResult, spec Spec, ws *analysis.Workspace) (Response, error) {
-	ac, err := analysis.ACDecadeWith(n, op, fStart, fStop, 12, ws)
+// measureAt is Measure about a solved operating point op.
+func measureAt(n *circuit.Netlist, op *analysis.OPResult, spec Spec) (Response, error) {
+	ac, err := analysis.ACWith(n, op, grid, nil)
 	if err != nil {
 		return Response{}, fmt.Errorf("filter: %w", err)
 	}
@@ -200,8 +211,27 @@ func measureAt(n *circuit.Netlist, op *analysis.OPResult, spec Spec, ws *analysi
 	return reduce(ac.Freqs, tf, spec)
 }
 
+// reduce is Measure's reduction of the full sweep: the spec figures,
+// then the −3 dB corner, which only a full response reports.
 func reduce(freqs []float64, tf []complex128, spec Spec) (Response, error) {
-	r := Response{Freqs: freqs, TF: tf}
+	r, err := specFigures(freqs, tf, spec)
+	r.Freqs, r.TF = freqs, tf
+	if err != nil {
+		return r, err
+	}
+	if bw, err := measure.Bandwidth3dB(freqs, tf); err == nil {
+		r.F3dB = bw
+	}
+	return r, nil
+}
+
+// specFigures reduces a sweep to the three figures a Spec tests: the DC
+// gain, the passband deviation and the stopband attenuation. It reads
+// only the points specFreqs keeps, so the full grid and that subset of
+// it give the same figures and errors bit for bit. The Response it
+// returns carries those figures alone.
+func specFigures(freqs []float64, tf []complex128, spec Spec) (Response, error) {
+	var r Response
 	r.DCGainDB = measure.DCGainDB(tf)
 	if math.IsNaN(r.DCGainDB) || math.IsInf(r.DCGainDB, 0) {
 		return r, fmt.Errorf("filter: degenerate DC gain")
@@ -219,8 +249,80 @@ func reduce(freqs []float64, tf []complex128, spec Spec) (Response, error) {
 		return r, fmt.Errorf("filter: stopband edge outside sweep: %w", err)
 	}
 	r.StopbandAttenDB = r.DCGainDB - gStop
-	if bw, err := measure.Bandwidth3dB(freqs, tf); err == nil {
-		r.F3dB = bw
-	}
 	return r, nil
+}
+
+// specFreqs returns, in grid order, the grid points specFigures reads
+// for spec: point 0 for the DC gain, every point before the first one
+// above the passband edge, and the two points measure.GainAt
+// interpolates between at the stopband edge (35 of 61 for DefaultSpec).
+// It repeats their comparisons on the grid, so NaN and out-of-grid edges
+// need no special casing: a NaN passband edge is never exceeded, and a
+// stopband edge with no point at or above it keeps the last point, on
+// which GainAt answers as it does on the full grid. The subset starts at
+// the grid's first point, the reference factorisation of
+// analysis.ACPrefix, so each point it solves is bit-identical to the
+// same point of the full sweep.
+func specFreqs(spec Spec) []float64 {
+	pass := len(grid)
+	for i, f := range grid {
+		if f > spec.PassbandEdge {
+			pass = i
+			break
+		}
+	}
+	lo, hi := len(grid)-1, len(grid)-1
+	for i := 1; i < len(grid); i++ {
+		if spec.StopbandEdge <= grid[i] {
+			lo, hi = i-1, i
+			break
+		}
+	}
+	var freqs []float64
+	for i, f := range grid {
+		if i == 0 || i < pass || i == lo || i == hi {
+			freqs = append(freqs, f)
+		}
+	}
+	return freqs
+}
+
+// specProbe measures the spec figures of filter netlists on the grid
+// points its spec reads, through a solver workspace and a
+// transfer-function buffer of its own. A probe serves one goroutine at
+// a time; with a nil workspace each sweep allocates its solver buffers.
+type specProbe struct {
+	spec  Spec
+	freqs []float64 // specFreqs(spec); read-only, so probes may share it
+	ws    *analysis.Workspace
+	tf    []complex128
+}
+
+func newSpecProbe(spec Spec, freqs []float64, ws *analysis.Workspace) *specProbe {
+	return &specProbe{spec: spec, freqs: freqs, ws: ws, tf: make([]complex128, len(freqs))}
+}
+
+// measure solves n's operating point from zero and returns its spec
+// figures: Measure's figures, bit for bit.
+func (p *specProbe) measure(n *circuit.Netlist) (Response, error) {
+	op, err := analysis.OP(n, &analysis.OPOptions{WS: p.ws})
+	if err != nil {
+		return Response{}, fmt.Errorf("filter: %w", err)
+	}
+	return p.sweep(n, op)
+}
+
+// sweep solves n's AC response about op at the probe's points and
+// reduces it to the spec figures.
+func (p *specProbe) sweep(n *circuit.Netlist, op *analysis.OPResult) (Response, error) {
+	out, _ := n.NodeIndex("out")
+	tf := p.tf
+	err := analysis.ACPrefix(n, op, p.freqs, p.ws, func(i int, x []complex128) bool {
+		tf[i] = x[out]
+		return true
+	})
+	if err != nil {
+		return Response{}, fmt.Errorf("filter: %w", err)
+	}
+	return specFigures(p.freqs, tf, p.spec)
 }

@@ -38,14 +38,26 @@ func (p *Problem) NumObjectives() int { return 2 }
 func (p *Problem) Maximize() []bool { return []bool{false, true} }
 
 // Evaluate builds the behavioural filter at the candidate capacitors and
-// measures it.
+// measures its spec figures. It is safe for concurrent use; a WBGA run
+// evaluates through NewEvaluator instead.
 func (p *Problem) Evaluate(genes []float64) ([]float64, error) {
+	return p.evaluate(genes, newSpecProbe(p.Spec, specFreqs(p.Spec), nil))
+}
+
+// NewEvaluator returns the evaluator of one WBGA worker
+// (wbga.ReusableProblem): Evaluate through a solver workspace and a
+// transfer-function buffer of its own.
+func (p *Problem) NewEvaluator() func([]float64) ([]float64, error) {
+	probe := newSpecProbe(p.Spec, specFreqs(p.Spec), analysis.NewWorkspace())
+	return func(genes []float64) ([]float64, error) { return p.evaluate(genes, probe) }
+}
+
+func (p *Problem) evaluate(genes []float64, probe *specProbe) ([]float64, error) {
 	caps, err := p.Space.Denormalize(genes)
 	if err != nil {
 		return nil, err
 	}
-	n := BuildBehavioural(caps, p.GM, p.Ro)
-	r, err := Measure(n, p.Spec)
+	r, err := probe.measure(BuildBehavioural(caps, p.GM, p.Ro))
 	if err != nil {
 		return nil, err
 	}
@@ -122,14 +134,14 @@ func Optimize(ctx context.Context, p *Problem, opts OptimizeOptions) (*OptimizeR
 	best := -math.MaxFloat64
 	var bestCaps Caps
 	found := false
+	probe := newSpecProbe(p.Spec, specFreqs(p.Spec), analysis.NewWorkspace())
 	for _, idx := range res.FrontIdx {
 		ev := res.Evals[idx]
 		caps, err := p.Space.Denormalize(ev.ParamGenes)
 		if err != nil {
 			continue
 		}
-		n := BuildBehavioural(caps, p.GM, p.Ro)
-		r, err := Measure(n, p.Spec)
+		r, err := probe.measure(BuildBehavioural(caps, p.GM, p.Ro))
 		if err != nil || !p.Spec.Satisfies(r) {
 			continue
 		}
@@ -191,6 +203,28 @@ type filterDesign struct {
 	params ota.Params
 }
 
+// sampleEvaluator returns the evaluator one Monte Carlo worker of
+// VerifyYieldMC runs: it builds the sampled filter, starts Newton from
+// the nominal filter's operating point, solved once per workspace
+// (analysis.SampleOP), and sweeps the grid points spec reads (freqs,
+// from specFreqs) through the worker's own workspace and buffer.
+func sampleEvaluator(d filterDesign, spec Spec, freqs []float64) montecarlo.PointEvaluator {
+	probe := newSpecProbe(spec, freqs, analysis.NewWorkspace())
+	nominal := func() *circuit.Netlist { return BuildTransistor(d.caps, d.cfg, d.params, nil) }
+	return func(_ int, s *process.Sample) ([]float64, error) {
+		n := BuildTransistor(d.caps, d.cfg, d.params, s)
+		op, err := analysis.SampleOP(n, d, nominal, probe.ws)
+		if err != nil {
+			return nil, fmt.Errorf("filter: %w", err)
+		}
+		r, err := probe.sweep(n, op)
+		if err != nil {
+			return nil, err
+		}
+		return []float64{r.DCGainDB, r.PassbandDevDB, r.StopbandAttenDB}, nil
+	}
+}
+
 // VerifyYieldMC is VerifyYield with an explicit variance-reduction
 // strategy: importance sampling sharpens high-yield estimates at the
 // same simulation budget, and the surrogate strategies skip transistor
@@ -209,26 +243,8 @@ func VerifyYieldMC(ctx context.Context, caps Caps, cfg ota.Config, params ota.Pa
 			Col: col, AtMost: sp.Sense == yield.AtMost, Bound: sp.Bound,
 		})
 	}
-	// Every MC worker owns a solver workspace, and every sample starts
-	// Newton from the nominal filter's operating point, solved once per
-	// workspace (analysis.SampleOP).
-	key := filterDesign{caps, cfg, params}
-	nominal := func() *circuit.Netlist { return BuildTransistor(caps, cfg, params, nil) }
-	factory := func() montecarlo.PointEvaluator {
-		ws := analysis.NewWorkspace()
-		return func(_ int, s *process.Sample) ([]float64, error) {
-			n := BuildTransistor(caps, cfg, params, s)
-			op, err := analysis.SampleOP(n, key, nominal, ws)
-			if err != nil {
-				return nil, fmt.Errorf("filter: %w", err)
-			}
-			r, err := measureAt(n, op, spec, ws)
-			if err != nil {
-				return nil, err
-			}
-			return []float64{r.DCGainDB, r.PassbandDevDB, r.StopbandAttenDB}, nil
-		}
-	}
+	d, freqs := filterDesign{caps, cfg, params}, specFreqs(spec)
+	factory := func() montecarlo.PointEvaluator { return sampleEvaluator(d, spec, freqs) }
 	var mc *montecarlo.Result
 	err := montecarlo.Run(ctx, montecarlo.Plan{
 		Proc:     proc,

@@ -17,7 +17,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 COUNT="${BENCH_COUNT:-1}"
-PKGS="./internal/mos ./internal/num ./internal/analysis ./internal/ota ./internal/wbga ./internal/pareto ./internal/montecarlo ./internal/core ./internal/spline ./internal/table ./internal/server"
+PKGS="./internal/mos ./internal/num ./internal/analysis ./internal/ota ./internal/filter ./internal/wbga ./internal/pareto ./internal/montecarlo ./internal/core ./internal/spline ./internal/table ./internal/server"
 OUT=benchmarks/latest.txt
 JSON=benchmarks/BENCH_flow.json
 
