@@ -3,6 +3,9 @@ package behave
 import (
 	"math"
 	"math/cmplx"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -235,5 +238,28 @@ func TestGenerateVerilogAOptions(t *testing.T) {
 	}
 	if !strings.Contains(va, `$fopen("out.dat")`) {
 		t.Error("params file option ignored")
+	}
+}
+
+// TestVerilogAReadsSavedTables: every .tbl file the emitted module reads
+// exists in the directory Model.Save wrote, for objective names with and
+// without a unit suffix.
+func TestVerilogAReadsSavedTables(t *testing.T) {
+	for _, objs := range [][]string{{"gain_db", "pm_deg"}, {"a", "b_hz"}} {
+		m := modelForVA(t)
+		m.ObjectiveNames = objs
+		dir := t.TempDir()
+		if err := m.Save(dir); err != nil {
+			t.Fatal(err)
+		}
+		reads := regexp.MustCompile(`\$table_model\([^)]*"([^"]+\.tbl)"`).FindAllStringSubmatch(GenerateVerilogA(m, VAOptions{}), -1)
+		if want := 2 + len(m.ParamNames); len(reads) != want {
+			t.Fatalf("%v: module reads %d tables, want %d", objs, len(reads), want)
+		}
+		for _, r := range reads {
+			if _, err := os.Stat(filepath.Join(dir, r[1])); err != nil {
+				t.Errorf("%v: module reads %s, which Save did not write: %v", objs, r[1], err)
+			}
+		}
 	}
 }

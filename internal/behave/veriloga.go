@@ -38,8 +38,8 @@ func GenerateVerilogA(m *core.Model, opts VAOptions) string {
 	o := opts.withDefaults()
 	perf0 := m.ObjectiveNames[0]
 	perf1 := m.ObjectiveNames[1]
-	short0 := trimUnit(perf0) // e.g. "gain"
-	short1 := trimUnit(perf1) // e.g. "pm"
+	short0 := core.TrimUnitSuffix(perf0) // e.g. "gain"
+	short1 := core.TrimUnitSuffix(perf1) // e.g. "pm"
 	ctrl2 := o.Control + "," + o.Control
 
 	var b strings.Builder
@@ -65,16 +65,16 @@ func GenerateVerilogA(m *core.Model, opts VAOptions) string {
 	fmt.Fprintf(&b, "  real %s;\n\n", strings.Join(names, ", "))
 	fmt.Fprintf(&b, "  analog begin\n")
 	fmt.Fprintf(&b, "    %s_delta = $table_model(%s, \"%s\", \"%s\");\n",
-		short0, short0, deltaFile(perf0), o.Control)
+		short0, short0, core.DeltaFileName(perf0), o.Control)
 	fmt.Fprintf(&b, "    %s_delta = $table_model(%s, \"%s\", \"%s\");\n",
-		short1, short1, deltaFile(perf1), o.Control)
+		short1, short1, core.DeltaFileName(perf1), o.Control)
 	fmt.Fprintf(&b, "    %s_prop = ((%s_delta/100)*%s)+%s;\n", short0, short0, short0, short0)
 	fmt.Fprintf(&b, "    %s_prop = ((%s_delta/100)*%s)+%s;\n", short1, short1, short1, short1)
 	fmt.Fprintf(&b, "    $display(\"Proposed %s : %%e\", %s_prop);\n", short0, short0)
 	fmt.Fprintf(&b, "    $display(\"Proposed %s : %%e\", %s_prop);\n", short1, short1)
 	for i, n := range names {
-		fmt.Fprintf(&b, "    %s = $table_model(%s_prop, %s_prop, \"lp%d_data.tbl\", \"%s\");\n",
-			n, short0, short1, i+1, ctrl2)
+		fmt.Fprintf(&b, "    %s = $table_model(%s_prop, %s_prop, \"%s\", \"%s\");\n",
+			n, short0, short1, core.ParamFileName(i), ctrl2)
 	}
 	fmt.Fprintf(&b, "    fptr = $fopen(\"%s\");\n", o.ParamsFile)
 	fmt.Fprintf(&b, "    $fwrite(fptr, \"\\n Generated Design Parameters\\n \");\n")
@@ -87,17 +87,6 @@ func GenerateVerilogA(m *core.Model, opts VAOptions) string {
 	fmt.Fprintf(&b, "  end\nendmodule\n")
 	return b.String()
 }
-
-func trimUnit(s string) string {
-	for _, suf := range []string{"_db", "_deg", "_hz"} {
-		if strings.HasSuffix(s, suf) {
-			return strings.TrimSuffix(s, suf)
-		}
-	}
-	return s
-}
-
-func deltaFile(objName string) string { return trimUnit(objName) + "_delta.tbl" }
 
 func midpoint(m *core.Model, k int) float64 {
 	if len(m.Points) == 0 {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"analogyield/internal/process"
+	"analogyield/internal/yield"
 )
 
 // benchFlowConfig is a small but complete flow: WBGA, Pareto
@@ -44,6 +45,37 @@ func BenchmarkFlowWorkers(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := RunFlow(context.Background(), cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDesignFor measures the library's Table 3 query (the path
+// yieldtool, filterdesign and the examples take) on a 64-point front:
+// interpolation, guard band, projection, three parameter tables and the
+// predicted yield, with a fresh scratch and result per call. The server
+// runs the same engine through DesignInto on pooled scratch
+// (server.BenchmarkYieldQuery).
+func BenchmarkDesignFor(b *testing.B) {
+	pts := make([]ParetoPoint, 64)
+	for i := range pts {
+		x := float64(i) / float64(len(pts)-1)
+		pts[i] = ParetoPoint{
+			Params:   []float64{10 + 50*x, 10, 10},
+			Perf:     [2]float64{45 + 10*x, 85 - 12*x},
+			DeltaPct: [2]float64{1.0 + 0.2*x, 0.5 + 0.1*x},
+		}
+	}
+	m, err := BuildModel(pts, []string{"gain_db", "pm_deg"}, []string{"P1", "P2", "P3"},
+		[]string{"um", "um", "um"}, ModelOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec0 := yield.Spec{Name: "gain_db", Bound: 50}
+	spec1 := yield.Spec{Name: "pm_deg", Bound: 76}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.DesignFor(spec0, spec1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -114,7 +114,7 @@ func (c FlowConfig) Validate() error {
 	if _, err := montecarlo.ParseStrategy(c.MCStrategy); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	return nil
+	return c.Model.validate()
 }
 
 // withDefaults resolves zero-value fields to the paper defaults. It must

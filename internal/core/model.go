@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -46,39 +47,42 @@ type Model struct {
 
 // ModelOptions tunes table construction.
 type ModelOptions struct {
-	// MaxTablePoints caps the number of knots per table; the Pareto set
-	// is thinned to this count with even spacing in performance 0
-	// (0 = default 200). Dense fronts (the paper finds 1022 points)
-	// oscillate under cubic splines if every point becomes a knot.
+	// MaxTablePoints caps the number of knots per table; the Pareto set,
+	// sorted by performance 0, is thinned to this count by taking points
+	// at evenly spaced indices, endpoints included (0 = default 200;
+	// 1 to 3 are rejected with ErrTablePoints). Dense fronts (the paper
+	// finds 1022 points) oscillate under cubic splines if every point
+	// becomes a knot.
 	MaxTablePoints int
-	// MinPerfSeparation merges points whose performance-0 values are
-	// closer than this (default 1e-6).
-	MinPerfSeparation float64
-	// NaturalSpline selects the paper's exact natural-cubic "3E"
-	// interpolation. The default (false) uses shape-preserving monotone
-	// cubics (PCHIP) instead: identical at the knots and C1-smooth, but
-	// immune to the overshoot natural splines exhibit when the front is
-	// unevenly sampled. Generated Verilog-A always uses "3E" (Verilog-A
-	// has no PCHIP mode).
-	NaturalSpline bool
 }
 
-// ctrl returns the table interpolation control for the chosen spline
-// family, always with the paper's no-extrapolation ("E") policy.
-func (o ModelOptions) ctrl() table.Control {
-	deg := spline.DegreeMonotoneCubic
-	if o.NaturalSpline {
-		deg = spline.DegreeCubic
+// ErrTablePoints rejects a MaxTablePoints of 1 to 3: every table needs
+// at least four knots.
+var ErrTablePoints = errors.New("core: MaxTablePoints must be 0 (the default cap) or at least 4")
+
+// minPerfSeparation merges Pareto points whose performance values are
+// closer than this.
+const minPerfSeparation = 1e-6
+
+// tableCtrl is the interpolation control of every table BuildModel
+// fits: shape-preserving monotone cubics (PCHIP) under the paper's
+// no-extrapolation ("E") policy. PCHIP matches the paper's natural
+// cubic "3E" at the knots and is C1-smooth, but is immune to the
+// overshoot natural splines exhibit when the front is unevenly
+// sampled. Generated Verilog-A uses "3E" (Verilog-A has no PCHIP mode).
+var tableCtrl = table.Control{Degree: spline.DegreeMonotoneCubic, Extrap: table.ExtrapError}
+
+// validate rejects option values no table can be built with.
+func (o ModelOptions) validate() error {
+	if o.MaxTablePoints >= 1 && o.MaxTablePoints < 4 {
+		return fmt.Errorf("%w, got %d", ErrTablePoints, o.MaxTablePoints)
 	}
-	return table.Control{Degree: deg, Extrap: table.ExtrapError}
+	return nil
 }
 
 func (o ModelOptions) withDefaults() ModelOptions {
 	if o.MaxTablePoints <= 0 {
 		o.MaxTablePoints = 200
-	}
-	if o.MinPerfSeparation <= 0 {
-		o.MinPerfSeparation = 1e-6
 	}
 	return o
 }
@@ -87,7 +91,6 @@ func (o ModelOptions) withDefaults() ModelOptions {
 // Pareto points. Points must carry both performances; at least four
 // distinct points are required for cubic interpolation.
 func BuildModel(points []ParetoPoint, objNames, paramNames, paramUnits []string, opts ModelOptions) (*Model, error) {
-	o := opts.withDefaults()
 	if len(points) < 4 {
 		return nil, fmt.Errorf("core: %d Pareto points, need at least 4", len(points))
 	}
@@ -98,13 +101,17 @@ func BuildModel(points []ParetoPoint, objNames, paramNames, paramUnits []string,
 	if np == 0 || len(paramNames) != np {
 		return nil, fmt.Errorf("core: parameter naming mismatch (%d params, %d names)", np, len(paramNames))
 	}
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
+	o := opts.withDefaults()
 
 	// Sort by performance 0 and merge near-duplicates.
 	pts := append([]ParetoPoint(nil), points...)
 	sort.Slice(pts, func(i, j int) bool { return pts[i].Perf[0] < pts[j].Perf[0] })
 	merged := pts[:0]
 	for _, p := range pts {
-		if len(merged) > 0 && p.Perf[0]-merged[len(merged)-1].Perf[0] < o.MinPerfSeparation {
+		if len(merged) > 0 && p.Perf[0]-merged[len(merged)-1].Perf[0] < minPerfSeparation {
 			continue
 		}
 		merged = append(merged, p)
@@ -143,21 +150,24 @@ func BuildModel(points []ParetoPoint, objNames, paramNames, paramUnits []string,
 		d0[i], d1[i] = p.DeltaPct[0], p.DeltaPct[1]
 	}
 	var err error
-	if m.Delta[0], err = table.NewModel1D(p0, d0, o.ctrl()); err != nil {
+	if m.Delta[0], err = table.NewModel1D(p0, d0, tableCtrl); err != nil {
 		return nil, fmt.Errorf("core: %s delta table: %w", objNames[0], err)
 	}
 	// Performance 1 is keyed on its own axis; it must be deduplicated
 	// separately because the front can be locally flat in perf 1.
-	q1, qd := dedupeBy(p1, d1, o.MinPerfSeparation)
+	q1, qd := dedupeBy(p1, d1, minPerfSeparation)
 	if len(q1) < 4 {
 		return nil, fmt.Errorf("core: %s axis has only %d distinct values", objNames[1], len(q1))
 	}
-	if m.Delta[1], err = table.NewModel1D(q1, qd, o.ctrl()); err != nil {
+	if m.Delta[1], err = table.NewModel1D(q1, qd, tableCtrl); err != nil {
 		return nil, fmt.Errorf("core: %s delta table: %w", objNames[1], err)
 	}
-	if m.PerfFront, err = table.NewModel1D(p0, p1, o.ctrl()); err != nil {
+	if m.PerfFront, err = table.NewModel1D(p0, p1, tableCtrl); err != nil {
 		return nil, fmt.Errorf("core: front table: %w", err)
 	}
+	// Every parameter table shares parameter 0's arc-length front: the
+	// front depends only on the performance samples, so it is fitted
+	// once.
 	m.ParamTables = make([]*table.CurveModel2D, np)
 	for k := 0; k < np; k++ {
 		vals := make([]float64, len(kept))
@@ -167,9 +177,16 @@ func BuildModel(points []ParetoPoint, objNames, paramNames, paramUnits []string,
 			}
 			vals[i] = p.Params[k]
 		}
-		if m.ParamTables[k], err = table.NewCurveModel2D(p0, p1, vals, o.ctrl(), o.ctrl()); err != nil {
+		var t *table.CurveModel2D
+		if k == 0 {
+			t, err = table.NewCurveModel2D(p0, p1, vals, tableCtrl, tableCtrl)
+		} else {
+			t, err = m.ParamTables[0].WithOutput(vals)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("core: parameter table %s: %w", paramNames[k], err)
 		}
+		m.ParamTables[k] = t
 	}
 	return m, nil
 }
@@ -202,6 +219,22 @@ type Design struct {
 	FrontPerf  [2]float64    // performance of the selected front point
 	Params     []float64     // interpolated parameters (table units)
 	CurveParam float64       // position along the front (0..1)
+	// PredictedYield is the model-only yield estimate at the selected
+	// front point: each performance normal with the Δ% its variation
+	// table gives at FrontPerf (the spec-bound Δ% where the point leaves
+	// that table's domain), the two independent.
+	PredictedYield float64
+}
+
+// DesignScratch is the caller-owned state DesignInto reuses: segment
+// hints carried from one query to the next, and the parameter buffer a
+// Design's Params alias. The zero value is ready; one goroutine at a
+// time may use a scratch.
+type DesignScratch struct {
+	delta  [2]int // Delta[k] segment hints
+	front  int    // PerfFront segment hint
+	param  int    // ParamTables segment hint (all share one front)
+	params []float64
 }
 
 // DesignFor performs the paper's yield-targeted design query: it
@@ -219,16 +252,28 @@ func (m *Model) DesignFor(spec0, spec1 yield.Spec) (*Design, error) {
 // ~99.7% of the population; scaling it is how DesignForYieldTarget
 // pushes the verified yield toward an arbitrary goal.
 func (m *Model) DesignForScaled(spec0, spec1 yield.Spec, scale float64) (*Design, error) {
+	d := new(Design)
+	if err := m.DesignInto(d, spec0, spec1, scale, new(DesignScratch)); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// DesignInto is DesignForScaled without allocation: it writes the
+// design into d, whose Params alias sc's buffer until sc is used again,
+// and starts every table lookup from the segment sc recorded on the
+// previous query. Only an error allocates; d is then undefined.
+func (m *Model) DesignInto(d *Design, spec0, spec1 yield.Spec, scale float64, sc *DesignScratch) error {
 	if scale <= 0 {
-		return nil, fmt.Errorf("core: non-positive guard-band scale %g", scale)
+		return fmt.Errorf("core: non-positive guard-band scale %g", scale)
 	}
-	d := &Design{Specs: [2]yield.Spec{spec0, spec1}}
-	var err error
-	if d.DeltaPct[0], err = m.Delta[0].Eval(spec0.Bound); err != nil {
-		return nil, fmt.Errorf("core: %s spec %g outside model: %w", spec0.Name, spec0.Bound, err)
-	}
-	if d.DeltaPct[1], err = m.Delta[1].Eval(spec1.Bound); err != nil {
-		return nil, fmt.Errorf("core: %s spec %g outside model: %w", spec1.Name, spec1.Bound, err)
+	d.Specs = [2]yield.Spec{spec0, spec1}
+	for k, spec := range d.Specs {
+		var ok bool
+		if d.DeltaPct[k], ok = m.Delta[k].EvalHint(spec.Bound, &sc.delta[k]); !ok {
+			_, err := m.Delta[k].Eval(spec.Bound)
+			return fmt.Errorf("core: %s spec %g outside model: %w", spec.Name, spec.Bound, err)
+		}
 	}
 	d.Target[0] = yield.GuardBand(spec0, scale*d.DeltaPct[0])
 	d.Target[1] = yield.GuardBand(spec1, scale*d.DeltaPct[1])
@@ -236,7 +281,7 @@ func (m *Model) DesignForScaled(spec0, spec1 yield.Spec, scale float64) (*Design
 	// the feasibility test below for the right sign of bound.
 	for k, spec := range d.Specs {
 		if math.IsInf(d.Target[k], 0) || math.IsNaN(d.Target[k]) {
-			return nil, fmt.Errorf("core: guard-banded %s target %g is not finite (guard-band scale %g)",
+			return fmt.Errorf("core: guard-banded %s target %g is not finite (guard-band scale %g)",
 				spec.Name, d.Target[k], scale)
 		}
 	}
@@ -245,15 +290,16 @@ func (m *Model) DesignForScaled(spec0, spec1 yield.Spec, scale float64) (*Design
 	// perf-1 target (both specs must hold at one design point).
 	lo, hi := m.Delta[0].Domain()
 	if d.Target[0] < lo || d.Target[0] > hi {
-		return nil, fmt.Errorf("core: guard-banded %s target %.4g outside the modelled front [%.4g, %.4g]",
+		return fmt.Errorf("core: guard-banded %s target %.4g outside the modelled front [%.4g, %.4g]",
 			spec0.Name, d.Target[0], lo, hi)
 	}
-	frontP1, err := m.PerfFront.Eval(d.Target[0])
-	if err != nil {
-		return nil, fmt.Errorf("core: front lookup: %w", err)
+	frontP1, ok := m.PerfFront.EvalHint(d.Target[0], &sc.front)
+	if !ok {
+		_, err := m.PerfFront.Eval(d.Target[0])
+		return fmt.Errorf("core: front lookup: %w", err)
 	}
 	if !meets(spec1, frontP1, d.Target[1]) {
-		return nil, fmt.Errorf("core: at %s = %.4g the front offers %s = %.4g, short of the guard-banded target %.4g — the specs are not simultaneously achievable at full yield",
+		return fmt.Errorf("core: at %s = %.4g the front offers %s = %.4g, short of the guard-banded target %.4g — the specs are not simultaneously achievable at full yield",
 			spec0.Name, d.Target[0], spec1.Name, frontP1, d.Target[1])
 	}
 
@@ -261,33 +307,34 @@ func (m *Model) DesignForScaled(spec0, spec1 yield.Spec, scale float64) (*Design
 	// tables at the same curve position for a consistent design.
 	u, _ := m.ParamTables[0].Project(d.Target[0], d.Target[1])
 	d.CurveParam = u
-	d.Params = make([]float64, len(m.ParamTables))
-	for k, t := range m.ParamTables {
-		v := t.EvalAt(u)
+	sc.params = sc.params[:0]
+	for _, t := range m.ParamTables {
+		v := t.EvalAtHint(u, &sc.param)
 		// Keep interpolated parameters inside the sampled value range:
 		// spline overshoot must not produce a parameter no Pareto design
 		// ever used (the no-extrapolation principle applied to outputs).
-		_, _, ys := t.Samples()
-		mn, mx := ys[0], ys[0]
-		for _, y := range ys[1:] {
-			if y < mn {
-				mn = y
-			}
-			if y > mx {
-				mx = y
-			}
-		}
+		mn, mx := t.OutputRange()
 		if v < mn {
 			v = mn
 		}
 		if v > mx {
 			v = mx
 		}
-		d.Params[k] = v
+		sc.params = append(sc.params, v)
 	}
+	d.Params = sc.params
 	d.FrontPerf[0] = d.Target[0]
 	d.FrontPerf[1] = frontP1
-	return d, nil
+
+	d.PredictedYield = 1
+	for k, spec := range d.Specs {
+		dp, ok := m.Delta[k].EvalHint(d.FrontPerf[k], &sc.delta[k])
+		if !ok {
+			dp = d.DeltaPct[k]
+		}
+		d.PredictedYield *= yield.PredictNormal(spec, d.FrontPerf[k], dp)
+	}
+	return nil
 }
 
 func meets(spec yield.Spec, offered, target float64) bool {

@@ -11,21 +11,25 @@ import (
 // Table file names used by Save/Load. The per-quantity files mirror the
 // paper's artefacts (gain_delta.tbl, pm_delta.tbl, lpN_data.tbl); the
 // combined front.tbl carries everything needed to rebuild the model.
+// The Verilog-A module behave.GenerateVerilogA emits reads the
+// per-quantity files by these names.
 const (
 	frontFile = "front.tbl"
 )
 
-// deltaFileName returns the paper-style variation file name for
-// objective k ("gain_delta.tbl" for an objective named "gain_db").
-func deltaFileName(objName string) string {
-	return trimUnitSuffix(objName) + "_delta.tbl"
+// DeltaFileName returns the paper-style variation file name for an
+// objective ("gain_delta.tbl" for an objective named "gain_db").
+func DeltaFileName(objName string) string {
+	return TrimUnitSuffix(objName) + "_delta.tbl"
 }
 
-// paramFileName returns the paper-style parameter table name
-// (lp1_data.tbl ... in the paper; here named by parameter).
-func paramFileName(i int) string { return fmt.Sprintf("lp%d_data.tbl", i+1) }
+// ParamFileName returns the paper-style table name of parameter i
+// (lp1_data.tbl for i = 0, as in the paper).
+func ParamFileName(i int) string { return fmt.Sprintf("lp%d_data.tbl", i+1) }
 
-func trimUnitSuffix(s string) string {
+// TrimUnitSuffix strips a unit suffix ("_db", "_deg", "_hz") from an
+// objective name: "gain_db" → "gain".
+func TrimUnitSuffix(s string) string {
 	for _, suf := range []string{"_db", "_deg", "_hz"} {
 		if len(s) > len(suf) && s[len(s)-len(suf):] == suf {
 			return s[:len(s)-len(suf)]
@@ -67,7 +71,7 @@ func (m *Model) Save(dir string) error {
 				return err
 			}
 		}
-		if err := df.WriteFile(filepath.Join(dir, deltaFileName(m.ObjectiveNames[k]))); err != nil {
+		if err := df.WriteFile(filepath.Join(dir, DeltaFileName(m.ObjectiveNames[k]))); err != nil {
 			return err
 		}
 	}
@@ -80,7 +84,7 @@ func (m *Model) Save(dir string) error {
 				return err
 			}
 		}
-		if err := pf.WriteFile(filepath.Join(dir, paramFileName(i))); err != nil {
+		if err := pf.WriteFile(filepath.Join(dir, ParamFileName(i))); err != nil {
 			return err
 		}
 	}

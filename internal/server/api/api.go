@@ -145,8 +145,9 @@ type ModelPoint struct {
 // paper's reusable artefact — directly into a tenant's catalog
 // (POST /v1/t/{tenant}/models), without running a flow: the server
 // rebuilds the tables from the points, persists the canonical payload
-// to the store, and makes the model queryable. MaxTablePoints 0 keeps
-// every point as a knot.
+// to the store, and makes the model queryable. MaxTablePoints caps the
+// knots per table (core.ModelOptions): 0 selects the default cap of
+// 200, and 1 to 3 are refused.
 type InstallModelRequest struct {
 	Name           string       `json:"name"`
 	ObjectiveNames []string     `json:"objectives"`

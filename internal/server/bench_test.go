@@ -55,8 +55,9 @@ func benchQuery() api.QueryRequest {
 	}
 }
 
-// BenchmarkYieldQuery measures the serving hot path: compiled engine,
-// pooled scratch, pre-rendered JSON. Steady state is 0 allocs/op.
+// BenchmarkYieldQuery measures the serving hot path: core's Table 3
+// engine on pooled scratch, pre-rendered JSON. Steady state is 0
+// allocs/op.
 func BenchmarkYieldQuery(b *testing.B) {
 	r := benchModel(b)
 	defer r.Close()
@@ -73,32 +74,6 @@ func BenchmarkYieldQuery(b *testing.B) {
 		if _, err := r.QueryRendered(ctx, req, sc); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkYieldQueryInterpreted is the pre-compilation reference: the
-// interpreted Table 3 arithmetic (the test oracle) plus generic JSON
-// encoding, exactly what each query cost before models were compiled
-// at install time.
-func BenchmarkYieldQueryInterpreted(b *testing.B) {
-	m, err := buildBenchModel(benchPoints(64))
-	if err != nil {
-		b.Fatal(err)
-	}
-	req := benchQuery()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		res := solveQuery(api.DefaultTenant, "m1", m, req)
-		if res.Error != "" {
-			b.Fatal(res.Error)
-		}
-		jb := jsonBufPool.Get().(*jsonBuf)
-		jb.buf.Reset()
-		if err := jb.enc.Encode(res.Response); err != nil {
-			b.Fatal(err)
-		}
-		jsonBufPool.Put(jb)
 	}
 }
 
@@ -127,8 +102,8 @@ func BenchmarkYieldQueryBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkCompileModel measures compilation, paid by every install,
-// every registry miss and every non-resident version pin.
+// BenchmarkCompileModel measures preparing a model for serving, paid by
+// every install, every registry miss and every non-resident version pin.
 func BenchmarkCompileModel(b *testing.B) {
 	m, err := buildBenchModel(benchPoints(64))
 	if err != nil {

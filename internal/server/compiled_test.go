@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"strconv"
-	"strings"
 	"testing"
 
 	"analogyield/internal/core"
@@ -15,8 +14,8 @@ import (
 
 // sweepRequests spans the synthetic model's behaviour space: in-domain,
 // boundary, out-of-range and infeasible spec pairs, both senses, and
-// guard-band scales around 1. The golden tests drive both engines over
-// this set.
+// guard-band scales around 1. The golden tests drive the server and
+// core over this set.
 func sweepRequests(model string) []api.QueryRequest {
 	var reqs []api.QueryRequest
 	rng := rand.New(rand.NewSource(41))
@@ -67,10 +66,10 @@ func sweepRequests(model string) []api.QueryRequest {
 	return reqs
 }
 
-// TestCompiledGoldenBitIdentical drives the compiled engine and the
-// interpreted reference over the sweep and demands byte-for-byte float
-// agreement on every answered query, agreement on which queries are
-// answerable at all, and the same error text on every refusal.
+// TestCompiledGoldenBitIdentical drives the server's query path and
+// core.Model.DesignForScaled over the sweep and demands byte-for-byte
+// float agreement on every answered query, agreement on which queries
+// are answerable at all, and the same error text on every refusal.
 func TestCompiledGoldenBitIdentical(t *testing.T) {
 	m := synthModel(t, 12)
 	cm, err := CompileModel(api.DefaultTenant, "m1", m)
@@ -82,22 +81,22 @@ func TestCompiledGoldenBitIdentical(t *testing.T) {
 	answered := 0
 	for i, req := range sweepRequests("m1") {
 		ref := solveQuery(api.DefaultTenant, "m1", m, req)
-		s, err := cm.solve(req, sc)
+		d, err := cm.solve(req, sc)
 		if (err == nil) != (ref.Error == "") {
-			t.Fatalf("req %d: compiled error %v, interpreted error=%q", i, err, ref.Error)
+			t.Fatalf("req %d: server error %v, core error=%q", i, err, ref.Error)
 		}
 		if err != nil {
 			if err.Error() != ref.Error {
-				t.Errorf("req %d: compiled error %q, interpreted %q", i, err.Error(), ref.Error)
+				t.Errorf("req %d: server error %q, core %q", i, err.Error(), ref.Error)
 			}
 			continue
 		}
 		answered++
-		got := cm.response(&s)
+		got := cm.response(d)
 		want := ref.Response
 		eq := func(field string, g, w float64) {
 			if math.Float64bits(g) != math.Float64bits(w) {
-				t.Errorf("req %d %s: compiled %v (%x), interpreted %v (%x)",
+				t.Errorf("req %d %s: server %v (%x), core %v (%x)",
 					i, field, g, math.Float64bits(g), w, math.Float64bits(w))
 			}
 		}
@@ -119,13 +118,13 @@ func TestCompiledGoldenBitIdentical(t *testing.T) {
 		}
 	}
 	if answered < 40 {
-		t.Fatalf("only %d sweep queries answered on the compiled path — sweep too narrow to prove identity", answered)
+		t.Fatalf("only %d sweep queries answered — sweep too narrow to prove identity", answered)
 	}
 }
 
 // TestCompiledGoldenJSON renders every answerable sweep query from the
 // pre-rendered fragments and compares the bytes against encoding/json on
-// the interpreted response — the HTTP fast path must be byte-identical,
+// the reference response — the HTTP fast path must be byte-identical,
 // trailing newline included.
 func TestCompiledGoldenJSON(t *testing.T) {
 	m := synthModel(t, 12)
@@ -140,11 +139,11 @@ func TestCompiledGoldenJSON(t *testing.T) {
 		if ref.Error != "" {
 			continue
 		}
-		s, err := cm.solve(req, sc)
+		d, err := cm.solve(req, sc)
 		if err != nil {
-			t.Fatalf("req %d: interpreted answered but compiled refused: %v", i, err)
+			t.Fatalf("req %d: core answered but the server refused: %v", i, err)
 		}
-		got, ok := cm.appendJSON(nil, &s)
+		got, ok := cm.appendJSON(nil, d)
 		if !ok {
 			t.Fatalf("req %d: appendJSON refused", i)
 		}
@@ -153,15 +152,15 @@ func TestCompiledGoldenJSON(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want.Bytes()) {
-			t.Fatalf("req %d: rendered JSON differs\ncompiled:    %s\ninterpreted: %s", i, got, want.Bytes())
+			t.Fatalf("req %d: rendered JSON differs\nrendered: %s\nencoder:  %s", i, got, want.Bytes())
 		}
 	}
 }
 
 // TestCompiledGoldenErrors routes error-producing queries through the
-// registry and checks the message is exactly the interpreted path's;
-// the whole sweep through QueryBatch must then equal the per-query
-// path, answers and errors alike.
+// registry and checks the message is exactly core's; the whole sweep
+// through QueryBatch must then equal the per-query path, answers and
+// errors alike.
 func TestCompiledGoldenErrors(t *testing.T) {
 	r := NewRegistry(nil, 4)
 	defer r.Close()
@@ -177,10 +176,10 @@ func TestCompiledGoldenErrors(t *testing.T) {
 		}
 		_, err := r.Query(t.Context(), req)
 		if err == nil {
-			t.Fatalf("req %d: registry answered, interpreted failed with %q", i, ref.Error)
+			t.Fatalf("req %d: registry answered, core failed with %q", i, ref.Error)
 		}
 		if err.Error() != ref.Error {
-			t.Errorf("req %d: registry error %q, interpreted %q", i, err.Error(), ref.Error)
+			t.Errorf("req %d: registry error %q, core %q", i, err.Error(), ref.Error)
 		}
 	}
 	for i, res := range r.QueryBatch(t.Context(), reqs) {
@@ -197,28 +196,6 @@ func TestCompiledGoldenErrors(t *testing.T) {
 				t.Errorf("req %d: batch and per-query answers differ: %s", i, d)
 			}
 		}
-	}
-}
-
-// TestEngineRefusalNeverAnswers: should the engine refuse a query core
-// answers (here forced by narrowing the engine's feasibility window),
-// solve reports an error naming the model, never core's answer.
-func TestEngineRefusalNeverAnswers(t *testing.T) {
-	cm, err := CompileModel("acme", "m1", synthModel(t, 12))
-	if err != nil {
-		t.Fatal(err)
-	}
-	narrowed := *cm
-	narrowed.hi0 = narrowed.lo0
-	sc := getScratch()
-	defer putScratch(sc)
-	req := testQuery("m1")
-	if _, err := cm.solve(req, sc); err != nil {
-		t.Fatalf("unmodified engine: %v", err)
-	}
-	_, err = narrowed.solve(req, sc)
-	if err == nil || !strings.Contains(err.Error(), "acme/m1") {
-		t.Fatalf("err = %v, want an error naming acme/m1", err)
 	}
 }
 
@@ -254,13 +231,15 @@ func TestAppendJSONFloat(t *testing.T) {
 	}
 }
 
-// FuzzQueryMatchesOracle fuzzes bounds, senses and guard scale (up to
-// the float64 maximum) against two models and demands the compiled
-// engine equal the interpreted oracle: bit for bit on an answer, the
-// same text on an error. Every answer must render through appendJSON.
-// On synthModel an overflowing guard band is always infeasible; the
-// overflow model's negative perf1 axis lets one reach an infinite
-// target the feasibility test would accept.
+// FuzzQueryMatchesOracle fuzzes bounds, senses (a bad one included)
+// and guard scale (up to the float64 maximum) against two models and
+// demands the server's answer equal core.Model.DesignForScaled's: bit
+// for bit on an answer, the same text on an error. Every answer must
+// render through appendJSON to encoding/json's bytes. On synthModel an
+// overflowing guard band is always infeasible; the overflow model's
+// negative perf1 axis lets one reach an infinite target the feasibility
+// test would accept. Core's own engine is fuzzed against its reference
+// by FuzzDesignMatchesOracle.
 func FuzzQueryMatchesOracle(f *testing.F) {
 	f.Add(uint8(1), 15.0, -3.0, uint8(1), uint8(1), 1e308) // overflows b's target to +Inf
 	f.Add(uint8(0), 50.0, 76.0, uint8(0), uint8(0), 0.0)
@@ -270,13 +249,13 @@ func FuzzQueryMatchesOracle(f *testing.F) {
 	f.Add(uint8(1), 19.0, -2.5, uint8(1), uint8(0), 5e307)
 	f.Add(uint8(1), 15.0, -3.0, uint8(2), uint8(1), 1.0) // bad sense
 	models := []*core.Model{synthModel(f, 12), overflowModel(f)}
-	engines := make([]*CompiledModel, len(models))
+	served := make([]*CompiledModel, len(models))
 	for i, m := range models {
 		cm, err := CompileModel(api.DefaultTenant, "m", m)
 		if err != nil {
 			f.Fatal(err)
 		}
-		engines[i] = cm
+		served[i] = cm
 	}
 	senses := []string{">=", "<=", "bogus"}
 	f.Fuzz(func(t *testing.T, which uint8, b0, b1 float64, s0, s1 uint8, scale float64) {
@@ -293,21 +272,29 @@ func FuzzQueryMatchesOracle(f *testing.F) {
 		ref := solveQuery(api.DefaultTenant, "m", models[k], req)
 		sc := getScratch()
 		defer putScratch(sc)
-		s, err := engines[k].solve(req, sc)
+		d, err := served[k].solve(req, sc)
 		if ref.Error != "" {
 			if err == nil || err.Error() != ref.Error {
-				t.Fatalf("%+v: engine error %v, oracle %q", req, err, ref.Error)
+				t.Fatalf("%+v: server error %v, core %q", req, err, ref.Error)
 			}
 			return
 		}
 		if err != nil {
-			t.Fatalf("%+v: engine error %v, oracle answered", req, err)
+			t.Fatalf("%+v: server error %v, core answered", req, err)
 		}
-		if d := sameAnswer(engines[k].response(&s), ref.Response); d != "" {
-			t.Fatalf("%+v: %s", req, d)
+		if diff := sameAnswer(served[k].response(d), ref.Response); diff != "" {
+			t.Fatalf("%+v: %s", req, diff)
 		}
-		if _, ok := engines[k].appendJSON(nil, &s); !ok {
-			t.Fatalf("%+v: answer does not render: %+v", req, s)
+		got, ok := served[k].appendJSON(nil, d)
+		if !ok {
+			t.Fatalf("%+v: answer does not render: %+v", req, *d)
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(ref.Response); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("%+v: rendered %s, encoder %s", req, got, want.Bytes())
 		}
 	})
 }

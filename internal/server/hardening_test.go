@@ -413,3 +413,57 @@ func TestShutdownUsesDrainTimeout(t *testing.T) {
 		t.Fatalf("Shutdown took %s; DrainTimeout not applied", elapsed)
 	}
 }
+
+// TestMaxTablePointsBelowFour: no table can be built with fewer than
+// four knots, and max_table_points 1 makes BuildModel's thinning step
+// infinite. Install must answer 422 and flow submit 400, both naming
+// core.ErrTablePoints, before any work runs.
+func TestMaxTablePointsBelowFour(t *testing.T) {
+	srv := New(Config{ModelsDir: t.TempDir(), Metrics: &core.Metrics{}, Logger: quietLog(),
+		FlowWorkers: 1, Problems: synthFactory()})
+	defer shutdown(t, srv)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	post := func(t *testing.T, path string, v any) (int, api.Error) {
+		t.Helper()
+		body, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var apiErr api.Error
+		if err := json.NewDecoder(resp.Body).Decode(&apiErr); err != nil {
+			t.Fatalf("%s: status %d, body is not an api.Error: %v", path, resp.StatusCode, err)
+		}
+		return resp.StatusCode, apiErr
+	}
+	t.Run("install", func(t *testing.T) {
+		for _, n := range []int{1, 2, 3} {
+			install := installReq(fmt.Sprintf("tiny%d", n), 12, 45)
+			install.MaxTablePoints = n
+			status, apiErr := post(t, "/v1/t/acme/models", install)
+			if status != http.StatusUnprocessableEntity || !strings.Contains(apiErr.Message, core.ErrTablePoints.Error()) {
+				t.Errorf("max_table_points %d: status %d, error %q; want 422 naming %q",
+					n, status, apiErr.Message, core.ErrTablePoints)
+			}
+		}
+		if got := srv.Registry().Resident(); got != 0 {
+			t.Errorf("%d models resident after refused installs", got)
+		}
+	})
+	t.Run("flow", func(t *testing.T) {
+		for _, n := range []int{1, 2, 3} {
+			flow := smallFlowReq(fmt.Sprintf("tiny%d", n))
+			flow.MaxTablePoints = n
+			status, apiErr := post(t, "/v1/flows", flow)
+			if status != http.StatusBadRequest || !strings.Contains(apiErr.Message, core.ErrTablePoints.Error()) {
+				t.Errorf("max_table_points %d: status %d, error %q; want 400 naming %q",
+					n, status, apiErr.Message, core.ErrTablePoints)
+			}
+		}
+	})
+}

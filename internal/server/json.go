@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"sync"
 
+	"analogyield/internal/core"
 	"analogyield/internal/server/api"
 )
 
@@ -127,11 +128,11 @@ func (cm *CompiledModel) prepareJSON(tenant, name string, paramNames, paramUnits
 	return nil
 }
 
-// appendJSON renders a solved query into dst, byte-identical to
+// appendJSON renders a design into dst, byte-identical to
 // writeJSON(w, ..., cm.response(...)) including the encoder's trailing
 // newline. ok is false when a value is unrepresentable; the caller then
 // falls back to the generic encoder path.
-func (cm *CompiledModel) appendJSON(dst []byte, s *solvedQuery) (out []byte, ok bool) {
+func (cm *CompiledModel) appendJSON(dst []byte, d *core.Design) (out []byte, ok bool) {
 	pair := func(b []byte, v0, v1 float64) ([]byte, bool) {
 		b, ok := appendJSONFloat(b, v0)
 		if !ok {
@@ -141,19 +142,19 @@ func (cm *CompiledModel) appendJSON(dst []byte, s *solvedQuery) (out []byte, ok 
 		return appendJSONFloat(b, v1)
 	}
 	dst = append(dst, cm.jsonHead...)
-	if dst, ok = pair(dst, s.target[0], s.target[1]); !ok {
+	if dst, ok = pair(dst, d.Target[0], d.Target[1]); !ok {
 		return dst, false
 	}
 	dst = append(dst, cm.jsonDeltas...)
-	if dst, ok = pair(dst, s.deltaPct[0], s.deltaPct[1]); !ok {
+	if dst, ok = pair(dst, d.DeltaPct[0], d.DeltaPct[1]); !ok {
 		return dst, false
 	}
 	dst = append(dst, cm.jsonFront...)
-	if dst, ok = pair(dst, s.frontPerf[0], s.frontPerf[1]); !ok {
+	if dst, ok = pair(dst, d.FrontPerf[0], d.FrontPerf[1]); !ok {
 		return dst, false
 	}
 	dst = append(dst, cm.jsonParams...)
-	for i, v := range s.params {
+	for i, v := range d.Params {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
@@ -164,11 +165,11 @@ func (cm *CompiledModel) appendJSON(dst []byte, s *solvedQuery) (out []byte, ok 
 		dst = append(dst, '}')
 	}
 	dst = append(dst, cm.jsonYield...)
-	if dst, ok = appendJSONFloat(dst, s.predictedYield); !ok {
+	if dst, ok = appendJSONFloat(dst, d.PredictedYield); !ok {
 		return dst, false
 	}
 	dst = append(dst, cm.jsonCurve...)
-	if dst, ok = appendJSONFloat(dst, s.curveParam); !ok {
+	if dst, ok = appendJSONFloat(dst, d.CurveParam); !ok {
 		return dst, false
 	}
 	dst = append(dst, cm.jsonTail...)

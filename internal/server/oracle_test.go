@@ -7,12 +7,11 @@ import (
 
 	"analogyield/internal/core"
 	"analogyield/internal/server/api"
-	"analogyield/internal/yield"
 )
 
-// solveQuery runs the Table 3 arithmetic against a model through
-// core.Model.DesignForScaled. It is the interpreted oracle the compiled
-// engine is tested against: CompiledModel.solve must agree with it bit
+// solveQuery is the reference the server's query path is tested
+// against: the request's specs answered by core.Model.DesignForScaled
+// and materialised as the wire struct. The server must agree with it bit
 // for bit on an answer and word for word on an error.
 func solveQuery(tenant, name string, m *core.Model, req api.QueryRequest) api.QueryResult {
 	fail := func(err error) api.QueryResult { return api.QueryResult{Error: err.Error()} }
@@ -33,13 +32,14 @@ func solveQuery(tenant, name string, m *core.Model, req api.QueryRequest) api.Qu
 		return fail(err)
 	}
 	resp := &api.QueryResponse{
-		Model:      name,
-		Tenant:     wireTenant(tenant),
-		Targets:    d.Target,
-		DeltaPct:   d.DeltaPct,
-		FrontPerf:  d.FrontPerf,
-		CurveParam: d.CurveParam,
-		Params:     make([]api.Param, len(d.Params)),
+		Model:          name,
+		Tenant:         wireTenant(tenant),
+		Targets:        d.Target,
+		DeltaPct:       d.DeltaPct,
+		FrontPerf:      d.FrontPerf,
+		CurveParam:     d.CurveParam,
+		PredictedYield: d.PredictedYield,
+		Params:         make([]api.Param, len(d.Params)),
 	}
 	for i, v := range d.Params {
 		p := api.Param{Name: m.ParamNames[i], Value: v}
@@ -47,23 +47,6 @@ func solveQuery(tenant, name string, m *core.Model, req api.QueryRequest) api.Qu
 			p.Unit = m.ParamUnits[i]
 		}
 		resp.Params[i] = p
-	}
-	// Model-only yield estimate at the selected front point: the
-	// variation tables give Δ% at the design's nominal performance.
-	var deltas [2]float64
-	for k := 0; k < 2; k++ {
-		dp, derr := m.VariationAt(k, d.FrontPerf[k])
-		if derr != nil {
-			// The front point can sit at the very edge of the k=1 axis;
-			// fall back to the spec-bound interpolation already computed.
-			dp = d.DeltaPct[k]
-		}
-		deltas[k] = dp
-	}
-	resp.PredictedYield, err = yield.PredictJoint(
-		[]yield.Spec{spec0, spec1}, d.FrontPerf[:], deltas[:])
-	if err != nil {
-		return fail(err)
 	}
 	return api.QueryResult{Response: resp}
 }

@@ -22,16 +22,16 @@ var ErrUnknownModel = errors.New("server: unknown model")
 // (tenant, name, version): installs persist the canonical payload to
 // the store and make the model resident; cache misses load lazily from
 // the store (so a restarted replica warm-starts from whatever the
-// store holds, compiling each model on its first query); at most cap
+// store holds, preparing each model on its first query); at most cap
 // models stay resident, the least recently queried evicted first.
 //
 // The resident set is published as an immutable snapshot behind an
 // atomic.Pointer: queries load the snapshot and answer without taking
 // any lock, writers (install, evict, close) serialise on a mutex and
-// swap in a copied map. Every entry is compiled (CompileModel) before it
-// is stored or made resident, and the compiled engine answers every
-// query; recency for LRU eviction is a per-entry atomic counter fed by a
-// global clock, so reads stay lock-free.
+// swap in a copied map. Every entry is prepared (CompileModel) before it
+// is stored or made resident, and core's Table 3 engine answers every
+// query on it; recency for LRU eviction is a per-entry atomic counter
+// fed by a global clock, so reads stay lock-free.
 type Registry struct {
 	st  store.Store
 	cap int
@@ -57,7 +57,7 @@ type snapshot struct {
 // contain no '/', so the join is unambiguous.
 func entryKey(tenant, name string) string { return tenant + "/" + name }
 
-// modelEntry is one compiled model version: resident, or loaded for
+// modelEntry is one prepared model version: resident, or loaded for
 // one pinned call. All fields except lastUsed are immutable; resident
 // entries are shared between snapshot generations, so a recency bump is
 // visible regardless of which generation the reader loaded.
@@ -109,7 +109,7 @@ func validRef(tenant, name string) error {
 // store (and possibly evicting) as needed. The resident fast path is a
 // single atomic load plus a recency bump — no lock. version "" means
 // latest; a version pin that matches the resident entry is served from
-// residency, any other pin is loaded and compiled for this call only
+// residency, any other pin is loaded and prepared for this call only
 // (never cached — pinned reads of historical versions must not evict the
 // hot latest set).
 func (r *Registry) get(tenant, name, version string) (*modelEntry, error) {
@@ -123,7 +123,7 @@ func (r *Registry) get(tenant, name, version string) (*modelEntry, error) {
 		}
 	}
 
-	// Load and compile outside the writer lock: store reads must not
+	// Load and prepare outside the writer lock: store reads must not
 	// stall installs of other models.
 	m, stored, err := r.load(tenant, name, version)
 	if err != nil {
@@ -159,19 +159,18 @@ func (r *Registry) load(tenant, name, version string) (*core.Model, string, erro
 	return m, info.Version, nil
 }
 
-// Install compiles the model, persists its canonical payload to the
+// Install prepares the model, persists its canonical payload to the
 // artefact store under (tenant, name) and makes it resident, replacing
 // any previous model of that name (in-flight queries finish against the
-// entry they already hold; the swap never waits for them). A model the
-// query engine cannot compile is refused before anything is stored. It
-// returns the content-addressed version the store assigned.
+// entry they already hold; the swap never waits for them). It returns
+// the content-addressed version the store assigned.
 func (r *Registry) Install(tenant, name string, m *core.Model) (string, error) {
 	if err := validRef(tenant, name); err != nil {
 		return "", err
 	}
 	cm, err := CompileModel(tenant, name, m)
 	if err != nil {
-		return "", fmt.Errorf("server: compiling model %s/%s: %w", tenant, name, err)
+		return "", fmt.Errorf("server: preparing model %s/%s: %w", tenant, name, err)
 	}
 	data, err := core.EncodeModel(m)
 	if err != nil {
@@ -185,10 +184,10 @@ func (r *Registry) Install(tenant, name string, m *core.Model) (string, error) {
 	return info.Version, nil
 }
 
-// publish makes a compiled entry resident: a new snapshot generation
+// publish makes a prepared entry resident: a new snapshot generation
 // containing it, with the least recently used entries evicted down to
-// cap. Callers compile before calling, so installs of large models do
-// not serialise on each other's compile time.
+// cap. Callers prepare the entry before calling, so installs of large
+// models do not serialise on each other's preparation.
 func (r *Registry) publish(e *modelEntry) {
 	e.lastUsed.Store(r.clock.Add(1))
 
@@ -256,16 +255,16 @@ func (r *Registry) Delete(tenant, name string) error {
 	return err
 }
 
-// Query answers one yield query on the compiled engine, lock-free
+// Query answers one yield query on core's engine, lock-free
 // against the snapshot with pooled scratch.
 func (r *Registry) Query(ctx context.Context, req api.QueryRequest) (*api.QueryResponse, error) {
 	sc := getScratch()
 	defer putScratch(sc)
-	cm, s, err := r.solve(ctx, req, sc)
+	cm, d, err := r.solve(ctx, req, sc)
 	if err != nil {
 		return nil, err
 	}
-	return cm.response(&s), nil
+	return cm.response(d), nil
 }
 
 // QueryRendered answers one query and renders it straight into sc.buf
@@ -273,11 +272,11 @@ func (r *Registry) Query(ctx context.Context, req api.QueryRequest) (*api.QueryR
 // HTTP path. The returned body aliases sc.buf: write it out before
 // releasing sc.
 func (r *Registry) QueryRendered(ctx context.Context, req api.QueryRequest, sc *queryScratch) ([]byte, error) {
-	cm, s, err := r.solve(ctx, req, sc)
+	cm, d, err := r.solve(ctx, req, sc)
 	if err != nil {
 		return nil, err
 	}
-	b, ok := cm.appendJSON(sc.buf[:0], &s)
+	b, ok := cm.appendJSON(sc.buf[:0], d)
 	sc.buf = b
 	if !ok {
 		return nil, fmt.Errorf("%w (model %s/%s)", errUnrepresentable, cm.tenant, cm.name)
@@ -286,17 +285,17 @@ func (r *Registry) QueryRendered(ctx context.Context, req api.QueryRequest, sc *
 }
 
 // solve resolves the query's model and answers the query on it.
-func (r *Registry) solve(ctx context.Context, req api.QueryRequest, sc *queryScratch) (*CompiledModel, solvedQuery, error) {
+func (r *Registry) solve(ctx context.Context, req api.QueryRequest, sc *queryScratch) (*CompiledModel, *core.Design, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, solvedQuery{}, err
+		return nil, nil, err
 	}
 	e, err := r.get(req.TenantOrDefault(), req.Model, req.Version)
 	if err != nil {
-		return nil, solvedQuery{}, err
+		return nil, nil, err
 	}
 	r.queries.Add(1)
-	s, err := e.cm.solve(req, sc)
-	return e.cm, s, err
+	d, err := e.cm.solve(req, sc)
+	return e.cm, d, err
 }
 
 // QueryBatch answers a batch of queries. Each (tenant, model, version)
@@ -332,19 +331,19 @@ func (r *Registry) QueryBatch(ctx context.Context, reqs []api.QueryRequest) []ap
 			continue
 		}
 		r.queries.Add(1)
-		s, err := m.e.cm.solve(q, sc)
+		d, err := m.e.cm.solve(q, sc)
 		if err != nil {
 			out[i] = api.QueryResult{Error: err.Error()}
 			continue
 		}
-		out[i] = api.QueryResult{Response: m.e.cm.response(&s)}
+		out[i] = api.QueryResult{Response: m.e.cm.response(d)}
 	}
 	return out
 }
 
 // QueryStats reports how many queries have reached a model since start.
-// The compiled engine answers every one of them, so interpreted is
-// always 0; the pair survives for callers that report a ratio.
+// One engine answers every one of them, so interpreted is always 0; the
+// pair survives for callers that report a ratio.
 func (r *Registry) QueryStats() (compiled, interpreted int64) {
 	return r.queries.Load(), 0
 }

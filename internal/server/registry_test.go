@@ -9,9 +9,7 @@ import (
 	"time"
 
 	"analogyield/internal/server/api"
-	"analogyield/internal/spline"
 	"analogyield/internal/store"
-	"analogyield/internal/table"
 )
 
 func testQuery(model string) api.QueryRequest {
@@ -345,21 +343,16 @@ func TestHistoricalPinMatchesOracle(t *testing.T) {
 	checkResidency("after a mixed batch")
 }
 
-// TestInstallRefusesUncompilable: a model the query engine cannot
-// compile (here a quadratic Δ% table, which core.BuildModel never
+// TestInstallRefusesUncompilable: a model the query engine cannot answer
+// (here one without parameter tables, which core.BuildModel never
 // builds) is refused before anything is stored or made resident.
 func TestInstallRefusesUncompilable(t *testing.T) {
 	r := NewRegistry(nil, 4)
 	defer r.Close()
 	m := synthModel(t, 12)
-	xs, ys := m.Delta[0].Samples()
-	quad, err := table.NewModel1D(xs, ys, table.Control{Degree: spline.DegreeQuadratic, Extrap: table.ExtrapError})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Delta[0] = quad
+	m.ParamTables = nil
 	if _, err := r.Install(api.DefaultTenant, "m1", m); err == nil {
-		t.Fatal("Install accepted a model the engine cannot compile")
+		t.Fatal("Install accepted a model the engine cannot answer")
 	}
 	infos, err := r.Store().List(api.DefaultTenant, store.KindModel)
 	if err != nil {

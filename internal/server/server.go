@@ -11,12 +11,13 @@
 // Table 3 spec query (guard-banded targets, interpolated parameters,
 // predicted yield) from an LRU-bounded model registry. Models persist
 // in a pluggable artefact store (internal/store) — content-addressed,
-// shared across replicas — and are compiled at install time
-// (compiled.go) then published in an immutable snapshot behind an
-// atomic pointer (registry.go), so the steady-state query path takes no
-// locks and performs no allocations: pooled scratch, segment-hint
-// spline evaluation and pre-rendered response JSON. A restarted replica
-// warm-starts from the store, recompiling each model on first query.
+// shared across replicas — with their response JSON pre-rendered at
+// install time (compiled.go), then published in an immutable snapshot
+// behind an atomic pointer (registry.go). core.Model.DesignInto answers
+// every query, so the steady-state query path takes no locks and
+// performs no allocations: pooled scratch, segment-hint spline
+// evaluation and pre-rendered response JSON. A restarted replica
+// warm-starts from the store, preparing each model on first query.
 //
 // Job path: POST /v1/t/{tenant}/flows submits a core.RunFlow job onto a
 // bounded worker pool; GET .../flows/{id} polls status and GET
@@ -471,7 +472,7 @@ func errStatus(err error) int {
 	case errors.Is(err, ErrUnknownModel), errors.Is(err, ErrUnknownJob),
 		errors.Is(err, store.ErrNotFound):
 		return http.StatusNotFound
-	case errors.Is(err, store.ErrInvalidKey):
+	case errors.Is(err, store.ErrInvalidKey), errors.Is(err, core.ErrTablePoints):
 		return http.StatusBadRequest
 	case errors.Is(err, store.ErrCorrupt):
 		return http.StatusUnprocessableEntity

@@ -16,7 +16,7 @@ func BenchmarkCubicFit200(b *testing.B) {
 	xs, ys := benchKnots()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewCubic(xs, ys); err != nil {
+		if _, err := New(DegreeCubic, xs, ys); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -24,7 +24,7 @@ func BenchmarkCubicFit200(b *testing.B) {
 
 func BenchmarkCubicEval(b *testing.B) {
 	xs, ys := benchKnots()
-	s, err := NewCubic(xs, ys)
+	s, err := New(DegreeCubic, xs, ys)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func BenchmarkCubicEval(b *testing.B) {
 
 func BenchmarkPCHIPEval(b *testing.B) {
 	xs, ys := benchKnots()
-	p, err := NewPCHIP(xs, ys)
+	p, err := New(DegreeMonotoneCubic, xs, ys)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -46,16 +46,11 @@ func BenchmarkPCHIPEval(b *testing.B) {
 	}
 }
 
-// BenchmarkCompiledEvalHint measures the struct-of-arrays hot path with
-// a warm segment hint (locally clustered queries, the server's common
-// case).
+// BenchmarkCompiledEvalHint measures the hinted hot path with a warm
+// segment hint (locally clustered queries, the server's common case).
 func BenchmarkCompiledEvalHint(b *testing.B) {
 	xs, ys := benchKnots()
-	s, err := NewCubic(xs, ys)
-	if err != nil {
-		b.Fatal(err)
-	}
-	c, err := Compile(s)
+	c, err := New(DegreeCubic, xs, ys)
 	if err != nil {
 		b.Fatal(err)
 	}

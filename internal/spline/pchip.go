@@ -4,28 +4,20 @@ import (
 	"math"
 )
 
-// PCHIP is a shape-preserving piecewise-cubic Hermite interpolant
-// (Fritsch-Carlson). Unlike the natural cubic spline it cannot overshoot
-// between knots, which makes it the robust choice for table models built
-// on unevenly distributed Pareto fronts: a natural spline bridging a
-// sparse region of the front can oscillate far outside the data range,
-// while PCHIP stays inside the hull of neighbouring samples.
-type PCHIP struct {
-	xs, ys, ms []float64 // knots and nodal derivatives
-}
-
-// NewPCHIP fits a monotone piecewise-cubic Hermite interpolant.
-func NewPCHIP(xs, ys []float64) (*PCHIP, error) {
-	sx, sy, err := checkKnots(xs, ys, 2)
-	if err != nil {
-		return nil, err
-	}
+// pchipSlopes computes the nodal derivatives of the shape-preserving
+// piecewise-cubic Hermite interpolant (Fritsch-Carlson) through sorted,
+// distinct knots. Unlike the natural cubic spline, PCHIP cannot
+// overshoot between knots, which makes it the robust choice for table
+// models built on unevenly distributed Pareto fronts: a natural spline
+// bridging a sparse region of the front can oscillate far outside the
+// data range, while PCHIP stays inside the hull of neighbouring samples.
+func pchipSlopes(sx, sy []float64) []float64 {
 	n := len(sx)
 	m := make([]float64, n)
 	if n == 2 {
 		d := (sy[1] - sy[0]) / (sx[1] - sx[0])
 		m[0], m[1] = d, d
-		return &PCHIP{xs: sx, ys: sy, ms: m}, nil
+		return m
 	}
 	h := make([]float64, n-1)
 	d := make([]float64, n-1)
@@ -47,7 +39,7 @@ func NewPCHIP(xs, ys []float64) (*PCHIP, error) {
 	// One-sided endpoint slopes, limited to preserve shape.
 	m[0] = endSlope(h[0], h[1], d[0], d[1])
 	m[n-1] = endSlope(h[n-2], h[n-3], d[n-2], d[n-3])
-	return &PCHIP{xs: sx, ys: sy, ms: m}, nil
+	return m
 }
 
 // endSlope computes the Fritsch-Carlson non-centred boundary derivative.
@@ -61,27 +53,3 @@ func endSlope(h0, h1, d0, d1 float64) float64 {
 	}
 	return s
 }
-
-// Eval returns the interpolated value at x. Outside the knot range the
-// end segment's Hermite cubic is continued (table wrappers apply their
-// own extrapolation policy first).
-func (p *PCHIP) Eval(x float64) float64 {
-	i := segment(p.xs, x)
-	h := p.xs[i+1] - p.xs[i]
-	t := (x - p.xs[i]) / h
-	h00 := (1 + 2*t) * (1 - t) * (1 - t)
-	h10 := t * (1 - t) * (1 - t)
-	h01 := t * t * (3 - 2*t)
-	h11 := t * t * (t - 1)
-	return h00*p.ys[i] + h10*h*p.ms[i] + h01*p.ys[i+1] + h11*h*p.ms[i+1]
-}
-
-// Domain returns the knot range.
-func (p *PCHIP) Domain() (lo, hi float64) { return p.xs[0], p.xs[len(p.xs)-1] }
-
-// DegreeMonotoneCubic selects PCHIP interpolation in this repository's
-// table models. It has no Verilog-A control-string equivalent (Verilog-A
-// only offers degrees 1-3); generated Verilog-A always uses the standard
-// cubic spline, while the in-process tables default to PCHIP for
-// robustness on unevenly sampled fronts.
-const DegreeMonotoneCubic Degree = 4

@@ -10,7 +10,7 @@ import (
 func TestPCHIPExactAtKnots(t *testing.T) {
 	xs := []float64{0, 1, 3, 4, 7}
 	ys := []float64{2, 5, 1, 1, 9}
-	p, err := NewPCHIP(xs, ys)
+	p, err := New(DegreeMonotoneCubic, xs, ys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +22,7 @@ func TestPCHIPExactAtKnots(t *testing.T) {
 }
 
 func TestPCHIPReproducesLine(t *testing.T) {
-	p, err := NewPCHIP([]float64{0, 1, 2, 5}, []float64{1, 3, 5, 11})
+	p, err := New(DegreeMonotoneCubic, []float64{0, 1, 2, 5}, []float64{1, 3, 5, 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestPCHIPReproducesLine(t *testing.T) {
 }
 
 func TestPCHIPTwoPoints(t *testing.T) {
-	p, err := NewPCHIP([]float64{0, 2}, []float64{0, 4})
+	p, err := New(DegreeMonotoneCubic, []float64{0, 2}, []float64{0, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestPCHIPMonotonePreservation(t *testing.T) {
 	// property natural cubic splines lack.
 	xs := []float64{0, 1, 1.1, 5, 5.1, 10}
 	ys := []float64{0, 1, 1.2, 1.3, 4, 5} // monotone, very uneven
-	p, err := NewPCHIP(xs, ys)
+	p, err := New(DegreeMonotoneCubic, xs, ys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestPCHIPMonotonePreservation(t *testing.T) {
 	}
 	// Natural cubic through the same data overshoots; demonstrate the
 	// contrast that motivates PCHIP for front tables.
-	c, err := NewCubic(xs, ys)
+	c, err := New(DegreeCubic, xs, ys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestPCHIPStaysInDataHullProperty(t *testing.T) {
 			xs[i] = x
 			ys[i] = y
 		}
-		p, err := NewPCHIP(xs, ys)
+		p, err := New(DegreeMonotoneCubic, xs, ys)
 		if err != nil {
 			return false
 		}
@@ -115,7 +115,7 @@ func TestPCHIPStaysInDataHullProperty(t *testing.T) {
 func TestPCHIPLocalExtremumFlat(t *testing.T) {
 	// At a local extremum knot the derivative must be zero: no spurious
 	// bumps past the peak.
-	p, err := NewPCHIP([]float64{0, 1, 2}, []float64{0, 1, 0})
+	p, err := New(DegreeMonotoneCubic, []float64{0, 1, 2}, []float64{0, 1, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,8 +132,8 @@ func TestPCHIPViaNew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := itp.(*PCHIP); !ok {
-		t.Fatalf("New(DegreeMonotoneCubic) returned %T", itp)
+	if itp.deg != DegreeMonotoneCubic || len(itp.ms) != 3 {
+		t.Fatalf("New(DegreeMonotoneCubic) fitted degree %d with %d slopes", itp.deg, len(itp.ms))
 	}
 	lo, hi := itp.Domain()
 	if lo != 0 || hi != 2 {
@@ -142,10 +142,10 @@ func TestPCHIPViaNew(t *testing.T) {
 }
 
 func TestPCHIPRejectsBadInput(t *testing.T) {
-	if _, err := NewPCHIP([]float64{0}, []float64{1}); err == nil {
+	if _, err := New(DegreeMonotoneCubic, []float64{0}, []float64{1}); err == nil {
 		t.Error("single point accepted")
 	}
-	if _, err := NewPCHIP([]float64{0, 0}, []float64{1, 2}); err == nil {
+	if _, err := New(DegreeMonotoneCubic, []float64{0, 0}, []float64{1, 2}); err == nil {
 		t.Error("duplicate knots accepted")
 	}
 }

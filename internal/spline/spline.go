@@ -1,6 +1,8 @@
 // Package spline implements the interpolation schemes Verilog-A's
 // $table_model() supports: piecewise linear (degree 1), piecewise
-// quadratic (degree 2) and natural cubic splines (degree 3).
+// quadratic (degree 2) and natural cubic splines (degree 3), plus the
+// shape-preserving monotone cubic (degree 4, PCHIP) the in-process
+// tables default to.
 //
 // The paper uses cubic splines ("3" in the control string) to maximise
 // accuracy; the lower degrees exist both for completeness and for the
@@ -8,22 +10,78 @@
 package spline
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
 )
 
-// ErrOutOfRange is returned by evaluations in Error extrapolation mode
-// when the query point lies outside the knot range.
-var ErrOutOfRange = errors.New("spline: query outside sampled range")
+// Degree identifies an interpolation degree as used by Verilog-A
+// $table_model control strings.
+type Degree int
 
-// Interpolator evaluates a 1-D interpolant fitted to (x, y) samples.
-type Interpolator interface {
-	// Eval returns the interpolated value at x.
-	Eval(x float64) float64
-	// Domain returns the closed interval covered by the knots.
-	Domain() (lo, hi float64)
+// Interpolation degrees supported by $table_model.
+const (
+	DegreeLinear    Degree = 1
+	DegreeQuadratic Degree = 2
+	DegreeCubic     Degree = 3
+)
+
+// DegreeMonotoneCubic selects PCHIP interpolation in this repository's
+// table models. It has no Verilog-A control-string equivalent (Verilog-A
+// only offers degrees 1-3); generated Verilog-A always uses the standard
+// cubic spline, while the in-process tables default to PCHIP for
+// robustness on unevenly sampled fronts.
+const DegreeMonotoneCubic Degree = 4
+
+// Curve is an immutable 1-D interpolant of any supported degree, fitted
+// to (x, y) samples and stored as struct-of-arrays per-segment data:
+//
+//   - linear: knot values;
+//   - quadratic: knot values, evaluated as the Lagrange parabola through
+//     the three knots nearest the containing interval;
+//   - natural cubic: Horner coefficients ((a·dx + b)·dx + c)·dx + d with
+//     dx = x − xs[i], the paper's eq. (3);
+//   - PCHIP: knot values and nodal derivatives in the Hermite basis.
+//
+// Evaluation allocates nothing. EvalHint replaces the binary search for
+// the containing segment with a constant-time check of the caller's
+// previous segment and its neighbours, which almost always hits when
+// consecutive queries are close together (a batch of nearby queries, or
+// a projection refinement loop). The hint never changes a result: the
+// segment is always the one the binary search would pick.
+type Curve struct {
+	deg    Degree
+	xs, ys []float64
+	// ms holds PCHIP's nodal derivatives.
+	ms []float64
+	// a, b, c, d hold the natural cubic's per-segment coefficients.
+	a, b, c, d []float64
+}
+
+// New fits an interpolant of the requested degree to the samples. The
+// samples are copied and sorted by x; duplicate or NaN values are an
+// error. Linear and PCHIP need two points, quadratic and cubic three.
+func New(deg Degree, xs, ys []float64) (*Curve, error) {
+	minPoints := 2
+	switch deg {
+	case DegreeLinear, DegreeMonotoneCubic:
+	case DegreeQuadratic, DegreeCubic:
+		minPoints = 3
+	default:
+		return nil, fmt.Errorf("spline: unsupported degree %d", deg)
+	}
+	sx, sy, err := checkKnots(xs, ys, minPoints)
+	if err != nil {
+		return nil, err
+	}
+	c := &Curve{deg: deg, xs: sx, ys: sy}
+	switch deg {
+	case DegreeCubic:
+		c.fitNatural()
+	case DegreeMonotoneCubic:
+		c.ms = pchipSlopes(sx, sy)
+	}
+	return c, nil
 }
 
 // checkKnots validates and sorts a copy of the sample set.
@@ -55,107 +113,16 @@ func checkKnots(xs, ys []float64, minPoints int) ([]float64, []float64, error) {
 	return sx, sy, nil
 }
 
-// segment locates the knot interval containing x: the largest i with
-// xs[i] <= x, clamped to [0, len(xs)-2].
-func segment(xs []float64, x float64) int {
-	i := sort.SearchFloat64s(xs, x) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i > len(xs)-2 {
-		i = len(xs) - 2
-	}
-	return i
-}
-
-// Linear is a piecewise-linear interpolant (Verilog-A degree 1).
-type Linear struct {
-	xs, ys []float64
-}
-
-// NewLinear fits a piecewise-linear interpolant to the samples. The
-// samples are copied and sorted by x; duplicate x values are an error.
-func NewLinear(xs, ys []float64) (*Linear, error) {
-	sx, sy, err := checkKnots(xs, ys, 2)
-	if err != nil {
-		return nil, err
-	}
-	return &Linear{xs: sx, ys: sy}, nil
-}
-
-// Eval returns the piecewise-linear value at x, extrapolating linearly
-// from the end segments when x is outside the knot range.
-func (l *Linear) Eval(x float64) float64 {
-	i := segment(l.xs, x)
-	t := (x - l.xs[i]) / (l.xs[i+1] - l.xs[i])
-	return l.ys[i] + t*(l.ys[i+1]-l.ys[i])
-}
-
-// Domain returns the knot range.
-func (l *Linear) Domain() (lo, hi float64) { return l.xs[0], l.xs[len(l.xs)-1] }
-
-// Quadratic is a piecewise-quadratic interpolant (Verilog-A degree 2).
-// Each interior interval uses the parabola through the three nearest
-// knots.
-type Quadratic struct {
-	xs, ys []float64
-}
-
-// NewQuadratic fits a piecewise-quadratic interpolant to the samples.
-func NewQuadratic(xs, ys []float64) (*Quadratic, error) {
-	sx, sy, err := checkKnots(xs, ys, 3)
-	if err != nil {
-		return nil, err
-	}
-	return &Quadratic{xs: sx, ys: sy}, nil
-}
-
-// Eval returns the quadratic value at x using the Lagrange parabola over
-// the three knots nearest the containing interval.
-func (q *Quadratic) Eval(x float64) float64 {
-	i := segment(q.xs, x)
-	// Choose knots i-1, i, i+1 where possible, else i, i+1, i+2.
-	j := i
-	if j > 0 {
-		j--
-	}
-	if j > len(q.xs)-3 {
-		j = len(q.xs) - 3
-	}
-	x0, x1, x2 := q.xs[j], q.xs[j+1], q.xs[j+2]
-	y0, y1, y2 := q.ys[j], q.ys[j+1], q.ys[j+2]
-	l0 := (x - x1) * (x - x2) / ((x0 - x1) * (x0 - x2))
-	l1 := (x - x0) * (x - x2) / ((x1 - x0) * (x1 - x2))
-	l2 := (x - x0) * (x - x1) / ((x2 - x0) * (x2 - x1))
-	return y0*l0 + y1*l1 + y2*l2
-}
-
-// Domain returns the knot range.
-func (q *Quadratic) Domain() (lo, hi float64) { return q.xs[0], q.xs[len(q.xs)-1] }
-
-// Cubic is a natural cubic spline (Verilog-A degree 3): C2-continuous
-// piecewise cubics S_i(x) = a_i(x-x_i)^3 + b_i(x-x_i)^2 + c_i(x-x_i) + d_i
-// (the paper's eq. 3) with zero second derivative at both ends.
-type Cubic struct {
-	xs, ys []float64
-	// Polynomial coefficients per segment, in the paper's eq. (3) form.
-	a, b, c, d []float64
-}
-
-// NewCubic fits a natural cubic spline to the samples.
-func NewCubic(xs, ys []float64) (*Cubic, error) {
-	sx, sy, err := checkKnots(xs, ys, 3)
-	if err != nil {
-		return nil, err
-	}
+// fitNatural solves for the natural cubic spline's second derivatives
+// (zero at both ends) and stores the per-segment coefficients.
+func (s *Curve) fitNatural() {
+	sx, sy := s.xs, s.ys
 	n := len(sx)
-	// Solve the tridiagonal system for second derivatives m[0..n-1]
-	// with natural boundary conditions m[0] = m[n-1] = 0.
 	h := make([]float64, n-1)
 	for i := range h {
 		h[i] = sx[i+1] - sx[i]
 	}
-	// Thomas algorithm.
+	// Thomas algorithm on the tridiagonal system for m[0..n-1].
 	sub := make([]float64, n)
 	diag := make([]float64, n)
 	sup := make([]float64, n)
@@ -177,104 +144,111 @@ func NewCubic(xs, ys []float64) (*Cubic, error) {
 	for i := n - 2; i >= 0; i-- {
 		m[i] = (rhs[i] - sup[i]*m[i+1]) / diag[i]
 	}
-	s := &Cubic{
-		xs: sx, ys: sy,
-		a: make([]float64, n-1), b: make([]float64, n-1),
-		c: make([]float64, n-1), d: make([]float64, n-1),
-	}
+	s.a, s.b = make([]float64, n-1), make([]float64, n-1)
+	s.c, s.d = make([]float64, n-1), make([]float64, n-1)
 	for i := 0; i < n-1; i++ {
 		s.a[i] = (m[i+1] - m[i]) / (6 * h[i])
 		s.b[i] = m[i] / 2
 		s.c[i] = (sy[i+1]-sy[i])/h[i] - h[i]*(2*m[i]+m[i+1])/6
 		s.d[i] = sy[i]
 	}
-	return s, nil
-}
-
-// Eval returns the spline value at x. Outside the knot range the end
-// cubic is continued (callers wanting Verilog-A "E" semantics should
-// check Domain first; the table package does).
-func (s *Cubic) Eval(x float64) float64 {
-	i := segment(s.xs, x)
-	dx := x - s.xs[i]
-	return ((s.a[i]*dx+s.b[i])*dx+s.c[i])*dx + s.d[i]
-}
-
-// Deriv returns the first derivative of the spline at x.
-func (s *Cubic) Deriv(x float64) float64 {
-	i := segment(s.xs, x)
-	dx := x - s.xs[i]
-	return (3*s.a[i]*dx+2*s.b[i])*dx + s.c[i]
 }
 
 // Domain returns the knot range.
-func (s *Cubic) Domain() (lo, hi float64) { return s.xs[0], s.xs[len(s.xs)-1] }
+func (s *Curve) Domain() (lo, hi float64) { return s.xs[0], s.xs[len(s.xs)-1] }
 
-// Knots returns copies of the sorted knot vectors.
-func (s *Cubic) Knots() (xs, ys []float64) {
-	return append([]float64(nil), s.xs...), append([]float64(nil), s.ys...)
-}
-
-// Invert solves s(x) = y for x within the knot domain using bisection
-// followed by Newton polish. It requires the spline to be monotone over
-// the domain (it scans knot values to pick the bracketing segment); the
-// first bracketing segment found is used. Returns ErrOutOfRange when y
-// is not bracketed by any segment's endpoint values.
-func (s *Cubic) Invert(y float64) (float64, error) {
-	n := len(s.xs)
-	for i := 0; i < n-1; i++ {
-		y0, y1 := s.ys[i], s.ys[i+1]
-		lo, hi := s.xs[i], s.xs[i+1]
-		if !bracket(y0, y1, y) {
-			continue
-		}
-		// Bisection on the segment.
-		a, b := lo, hi
-		fa := s.Eval(a) - y
-		for iter := 0; iter < 80; iter++ {
-			mid := 0.5 * (a + b)
-			fm := s.Eval(mid) - y
-			if fm == 0 || (b-a) < 1e-15*(math.Abs(a)+math.Abs(b)+1) {
-				return mid, nil
-			}
-			if (fa < 0) == (fm < 0) {
-				a, fa = mid, fm
-			} else {
-				b = mid
-			}
-		}
-		return 0.5 * (a + b), nil
+// segment locates the knot interval containing x: the largest i with
+// xs[i] < x, clamped to [0, len(xs)-2].
+func segment(xs []float64, x float64) int {
+	i := sort.SearchFloat64s(xs, x) - 1
+	if i < 0 {
+		i = 0
 	}
-	return 0, fmt.Errorf("%w: no segment brackets y = %g", ErrOutOfRange, y)
+	if i > len(xs)-2 {
+		i = len(xs) - 2
+	}
+	return i
 }
 
-func bracket(y0, y1, y float64) bool {
-	return (y0 <= y && y <= y1) || (y1 <= y && y <= y0)
+// segmentHint is segment that tries the hinted segment and its
+// neighbours before falling back to binary search. Any out-of-range
+// hint (e.g. -1) selects the binary search.
+func (s *Curve) segmentHint(x float64, hint int) int {
+	xs := s.xs
+	n := len(xs)
+	if uint(hint) <= uint(n-2) {
+		if xs[hint] < x {
+			if hint == n-2 || xs[hint+1] >= x {
+				return hint
+			}
+			// Sequential scans usually move one segment forward.
+			if hint+1 == n-2 || xs[hint+2] >= x {
+				return hint + 1
+			}
+		} else if hint == 0 {
+			return 0
+		} else if xs[hint-1] < x {
+			return hint - 1
+		}
+	}
+	return segment(xs, x)
 }
 
-// Degree identifies an interpolation degree as used by Verilog-A
-// $table_model control strings.
-type Degree int
-
-// Interpolation degrees supported by $table_model.
-const (
-	DegreeLinear    Degree = 1
-	DegreeQuadratic Degree = 2
-	DegreeCubic     Degree = 3
-)
-
-// New constructs an interpolator of the requested degree.
-func New(deg Degree, xs, ys []float64) (Interpolator, error) {
-	switch deg {
-	case DegreeLinear:
-		return NewLinear(xs, ys)
-	case DegreeQuadratic:
-		return NewQuadratic(xs, ys)
+// evalSegment evaluates segment i at x; a negative i locates the
+// segment by binary search first.
+func (s *Curve) evalSegment(x float64, i int) float64 {
+	if i < 0 {
+		i = segment(s.xs, x)
+	}
+	switch s.deg {
 	case DegreeCubic:
-		return NewCubic(xs, ys)
+		dx := x - s.xs[i]
+		return ((s.a[i]*dx+s.b[i])*dx+s.c[i])*dx + s.d[i]
 	case DegreeMonotoneCubic:
-		return NewPCHIP(xs, ys)
-	default:
-		return nil, fmt.Errorf("spline: unsupported degree %d", deg)
+		h := s.xs[i+1] - s.xs[i]
+		t := (x - s.xs[i]) / h
+		h00 := (1 + 2*t) * (1 - t) * (1 - t)
+		h10 := t * (1 - t) * (1 - t)
+		h01 := t * t * (3 - 2*t)
+		h11 := t * t * (t - 1)
+		return h00*s.ys[i] + h10*h*s.ms[i] + h01*s.ys[i+1] + h11*h*s.ms[i+1]
+	case DegreeQuadratic:
+		return s.evalQuadratic(x, i)
+	default: // DegreeLinear
+		t := (x - s.xs[i]) / (s.xs[i+1] - s.xs[i])
+		return s.ys[i] + t*(s.ys[i+1]-s.ys[i])
 	}
+}
+
+// evalQuadratic evaluates the Lagrange parabola through the three knots
+// nearest segment i: knots i-1, i, i+1 where possible, else i, i+1, i+2.
+func (s *Curve) evalQuadratic(x float64, i int) float64 {
+	j := i
+	if j > 0 {
+		j--
+	}
+	if j > len(s.xs)-3 {
+		j = len(s.xs) - 3
+	}
+	x0, x1, x2 := s.xs[j], s.xs[j+1], s.xs[j+2]
+	y0, y1, y2 := s.ys[j], s.ys[j+1], s.ys[j+2]
+	l0 := (x - x1) * (x - x2) / ((x0 - x1) * (x0 - x2))
+	l1 := (x - x0) * (x - x2) / ((x1 - x0) * (x1 - x2))
+	l2 := (x - x0) * (x - x1) / ((x2 - x0) * (x2 - x1))
+	return y0*l0 + y1*l1 + y2*l2
+}
+
+// Eval returns the interpolated value at x. Outside the knot range the
+// end segment is continued (table wrappers apply their own
+// extrapolation policy first).
+func (s *Curve) Eval(x float64) float64 {
+	return s.evalSegment(x, -1)
+}
+
+// EvalHint is Eval with segment-hint reuse: it returns the value and the
+// segment that produced it, which the caller passes back on its next
+// (nearby) query to skip the binary search.
+func (s *Curve) EvalHint(x float64, hint int) (y float64, seg int) {
+	i := s.segmentHint(x, hint)
+	return s.evalSegment(x, i), i
 }

@@ -12,7 +12,7 @@ func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 func TestLinearExactAtKnots(t *testing.T) {
 	xs := []float64{0, 1, 2, 4}
 	ys := []float64{1, 3, 2, 8}
-	l, err := NewLinear(xs, ys)
+	l, err := New(DegreeLinear, xs, ys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestLinearExactAtKnots(t *testing.T) {
 }
 
 func TestLinearSortsInput(t *testing.T) {
-	l, err := NewLinear([]float64{2, 0, 1}, []float64{4, 0, 2})
+	l, err := New(DegreeLinear, []float64{2, 0, 1}, []float64{4, 0, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,19 +37,19 @@ func TestLinearSortsInput(t *testing.T) {
 }
 
 func TestLinearRejectsDuplicates(t *testing.T) {
-	if _, err := NewLinear([]float64{0, 0, 1}, []float64{1, 2, 3}); err == nil {
+	if _, err := New(DegreeLinear, []float64{0, 0, 1}, []float64{1, 2, 3}); err == nil {
 		t.Fatal("duplicate knots accepted")
 	}
 }
 
 func TestLinearRejectsMismatch(t *testing.T) {
-	if _, err := NewLinear([]float64{0, 1}, []float64{1}); err == nil {
+	if _, err := New(DegreeLinear, []float64{0, 1}, []float64{1}); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
 }
 
 func TestLinearRejectsNaN(t *testing.T) {
-	if _, err := NewLinear([]float64{0, math.NaN()}, []float64{1, 2}); err == nil {
+	if _, err := New(DegreeLinear, []float64{0, math.NaN()}, []float64{1, 2}); err == nil {
 		t.Fatal("NaN knot accepted")
 	}
 }
@@ -61,7 +61,7 @@ func TestQuadraticReproducesParabola(t *testing.T) {
 	for i, x := range xs {
 		ys[i] = x * x
 	}
-	q, err := NewQuadratic(xs, ys)
+	q, err := New(DegreeQuadratic, xs, ys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestQuadraticReproducesParabola(t *testing.T) {
 func TestCubicExactAtKnots(t *testing.T) {
 	xs := []float64{0, 1, 2, 3, 5}
 	ys := []float64{0, 2, 1, 4, 3}
-	s, err := NewCubic(xs, ys)
+	s, err := New(DegreeCubic, xs, ys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestCubicReproducesLine(t *testing.T) {
 	// A natural cubic spline through collinear points is the line itself.
 	xs := []float64{0, 1, 2, 3}
 	ys := []float64{1, 3, 5, 7}
-	s, err := NewCubic(xs, ys)
+	s, err := New(DegreeCubic, xs, ys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestCubicNaturalBoundary(t *testing.T) {
 	// Second derivative ~0 at the ends: check numerically.
 	xs := []float64{0, 1, 2, 3, 4}
 	ys := []float64{0, 1, 0, 1, 0}
-	s, err := NewCubic(xs, ys)
+	s, err := New(DegreeCubic, xs, ys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestCubicNaturalBoundary(t *testing.T) {
 func TestCubicC1Continuity(t *testing.T) {
 	xs := []float64{0, 1, 2, 3, 4}
 	ys := []float64{0, 3, -1, 2, 5}
-	s, err := NewCubic(xs, ys)
+	s, err := New(DegreeCubic, xs, ys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,22 +130,6 @@ func TestCubicC1Continuity(t *testing.T) {
 		right := (s.Eval(k+h) - s.Eval(k)) / h
 		if math.Abs(left-right) > 1e-4 {
 			t.Errorf("derivative jump at knot %g: left %g right %g", k, left, right)
-		}
-	}
-}
-
-func TestCubicDerivMatchesFiniteDifference(t *testing.T) {
-	xs := []float64{0, 1, 2, 3, 4, 5}
-	ys := []float64{0, 1, 4, 9, 16, 25}
-	s, err := NewCubic(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{0.5, 2.3, 4.7} {
-		h := 1e-6
-		fd := (s.Eval(x+h) - s.Eval(x-h)) / (2 * h)
-		if math.Abs(s.Deriv(x)-fd) > 1e-4 {
-			t.Errorf("Deriv(%g) = %g, finite diff %g", x, s.Deriv(x), fd)
 		}
 	}
 }
@@ -164,7 +148,7 @@ func TestCubicInterpolationProperty(t *testing.T) {
 			xs[i] = x
 			ys[i] = r.NormFloat64() * 10
 		}
-		s, err := NewCubic(xs, ys)
+		s, err := New(DegreeCubic, xs, ys)
 		if err != nil {
 			return false
 		}
@@ -180,44 +164,21 @@ func TestCubicInterpolationProperty(t *testing.T) {
 	}
 }
 
-func TestCubicInvert(t *testing.T) {
-	// Monotone data: invert recovers x.
-	xs := []float64{0, 1, 2, 3, 4}
-	ys := []float64{0, 1, 3, 6, 10}
-	s, err := NewCubic(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, y := range []float64{0.5, 2, 5, 9.9} {
-		x, err := s.Invert(y)
-		if err != nil {
-			t.Fatalf("Invert(%g): %v", y, err)
-		}
-		if got := s.Eval(x); !almostEqual(got, y, 1e-8) {
-			t.Errorf("Eval(Invert(%g)) = %g", y, got)
-		}
-	}
-}
-
-func TestCubicInvertOutOfRange(t *testing.T) {
-	s, err := NewCubic([]float64{0, 1, 2}, []float64{0, 1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Invert(99); err == nil {
-		t.Fatal("Invert(99) should fail for data in [0,2]")
-	}
-}
-
+// TestCubicKnotsCopies: New fits a copy of the samples, so mutating the
+// caller's slices afterwards changes nothing.
 func TestCubicKnotsCopies(t *testing.T) {
-	s, err := NewCubic([]float64{0, 1, 2}, []float64{5, 6, 7})
+	xs, ys := []float64{0, 1, 2}, []float64{5, 6, 7}
+	s, err := New(DegreeCubic, xs, ys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kx, _ := s.Knots()
-	kx[0] = 999
+	want := s.Eval(0.5)
+	xs[0], ys[0] = 999, -999
 	if lo, _ := s.Domain(); lo != 0 {
-		t.Error("Knots returned a live reference")
+		t.Error("the curve shares the caller's knot slice")
+	}
+	if got := s.Eval(0.5); got != want {
+		t.Errorf("Eval(0.5) = %g after mutating the inputs, was %g", got, want)
 	}
 }
 
@@ -239,7 +200,7 @@ func TestNewByDegree(t *testing.T) {
 }
 
 func TestDomain(t *testing.T) {
-	l, _ := NewLinear([]float64{3, 1, 2}, []float64{0, 0, 0})
+	l, _ := New(DegreeLinear, []float64{3, 1, 2}, []float64{0, 0, 0})
 	lo, hi := l.Domain()
 	if lo != 1 || hi != 3 {
 		t.Errorf("Domain = (%g, %g), want (1, 3)", lo, hi)
@@ -255,8 +216,8 @@ func TestCubicAccuracyBeatsLinear(t *testing.T) {
 		xs[i] = float64(i) / 8 * math.Pi
 		ys[i] = math.Sin(xs[i])
 	}
-	lin, _ := NewLinear(xs, ys)
-	cub, _ := NewCubic(xs, ys)
+	lin, _ := New(DegreeLinear, xs, ys)
+	cub, _ := New(DegreeCubic, xs, ys)
 	var errLin, errCub float64
 	for x := 0.01; x < math.Pi; x += 0.01 {
 		want := math.Sin(x)

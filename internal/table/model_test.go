@@ -3,6 +3,7 @@ package table
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
 	"analogyield/internal/spline"
@@ -59,33 +60,6 @@ func TestModel1DLinearExtrap(t *testing.T) {
 	}
 	if math.Abs(got+2) > 1e-6 {
 		t.Errorf("linear extrap Eval(-1) = %g, want -2", got)
-	}
-}
-
-func TestModel1DInvert(t *testing.T) {
-	m := MustModel1D([]float64{0, 1, 2, 3}, []float64{0, 2, 5, 9}, cubicErr())
-	x, err := m.Invert(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	y, err := m.Eval(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(y-3) > 1e-8 {
-		t.Errorf("Eval(Invert(3)) = %g", y)
-	}
-}
-
-func TestModel1DInvertLinearDegree(t *testing.T) {
-	m := MustModel1D([]float64{0, 1, 2}, []float64{0, 10, 20},
-		Control{Degree: spline.DegreeLinear, Extrap: ExtrapClamp})
-	x, err := m.Invert(15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(x-1.5) > 1e-6 {
-		t.Errorf("Invert(15) = %g, want 1.5", x)
 	}
 }
 
@@ -173,8 +147,9 @@ func TestCurveModel2DProjectRecoversParameter(t *testing.T) {
 	if dist > 1e-6 {
 		t.Errorf("distance to on-curve point = %g", dist)
 	}
-	if math.Abs(m.EvalAt(u)-10) > 1e-3 {
-		t.Errorf("EvalAt(Project) = %g, want 10", m.EvalAt(u))
+	hint := -1
+	if got := m.EvalAtHint(u, &hint); math.Abs(got-10) > 1e-3 {
+		t.Errorf("EvalAtHint(Project) = %g, want 10", got)
 	}
 }
 
@@ -198,134 +173,97 @@ func TestCurveModel2DRejectsTiny(t *testing.T) {
 	}
 }
 
-func TestGridModel2DBilinearPlane(t *testing.T) {
-	// z = 2*x1 + 3*x2 is exact for any degree.
-	x1s := []float64{0, 1, 2}
-	x2s := []float64{0, 10, 20}
-	z := make([][]float64, len(x1s))
-	for r, a := range x1s {
-		z[r] = make([]float64, len(x2s))
-		for c, b := range x2s {
-			z[r][c] = 2*a + 3*b
+// refProject is Project without the precomputed grid: the coarse scan
+// evaluates X1(u) and X2(u) at all 257 grid points, and every
+// evaluation locates its segment with a fresh binary search.
+func refProject(m *CurveModel2D, x1, x2 float64) (u, dist float64) {
+	f := m.f
+	dist2 := func(u float64) float64 {
+		d1 := (f.fx1.Eval(u) - x1) / f.span1
+		d2 := (f.fx2.Eval(u) - x2) / f.span2
+		return d1*d1 + d2*d2
+	}
+	const n = 256
+	bestU, bestD := 0.0, math.Inf(1)
+	for i := 0; i <= n; i++ {
+		uu := float64(i) / n
+		if d := dist2(uu); d < bestD {
+			bestD, bestU = d, uu
 		}
 	}
-	g, err := NewGridModel2D(x1s, x2s, z,
-		Control{Degree: spline.DegreeLinear, Extrap: ExtrapClamp},
-		Control{Degree: spline.DegreeLinear, Extrap: ExtrapClamp})
-	if err != nil {
-		t.Fatal(err)
+	lo := math.Max(0, bestU-1.5/n)
+	hi := math.Min(1, bestU+1.5/n)
+	const phi = 0.6180339887498949
+	a, b := lo, hi
+	c := b - phi*(b-a)
+	d := a + phi*(b-a)
+	fc, fd := dist2(c), dist2(d)
+	for i := 0; i < 60; i++ {
+		if fc < fd {
+			b, d, fd = d, c, fc
+			c = b - phi*(b-a)
+			fc = dist2(c)
+		} else {
+			a, c, fc = c, d, fd
+			d = a + phi*(b-a)
+			fd = dist2(d)
+		}
 	}
-	got, err := g.Eval(1.5, 15)
-	if err != nil {
-		t.Fatal(err)
+	u = 0.5 * (a + b)
+	if bd := dist2(u); bd < bestD {
+		bestD = bd
+		bestU = u
 	}
-	if math.Abs(got-48) > 1e-9 {
-		t.Errorf("Eval(1.5, 15) = %g, want 48", got)
-	}
+	return bestU, math.Sqrt(bestD)
 }
 
-func TestGridModel2DErrorExtrap(t *testing.T) {
-	x1s := []float64{0, 1, 2}
-	x2s := []float64{0, 1, 2}
-	z := [][]float64{{0, 0, 0}, {0, 0, 0}, {0, 0, 0}}
-	g, err := NewGridModel2D(x1s, x2s, z, cubicErr(), cubicErr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.Eval(5, 1); !errors.Is(err, ErrOutOfRange) {
-		t.Fatal("x1 out of range accepted")
-	}
-	if _, err := g.Eval(1, -3); !errors.Is(err, ErrOutOfRange) {
-		t.Fatal("x2 out of range accepted")
-	}
-}
-
-func TestGridModel2DIgnoreDimension(t *testing.T) {
-	x1s := []float64{0, 1, 2}
-	x2s := []float64{0, 1, 2}
-	z := [][]float64{{0, 99, 99}, {1, 99, 99}, {2, 99, 99}}
-	g, err := NewGridModel2D(x1s, x2s, z,
-		Control{Degree: spline.DegreeLinear, Extrap: ExtrapClamp},
-		Control{Ignore: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := g.Eval(1.5, 123456)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-1.5) > 1e-9 {
-		t.Errorf("ignore-x2 Eval = %g, want 1.5", got)
-	}
-}
-
-func TestGridModel2DShapeValidation(t *testing.T) {
-	if _, err := NewGridModel2D([]float64{0, 1}, []float64{0, 1},
-		[][]float64{{1, 2}}, cubicErr(), cubicErr()); err == nil {
-		t.Fatal("ragged z accepted")
-	}
-	if _, err := NewGridModel2D([]float64{0, 0, 1}, []float64{0, 1, 2},
-		[][]float64{{0, 0, 0}, {0, 0, 0}, {0, 0, 0}}, cubicErr(), cubicErr()); err == nil {
-		t.Fatal("duplicate axis coordinate accepted")
-	}
-}
-
-func TestGridModel2DSortsAxes(t *testing.T) {
-	// Axes given out of order must still evaluate correctly.
-	x1s := []float64{2, 0, 1}
-	x2s := []float64{1, 0}
-	// z[r][c] corresponds to the *given* order.
-	z := [][]float64{
-		{21, 20}, // x1=2: z = 10*x1 + x2
-		{1, 0},   // x1=0
-		{11, 10}, // x1=1
-	}
-	g, err := NewGridModel2D(x1s, x2s, z,
-		Control{Degree: spline.DegreeLinear, Extrap: ExtrapClamp},
-		Control{Degree: spline.DegreeLinear, Extrap: ExtrapClamp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := g.Eval(1.5, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-15.5) > 1e-9 {
-		t.Errorf("Eval(1.5, 0.5) = %g, want 15.5", got)
-	}
-}
-
-func TestGridModel2DMonotoneDegree(t *testing.T) {
-	// The PCHIP degree also works in gridded tables.
-	x1s := []float64{0, 1, 2}
-	x2s := []float64{0, 1, 2}
-	z := [][]float64{{0, 1, 2}, {1, 2, 3}, {2, 3, 4}} // plane x1+x2
-	mc := Control{Degree: spline.DegreeMonotoneCubic, Extrap: ExtrapClamp}
-	g, err := NewGridModel2D(x1s, x2s, z, mc, mc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := g.Eval(0.5, 1.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-2) > 1e-9 {
-		t.Errorf("PCHIP grid Eval = %g, want 2", got)
-	}
-}
-
-func TestModel1DMonotoneDegreeInvert(t *testing.T) {
-	m := MustModel1D([]float64{0, 1, 2, 3}, []float64{0, 2, 8, 9},
-		Control{Degree: spline.DegreeMonotoneCubic, Extrap: ExtrapError})
-	x, err := m.Invert(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	y, err := m.Eval(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(y-5) > 1e-6 {
-		t.Errorf("PCHIP Invert round trip = %g", y)
+// TestCurveModel2DProjectMatchesDirectScan: the grid and segment hints
+// are an evaluation strategy only; the projection and every output
+// value must equal the direct scan bit for bit, and an output fitted on
+// a shared front (WithOutput) must equal one built from scratch.
+func TestCurveModel2DProjectMatchesDirectScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 20; trial++ {
+		n := 3 + rng.Intn(60)
+		x1s, x2s, y1, y2 := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+		for i := range x1s {
+			x1s[i] = float64(rng.Intn(3 * n)) // unsorted, with duplicates
+			x2s[i] = 100 - x1s[i] + rng.NormFloat64()
+			y1[i], y2[i] = rng.NormFloat64(), rng.ExpFloat64()
+		}
+		for _, deg := range []spline.Degree{spline.DegreeLinear, spline.DegreeMonotoneCubic, spline.DegreeCubic} {
+			c := Control{Degree: deg, Extrap: ExtrapError}
+			m1, err := NewCurveModel2D(x1s, x2s, y1, c, c)
+			if err != nil {
+				continue // too few distinct x1 for this draw
+			}
+			shared, err := m1.WithOutput(y2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := NewCurveModel2D(x1s, x2s, y2, c, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lo1, hi1 := minMax(x1s)
+			lo2, hi2 := minMax(x2s)
+			hint := -1
+			for i := 0; i < 100; i++ {
+				q1 := lo1 + (hi1-lo1)*(rng.Float64()*1.4-0.2)
+				q2 := lo2 + (hi2-lo2)*(rng.Float64()*1.4-0.2)
+				u, dist := m1.Project(q1, q2)
+				ru, rdist := refProject(m1, q1, q2)
+				if math.Float64bits(u) != math.Float64bits(ru) || math.Float64bits(dist) != math.Float64bits(rdist) {
+					t.Fatalf("degree %d: Project(%g, %g) = (%v, %v), direct scan (%v, %v)", deg, q1, q2, u, dist, ru, rdist)
+				}
+				got := shared.EvalAtHint(u, &hint)
+				if want := fresh.fy.Eval(u); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("degree %d: shared-front output at u=%v is %v, fresh model %v", deg, u, got, want)
+				}
+			}
+			if slo, shi := shared.OutputRange(); slo != fresh.ylo || shi != fresh.yhi {
+				t.Fatalf("degree %d: shared output range (%g, %g), fresh (%g, %g)", deg, slo, shi, fresh.ylo, fresh.yhi)
+			}
+		}
 	}
 }
