@@ -43,7 +43,6 @@ func main() {
 		gen       = flag.Int("gen", 100, "GA generations")
 		mc        = flag.Int("mc", 200, "Monte Carlo samples per Pareto point")
 		mcStrat   = flag.String("mc-strategy", "", "MC estimator: naive (default), is, surrogate, is+surrogate")
-		cache     = flag.Int("cache", 0, "genome cache bound (0 = default 8192, negative disables)")
 		seed      = flag.Int64("seed", 1, "RNG seed")
 		knots     = flag.Int("knots", 200, "max table knots after thinning")
 		ckpt      = flag.String("checkpoint", "", "checkpoint file for resume (default <out>/flow.ckpt; \"none\" disables)")
@@ -67,7 +66,6 @@ func main() {
 		Generations:     *gen,
 		MCSamples:       *mc,
 		MCStrategy:      *mcStrat,
-		CacheSize:       *cache,
 		Seed:            *seed,
 		Model:           core.ModelOptions{MaxTablePoints: *knots},
 		Checkpoint:      ckptPath,

@@ -9,8 +9,8 @@
 //
 // The implementation lives under internal/: the simulator substrate
 // (num, mos, circuit, netlist, analysis, measure), the statistical
-// machinery (process, montecarlo, yield), the optimisation stack (ga,
-// wbga, pareto), the table models (spline, table), the paper's flow
+// machinery (process, montecarlo, yield), the optimisation stack
+// (wbga, pareto), the table models (spline, table), the paper's flow
 // (core), its benchmark circuit (ota), the behavioural model and
 // Verilog-A generator (behave), and the §5 filter application (filter).
 // See DESIGN.md for the full inventory and EXPERIMENTS.md for the

@@ -108,10 +108,9 @@ func TestFingerprintCoversDeterministicInputs(t *testing.T) {
 		}
 	}
 	// Execution-only knobs must NOT change it: a resume on a different
-	// machine shape (worker count, cache bound) stays valid.
+	// machine shape (worker count) stays valid.
 	for name, mut := range map[string]func(*FlowConfig){
 		"workers": func(c *FlowConfig) { c.Workers = 7 },
-		"cache":   func(c *FlowConfig) { c.CacheSize = -1 },
 		"model":   func(c *FlowConfig) { c.Model = ModelOptions{MaxTablePoints: 5} },
 	} {
 		c := base

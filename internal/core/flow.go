@@ -34,9 +34,6 @@ type FlowConfig struct {
 	// (importance sampling), "surrogate" (GP-filtered evaluation) or
 	// "is+surrogate". See montecarlo.ParseStrategy.
 	MCStrategy string
-	// CacheSize bounds the MOO genome evaluation cache (0 selects the
-	// wbga default, negative disables; see wbga.Options.CacheSize).
-	CacheSize int
 
 	// MCDispatcher, when non-nil, spreads each Pareto point's Monte
 	// Carlo sample range across peer replicas (montecarlo.Plan's
@@ -81,6 +78,10 @@ type FlowConfig struct {
 	Metrics *Metrics
 }
 
+// ErrPopSize rejects a negative PopSize or a population of one, which
+// the WBGA cannot breed from.
+var ErrPopSize = errors.New("core: PopSize must be 0 (the default 100) or at least 2")
+
 // Validate checks the configuration for nonsensical values, returning an
 // explicit error instead of silently substituting defaults. Zero values
 // for PopSize/Generations/MCSamples/Workers/MaxDroppedFraction/
@@ -96,8 +97,8 @@ func (c FlowConfig) Validate() error {
 		return fmt.Errorf("core: the table model requires exactly 2 objectives, problem has %d",
 			len(c.Problem.ObjectiveNames()))
 	}
-	if c.PopSize < 0 {
-		return fmt.Errorf("core: negative PopSize %d", c.PopSize)
+	if c.PopSize < 0 || c.PopSize == 1 {
+		return fmt.Errorf("%w, got %d", ErrPopSize, c.PopSize)
 	}
 	if c.Generations < 0 {
 		return fmt.Errorf("core: negative Generations %d", c.Generations)
@@ -392,7 +393,6 @@ func (f *flowRun) runMOO(ctx context.Context) error {
 		Generations: cfg.Generations,
 		Seed:        cfg.Seed,
 		Workers:     cfg.Workers,
-		CacheSize:   cfg.CacheSize,
 		OnGeneration: func(gs wbga.GenStats) {
 			f.emit(GenerationDone{
 				Gen:         gs.Gen,

@@ -32,6 +32,7 @@ func TestFlowConfigValidate(t *testing.T) {
 		{"nil process", func(c *FlowConfig) { c.Proc = nil }, "nil process"},
 		{"three objectives", func(c *FlowConfig) { c.Problem = threeObjProblem{} }, "2 objectives"},
 		{"negative pop", func(c *FlowConfig) { c.PopSize = -1 }, "PopSize"},
+		{"pop of one", func(c *FlowConfig) { c.PopSize = 1 }, "PopSize"},
 		{"negative generations", func(c *FlowConfig) { c.Generations = -3 }, "Generations"},
 		{"negative mc", func(c *FlowConfig) { c.MCSamples = -200 }, "MCSamples"},
 		{"negative workers", func(c *FlowConfig) { c.Workers = -2 }, "Workers"},
@@ -49,10 +50,11 @@ func TestFlowConfigValidate(t *testing.T) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
 	}
-	// RunFlow must route through Validate.
+	// RunFlow must route through Validate: a population of one, which
+	// the WBGA cannot breed from, is refused before any work runs.
 	if _, err := RunFlow(context.Background(), FlowConfig{
-		Problem: synthProblem{}, Proc: process.C35(), PopSize: -1,
-	}); err == nil || !strings.Contains(err.Error(), "PopSize") {
+		Problem: synthProblem{}, Proc: process.C35(), PopSize: 1,
+	}); !errors.Is(err, ErrPopSize) {
 		t.Errorf("RunFlow bypassed Validate: %v", err)
 	}
 }

@@ -1,4 +1,4 @@
-// Two-objective fast paths. Kung, Luccio and Preparata showed the
+// Two-objective fast path. Kung, Luccio and Preparata showed the
 // maxima of a planar point set — exactly the Pareto front of a
 // two-objective archive — can be found in O(n log n): sort by the first
 // coordinate and sweep, keeping a point iff its second coordinate beats
@@ -70,33 +70,27 @@ func cmpPlanar(a, b planar) int {
 	return a.idx - b.idx
 }
 
-// sweepMaxima splits sorted points into maxima (appended to front, as
-// archive indices) and, when keepRest is set, the dominated remainder
-// (appended to rest, sort order preserved). best tracks the max y over
-// strictly larger x; a point survives iff it has the best y of its
-// equal-x group and that y strictly beats best — matching weak
-// dominance exactly.
-func sweepMaxima(pts []planar, front []int, rest []planar, keepRest bool) ([]int, []planar) {
+// sweepMaxima returns the archive indices of the maxima of sorted
+// points. best tracks the max y over strictly larger x; a point
+// survives iff it has the best y of its equal-x group and that y
+// strictly beats best — matching weak dominance exactly.
+func sweepMaxima(pts []planar) []int {
+	var front []int
 	best := math.Inf(-1)
 	for i := 0; i < len(pts); {
 		j := i
 		for j < len(pts) && pts[j].x == pts[i].x {
 			j++
 		}
-		gmax := pts[i].y // groups are y-descending
-		for k := i; k < j; k++ {
-			if pts[k].y == gmax && gmax > best {
+		if gmax := pts[i].y; gmax > best { // groups are y-descending
+			for k := i; k < j && pts[k].y == gmax; k++ {
 				front = append(front, pts[k].idx)
-			} else if keepRest {
-				rest = append(rest, pts[k])
 			}
-		}
-		if gmax > best {
 			best = gmax
 		}
 		i = j
 	}
-	return front, rest
+	return front
 }
 
 // front2 is the fast two-objective Front: O(n log n) worst case, near
@@ -124,26 +118,7 @@ func front2(points [][]float64, maximize []bool) []int {
 		pts = kept
 	}
 	slices.SortFunc(pts, cmpPlanar)
-	front, _ := sweepMaxima(pts, nil, nil, false)
+	front := sweepMaxima(pts)
 	sort.Ints(front) // input order, like frontNaive
 	return front
-}
-
-// sort2 is the two-objective Sort: one O(n log n) sort, then one linear
-// sweep per rank over the surviving points (which stay sorted, so no
-// re-sort between ranks). Archives with few ranks — the common case for
-// a converging GA — extract in near-linear time after the sort.
-func sort2(points [][]float64, maximize []bool) [][]int {
-	alive := planarize(points, maximize)
-	slices.SortFunc(alive, cmpPlanar)
-	spill := make([]planar, 0, len(alive))
-	var fronts [][]int
-	for len(alive) > 0 {
-		var front []int
-		front, spill = sweepMaxima(alive, front, spill[:0], true)
-		sort.Ints(front)
-		fronts = append(fronts, front)
-		alive, spill = spill, alive
-	}
-	return fronts
 }

@@ -71,31 +71,6 @@ func TestFront2SatisfiesVerify(t *testing.T) {
 	}
 }
 
-// TestSort2MatchesDeb: ranked fronts from the sweep-per-rank path must
-// equal Deb's scheme rank by rank.
-func TestSort2MatchesDeb(t *testing.T) {
-	senses := [][]bool{{true, true}, {false, true}}
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		pts := randArchive(rng, 1+rng.Intn(90))
-		max := senses[rng.Intn(len(senses))]
-		fast := Sort(pts, max)
-		slow := sortDeb(pts, max)
-		if len(fast) != len(slow) {
-			return false
-		}
-		for r := range fast {
-			if !reflect.DeepEqual(fast[r], slow[r]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestFront2Duplicates: identical points do not dominate each other, so
 // every copy of a front point must survive.
 func TestFront2Duplicates(t *testing.T) {

@@ -1,7 +1,6 @@
-// Package pareto extracts non-dominated solution sets from
-// multi-objective evaluation archives: dominance tests, front
-// extraction, fast non-dominated sorting into ranked fronts, and
-// crowding distance.
+// Package pareto extracts the non-dominated set — the Pareto front —
+// from a multi-objective evaluation archive, and checks a claimed front
+// against the archive.
 //
 // The paper's step 3.3 defines the front by the two conditions (a) all
 // members are mutually non-dominated and (b) every non-member is
@@ -11,7 +10,6 @@ package pareto
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Dominates reports whether objective vector a dominates b: a is at
@@ -83,99 +81,6 @@ func hasNaN(p []float64) bool {
 	return false
 }
 
-// Sort performs non-dominated sorting and returns ranked fronts:
-// result[0] is the Pareto front, result[1] the front after removing
-// result[0], and so on, each front in input order. NaN points are
-// omitted. Two-objective archives use repeated planar-maxima sweeps
-// over one pre-sorted list (see kung.go); other dimensions use Deb's
-// NSGA-II all-pairs scheme.
-func Sort(points [][]float64, maximize []bool) [][]int {
-	if len(maximize) == 2 {
-		return sort2(points, maximize)
-	}
-	return sortDeb(points, maximize)
-}
-
-// sortDeb is Deb's fast non-dominated sorting, kept as the d≠2 path and
-// as the reference implementation for property tests.
-func sortDeb(points [][]float64, maximize []bool) [][]int {
-	n := len(points)
-	dominatedBy := make([][]int, n) // dominatedBy[i]: points i dominates
-	domCount := make([]int, n)      // number of points dominating i
-	valid := make([]bool, n)
-	for i := range points {
-		valid[i] = !hasNaN(points[i])
-	}
-	for i := 0; i < n; i++ {
-		if !valid[i] {
-			continue
-		}
-		for j := i + 1; j < n; j++ {
-			if !valid[j] {
-				continue
-			}
-			switch {
-			case Dominates(points[i], points[j], maximize):
-				dominatedBy[i] = append(dominatedBy[i], j)
-				domCount[j]++
-			case Dominates(points[j], points[i], maximize):
-				dominatedBy[j] = append(dominatedBy[j], i)
-				domCount[i]++
-			}
-		}
-	}
-	var fronts [][]int
-	var current []int
-	for i := 0; i < n; i++ {
-		if valid[i] && domCount[i] == 0 {
-			current = append(current, i)
-		}
-	}
-	for len(current) > 0 {
-		sort.Ints(current) // input order, matching the d==2 path
-		fronts = append(fronts, current)
-		var next []int
-		for _, i := range current {
-			for _, j := range dominatedBy[i] {
-				domCount[j]--
-				if domCount[j] == 0 {
-					next = append(next, j)
-				}
-			}
-		}
-		current = next
-	}
-	return fronts
-}
-
-// Crowding returns the NSGA-II crowding distance of each point within a
-// single front (larger = more isolated; boundary points get +Inf).
-func Crowding(points [][]float64) []float64 {
-	n := len(points)
-	dist := make([]float64, n)
-	if n == 0 {
-		return dist
-	}
-	m := len(points[0])
-	for k := 0; k < m; k++ {
-		idx := make([]int, n)
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.Slice(idx, func(a, b int) bool { return points[idx[a]][k] < points[idx[b]][k] })
-		lo, hi := points[idx[0]][k], points[idx[n-1]][k]
-		dist[idx[0]] = math.Inf(1)
-		dist[idx[n-1]] = math.Inf(1)
-		if hi == lo {
-			continue
-		}
-		for i := 1; i < n-1; i++ {
-			dist[idx[i]] += (points[idx[i+1]][k] - points[idx[i-1]][k]) / (hi - lo)
-		}
-	}
-	return dist
-}
-
 // Verify checks the paper's two front conditions against an archive:
 // (a) members are mutually non-dominated, (b) every non-member is
 // dominated by at least one member. It returns a descriptive error on
@@ -208,53 +113,4 @@ func Verify(points [][]float64, frontIdx []int, maximize []bool) error {
 		}
 	}
 	return nil
-}
-
-// Hypervolume2D returns the area dominated by a two-objective front
-// relative to a reference point, with both objectives maximised (the
-// reference should be dominated by every interesting front point). It is
-// the standard scalar quality measure for comparing optimiser fronts:
-// larger is better. Points that do not dominate the reference are
-// ignored.
-func Hypervolume2D(front [][]float64, ref [2]float64) float64 {
-	type pt struct{ x, y float64 }
-	var pts []pt
-	for _, p := range front {
-		if len(p) != 2 {
-			panic(fmt.Sprintf("pareto: Hypervolume2D needs 2-objective points, got %d", len(p)))
-		}
-		if p[0] > ref[0] && p[1] > ref[1] {
-			pts = append(pts, pt{p[0], p[1]})
-		}
-	}
-	if len(pts) == 0 {
-		return 0
-	}
-	sort.Slice(pts, func(i, j int) bool { return pts[i].x < pts[j].x })
-	// Keep the staircase: points whose y exceeds every y at larger x.
-	maxYRight := make([]float64, len(pts))
-	runMax := math.Inf(-1)
-	for i := len(pts) - 1; i >= 0; i-- {
-		if pts[i].y > runMax {
-			runMax = pts[i].y
-		}
-		maxYRight[i] = runMax
-	}
-	var stairs []pt
-	for i, p := range pts {
-		if p.y >= maxYRight[i] {
-			stairs = append(stairs, p)
-		}
-	}
-	// Stairs ascend in x with strictly descending y. The union of the
-	// dominated rectangles [ref.x, x_i] x [ref.y, y_i] decomposes into
-	// vertical strips: [x_{i-1}, x_i] is covered to height y_i (the
-	// tallest rectangle reaching past x_{i-1} is stair i itself).
-	area := 0.0
-	x0 := ref[0]
-	for _, st := range stairs {
-		area += (st.x - x0) * (st.y - ref[1])
-		x0 = st.x
-	}
-	return area
 }

@@ -98,95 +98,6 @@ func TestFrontPropertyRandom(t *testing.T) {
 	}
 }
 
-func TestSortRankedFronts(t *testing.T) {
-	// Three nested shells.
-	points := [][]float64{
-		{3, 3},     // rank 0
-		{2, 2},     // rank 1
-		{1, 1},     // rank 2
-		{3.5, 1.5}, // rank 0
-		{1.5, 3.5}, // rank 0
-		{2.5, 0.5}, // rank 1 (dominated by {3,3}? 3>2.5, 3>0.5 yes → rank >= 1)
-	}
-	fronts := Sort(points, maxBoth)
-	if len(fronts) < 2 {
-		t.Fatalf("got %d fronts", len(fronts))
-	}
-	// Rank 0 must equal Front().
-	f0 := Front(points, maxBoth)
-	if len(fronts[0]) != len(f0) {
-		t.Errorf("rank-0 size %d != Front size %d", len(fronts[0]), len(f0))
-	}
-	// Every point appears exactly once across fronts.
-	seen := map[int]int{}
-	for _, fr := range fronts {
-		for _, i := range fr {
-			seen[i]++
-		}
-	}
-	if len(seen) != len(points) {
-		t.Errorf("sorted %d of %d points", len(seen), len(points))
-	}
-	for i, c := range seen {
-		if c != 1 {
-			t.Errorf("point %d appears %d times", i, c)
-		}
-	}
-	// Each rank-1 point must be dominated by some rank-0 point.
-	for _, j := range fronts[1] {
-		ok := false
-		for _, i := range fronts[0] {
-			if Dominates(points[i], points[j], maxBoth) {
-				ok = true
-			}
-		}
-		if !ok {
-			t.Errorf("rank-1 point %d not dominated by rank 0", j)
-		}
-	}
-}
-
-func TestSortSkipsNaN(t *testing.T) {
-	points := [][]float64{{1, 1}, {math.NaN(), 2}, {2, 2}}
-	fronts := Sort(points, maxBoth)
-	total := 0
-	for _, f := range fronts {
-		total += len(f)
-	}
-	if total != 2 {
-		t.Errorf("sorted %d points, want 2 (NaN dropped)", total)
-	}
-}
-
-func TestCrowding(t *testing.T) {
-	// Colinear points: boundary points infinite, middle points finite,
-	// evenly spaced ones equal.
-	points := [][]float64{{0, 4}, {1, 3}, {2, 2}, {3, 1}, {4, 0}}
-	d := Crowding(points)
-	if !math.IsInf(d[0], 1) || !math.IsInf(d[4], 1) {
-		t.Error("boundary crowding should be +Inf")
-	}
-	if math.Abs(d[1]-d[2]) > 1e-12 || math.Abs(d[2]-d[3]) > 1e-12 {
-		t.Errorf("uniform spacing should give equal crowding: %v", d)
-	}
-	// A clustered point gets lower crowding than an isolated one.
-	pts2 := [][]float64{{0, 10}, {1, 9}, {1.05, 8.95}, {5, 5}, {10, 0}}
-	d2 := Crowding(pts2)
-	if d2[2] >= d2[3] {
-		t.Errorf("clustered point crowding %g should be below isolated %g", d2[2], d2[3])
-	}
-}
-
-func TestCrowdingDegenerate(t *testing.T) {
-	if d := Crowding(nil); len(d) != 0 {
-		t.Error("empty front should give empty distances")
-	}
-	d := Crowding([][]float64{{1, 1}, {1, 1}})
-	if !math.IsInf(d[0], 1) || !math.IsInf(d[1], 1) {
-		t.Error("identical points are both boundaries")
-	}
-}
-
 func TestVerifyDetectsViolation(t *testing.T) {
 	points := [][]float64{{2, 2}, {1, 1}}
 	// Claim both are on the front — but 0 dominates 1.
@@ -197,64 +108,4 @@ func TestVerifyDetectsViolation(t *testing.T) {
 	if err := Verify(points, []int{1}, maxBoth); err == nil {
 		t.Error("Verify accepted an uncovered non-member")
 	}
-}
-
-func TestHypervolume2DSinglePoint(t *testing.T) {
-	hv := Hypervolume2D([][]float64{{2, 3}}, [2]float64{0, 0})
-	if math.Abs(hv-6) > 1e-12 {
-		t.Errorf("HV = %g, want 6", hv)
-	}
-}
-
-func TestHypervolume2DStaircase(t *testing.T) {
-	// Two points: (1,3) and (2,1): union area = 1*3 + 1*1 = 4.
-	hv := Hypervolume2D([][]float64{{1, 3}, {2, 1}}, [2]float64{0, 0})
-	if math.Abs(hv-4) > 1e-12 {
-		t.Errorf("HV = %g, want 4", hv)
-	}
-	// Adding a dominated point changes nothing.
-	hv2 := Hypervolume2D([][]float64{{1, 3}, {2, 1}, {0.5, 0.5}}, [2]float64{0, 0})
-	if math.Abs(hv2-hv) > 1e-12 {
-		t.Errorf("dominated point changed HV: %g vs %g", hv2, hv)
-	}
-}
-
-func TestHypervolume2DIgnoresOutside(t *testing.T) {
-	hv := Hypervolume2D([][]float64{{-1, 5}, {5, -1}}, [2]float64{0, 0})
-	if hv != 0 {
-		t.Errorf("points not dominating ref should contribute 0, got %g", hv)
-	}
-	if Hypervolume2D(nil, [2]float64{0, 0}) != 0 {
-		t.Error("empty front should have HV 0")
-	}
-}
-
-func TestHypervolume2DMonotoneProperty(t *testing.T) {
-	// Property: adding any point never decreases the hypervolume.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		var pts [][]float64
-		hvPrev := 0.0
-		for i := 0; i < 20; i++ {
-			pts = append(pts, []float64{rng.Float64() * 10, rng.Float64() * 10})
-			hv := Hypervolume2D(pts, [2]float64{0, 0})
-			if hv < hvPrev-1e-9 {
-				return false
-			}
-			hvPrev = hv
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestHypervolume2DPanicsOnBadDim(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("3-objective point accepted")
-		}
-	}()
-	Hypervolume2D([][]float64{{1, 2, 3}}, [2]float64{0, 0})
 }

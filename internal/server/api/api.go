@@ -173,7 +173,6 @@ type FlowRequest struct {
 	MCSamples       int    `json:"mc_samples,omitempty"`
 	Seed            int64  `json:"seed,omitempty"`
 	Workers         int    `json:"workers,omitempty"`
-	CacheSize       int    `json:"cache_size,omitempty"`
 	MaxTablePoints  int    `json:"max_table_points,omitempty"`
 	CheckpointEvery int    `json:"checkpoint_every,omitempty"`
 	// MCStrategy selects the Monte Carlo estimator: "naive" (default),

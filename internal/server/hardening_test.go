@@ -467,3 +467,36 @@ func TestMaxTablePointsBelowFour(t *testing.T) {
 		}
 	})
 }
+
+// TestFlowPopSizeOneRefused: the WBGA cannot breed from one individual,
+// so flow submit answers 422 naming core.ErrPopSize before any job is
+// queued, as it does for a negative size.
+func TestFlowPopSizeOneRefused(t *testing.T) {
+	srv := New(Config{ModelsDir: t.TempDir(), Metrics: &core.Metrics{}, Logger: quietLog(),
+		FlowWorkers: 1, Problems: synthFactory()})
+	defer shutdown(t, srv)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for _, pop := range []int{1, -1} {
+		flow := smallFlowReq(fmt.Sprintf("pop%d", pop))
+		flow.PopSize = pop
+		body, err := json.Marshal(flow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/flows", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var apiErr api.Error
+		err = json.NewDecoder(resp.Body).Decode(&apiErr)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("pop_size %d: status %d, body is not an api.Error: %v", pop, resp.StatusCode, err)
+		}
+		if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(apiErr.Message, core.ErrPopSize.Error()) {
+			t.Errorf("pop_size %d: status %d, error %q; want 422 naming %q",
+				pop, resp.StatusCode, apiErr.Message, core.ErrPopSize)
+		}
+	}
+}

@@ -346,7 +346,6 @@ func (m *JobManager) submit(req api.FlowRequest, adopted *store.Lease) (*api.Job
 		MCSamples:       req.MCSamples,
 		Seed:            req.Seed,
 		Workers:         req.Workers,
-		CacheSize:       req.CacheSize,
 		Model:           core.ModelOptions{MaxTablePoints: req.MaxTablePoints},
 		CheckpointEvery: req.CheckpointEvery,
 		MCStrategy:      strategy,

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"testing"
 	"time"
@@ -260,6 +261,30 @@ func TestJobMCStrategy(t *testing.T) {
 	bad.MCStrategy = "qmc"
 	if _, err := m.Submit(bad); err == nil {
 		t.Error("unknown mc_strategy accepted")
+	}
+}
+
+// TestJobRecordWithRetiredCacheSize: a request or stored job record
+// written while flows still took a "cache_size" decodes and runs; the
+// genome cache is always on at its fixed bound.
+func TestJobRecordWithRetiredCacheSize(t *testing.T) {
+	m, _ := newTestJM(t, 1, 4, synthFactory())
+	rec := `{"problem":"synth","model":"legacy","pop_size":24,"generations":10,"mc_samples":20,"seed":1,"cache_size":-1}`
+	var req api.FlowRequest
+	if err := json.Unmarshal([]byte(rec), &req); err != nil {
+		t.Fatal(err)
+	}
+	st, err := m.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, m, st.ID, 30*time.Second)
+	got, err := m.Status(api.DefaultTenant, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.State != api.JobSucceeded || got.Evaluations != 24*10 {
+		t.Errorf("state %q (%s), %d evaluations; want succeeded with 240", got.State, got.Error, got.Evaluations)
 	}
 }
 

@@ -78,7 +78,7 @@ func benchmarkWBGAGeneration(b *testing.B, workers, cacheSize int, dupFrac float
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ev := newEvaluator(prob, workers, newGenomeCache(cacheSize))
-		if fits := ev.EvaluatePopulation(genomes); len(fits) != len(genomes) {
+		if fits := ev.evaluatePopulation(genomes); len(fits) != len(genomes) {
 			b.Fatal("fitness length mismatch")
 		}
 	}

@@ -20,12 +20,7 @@ const geneQuantBits = 30
 func quantKey(genes []float64) string {
 	b := make([]byte, 4*len(genes))
 	for i, g := range genes {
-		if g < 0 {
-			g = 0
-		} else if g > 1 {
-			g = 1
-		}
-		q := uint32(math.Round(g * (1 << geneQuantBits)))
+		q := uint32(math.Round(clamp01(g) * (1 << geneQuantBits)))
 		binary.LittleEndian.PutUint32(b[i*4:], q)
 	}
 	return string(b)

@@ -175,15 +175,16 @@ func TestRunReportsCacheCounters(t *testing.T) {
 	}
 }
 
-// TestRunCacheDisabled checks a negative CacheSize turns caching off.
-func TestRunCacheDisabled(t *testing.T) {
+// TestUncachedReferenceSimulatesEveryGenome checks the nil-cache
+// reference run: it counts no lookups and simulates every evaluation.
+func TestUncachedReferenceSimulatesEveryGenome(t *testing.T) {
 	p := &countingProblem{}
-	res, err := Run(context.Background(), p, Options{PopSize: 10, Generations: 5, Seed: 7, CacheSize: -1})
+	res, err := run(context.Background(), p, Options{PopSize: 10, Generations: 5, Seed: 7}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.CacheHits != 0 || res.CacheMisses != 0 {
-		t.Errorf("disabled cache counted %d/%d", res.CacheHits, res.CacheMisses)
+		t.Errorf("uncached run counted %d/%d", res.CacheHits, res.CacheMisses)
 	}
 	if int(p.calls.Load()) != res.Evaluations {
 		t.Errorf("simulated %d, want every one of %d", p.calls.Load(), res.Evaluations)
@@ -197,7 +198,7 @@ func TestCachedRunMatchesUncachedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(context.Background(), &countingProblem{}, Options{PopSize: 15, Generations: 10, Seed: 3, CacheSize: -1})
+	b, err := run(context.Background(), &countingProblem{}, Options{PopSize: 15, Generations: 10, Seed: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,14 +240,14 @@ func (p *reusableProbe) NewEvaluator() func([]float64) ([]float64, error) {
 // and results match the plain path.
 func TestReusableProblemWorkers(t *testing.T) {
 	p := &reusableProbe{}
-	res, err := Run(context.Background(), p, Options{PopSize: 12, Generations: 4, Seed: 9, Workers: 3, CacheSize: -1})
+	res, err := run(context.Background(), p, Options{PopSize: 12, Generations: 4, Seed: 9, Workers: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.evaluators.Load() == 0 {
 		t.Fatal("NewEvaluator never called")
 	}
-	plain, err := Run(context.Background(), &countingProblem{}, Options{PopSize: 12, Generations: 4, Seed: 9, Workers: 1, CacheSize: -1})
+	plain, err := run(context.Background(), &countingProblem{}, Options{PopSize: 12, Generations: 4, Seed: 9, Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +269,7 @@ func TestEvaluatePopulationConcurrentCache(t *testing.T) {
 		genomes[i] = []float64{v, v / 2, v / 3, 1, 1} // 3 params + 2 weights
 	}
 	for round := 0; round < 3; round++ {
-		fits := e.EvaluatePopulation(genomes)
+		fits := e.evaluatePopulation(genomes)
 		if len(fits) != len(genomes) {
 			t.Fatal("fitness length mismatch")
 		}

@@ -50,6 +50,17 @@ func TestRunCancelledBeforeStart(t *testing.T) {
 	}
 }
 
+func TestRunNilContext(t *testing.T) {
+	//lint:ignore SA1012 nil ctx tolerated by design for callers predating the ctx API
+	res, err := Run(nil, biObjective{}, Options{PopSize: 8, Generations: 4, Seed: 1}) //nolint:staticcheck
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Evaluations != 32 {
+		t.Errorf("evaluations = %d", res.Evaluations)
+	}
+}
+
 func TestGenStatsProgress(t *testing.T) {
 	var stats []GenStats
 	res, err := Run(context.Background(), biObjective{}, Options{

@@ -6,17 +6,21 @@
 // weights alongside the parameters spreads the population across the
 // trade-off curve, so the archive of all evaluations contains a dense
 // sampling of the Pareto front — which internal/pareto then extracts.
+//
+// The GA under it is the one the WBGA runs, with its operators fixed:
+// binary tournament selection, single-point crossover, Gaussian
+// mutation and one elite carried unchanged, over genes kept in [0,1].
 package wbga
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"strings"
 	"sync"
 
-	"analogyield/internal/ga"
 	"analogyield/internal/pareto"
 )
 
@@ -47,19 +51,10 @@ type ReusableProblem interface {
 // Options configures a WBGA run. The paper's OTA example uses
 // PopSize=100, Generations=100 (10,000 evaluations).
 type Options struct {
-	PopSize     int // default 100
+	PopSize     int // default 100; 1 is rejected
 	Generations int // default 100
 	Seed        int64
 	Workers     int // parallel objective evaluations (default GOMAXPROCS)
-	// Crossover selects the GA recombination operator (default
-	// SinglePoint, as in the classic GA-string treatment).
-	Crossover ga.CrossoverKind
-	// CacheSize bounds the genome evaluation cache: converging
-	// populations re-emit duplicate parameter genomes (elites, crossover
-	// without mutation), and cached genomes skip the circuit simulation
-	// entirely. 0 selects the default (8192 genomes); negative disables
-	// caching.
-	CacheSize int
 	// OnGeneration, when non-nil, observes progress after each
 	// generation is evaluated.
 	OnGeneration func(GenStats)
@@ -77,10 +72,20 @@ type GenStats struct {
 	CacheMisses int
 }
 
-// DefaultCacheSize is the genome-cache bound used when Options.CacheSize
-// is zero — comfortably above the paper's 10,000-evaluation budget once
-// duplicates are folded.
+// DefaultCacheSize bounds the genome evaluation cache every run uses:
+// converging populations re-emit duplicate parameter genomes (elites,
+// crossover without mutation), and cached genomes skip the circuit
+// simulation entirely. The bound sits comfortably above the paper's
+// 10,000-evaluation budget once duplicates are folded.
 const DefaultCacheSize = 8192
+
+// The GA's operator constants: a selected pair recombines with
+// probability crossoverRate, and a mutated gene moves by a Gaussian
+// step of standard deviation mutationSigma in normalised units.
+const (
+	crossoverRate = 0.9
+	mutationSigma = 0.08
+)
 
 // Evaluation is one archived individual: its parameter genes, its
 // normalised weight vector, the raw objective values and the scalar
@@ -105,8 +110,7 @@ type Result struct {
 	// Evaluations counts objective evaluations (PopSize × Generations).
 	Evaluations int
 	// CacheHits and CacheMisses count genome-cache lookups: every hit is
-	// one circuit simulation skipped. Both stay zero when caching is
-	// disabled.
+	// one circuit simulation skipped.
 	CacheHits, CacheMisses int
 }
 
@@ -143,9 +147,9 @@ func NormalizeWeights(raw []float64) []float64 {
 	return out
 }
 
-// evaluator adapts a Problem to the ga.PopulationEvaluator interface,
-// maintaining the archive, the genome cache and the running objective
-// ranges used by the eq. 5 normalisation.
+// evaluator scores the GA's generations against a Problem, maintaining
+// the archive, the genome cache and the running objective ranges used
+// by the eq. 5 normalisation.
 type evaluator struct {
 	prob    Problem
 	workers int
@@ -229,14 +233,14 @@ func (e *evaluator) evaluateOne(eval func([]float64) ([]float64, error), params 
 	return objs, true
 }
 
-// EvaluatePopulation scores one generation: it simulates every
+// evaluatePopulation scores one generation: it simulates every
 // individual's objectives in parallel, archives them, updates the
 // objective ranges, and assigns each individual the eq. 5 fitness
 //
 //	O(x,w) = Σ_j w_j · (f_j(x) − f_j,min) / (f_j,max − f_j,min)
 //
 // with minimised objectives reflected so that larger is always better.
-func (e *evaluator) EvaluatePopulation(genomes [][]float64) []float64 {
+func (e *evaluator) evaluatePopulation(genomes [][]float64) []float64 {
 	np := e.prob.NumParams()
 	m := e.prob.NumObjectives()
 	maximize := e.prob.Maximize()
@@ -336,6 +340,12 @@ func nanVec(n int) []float64 {
 // every evaluation completed so far, with FrontIdx left nil — together
 // with ctx.Err().
 func Run(ctx context.Context, p Problem, o Options) (*Result, error) {
+	return run(ctx, p, o, newGenomeCache(DefaultCacheSize))
+}
+
+// run is Run over the given genome cache. A nil cache simulates every
+// genome afresh: the uncached reference the cache tests compare against.
+func run(ctx context.Context, p Problem, o Options, cache *genomeCache) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -352,6 +362,9 @@ func Run(ctx context.Context, p Problem, o Options) (*Result, error) {
 	if o.PopSize <= 0 {
 		o.PopSize = 100
 	}
+	if o.PopSize < 2 {
+		return nil, fmt.Errorf("wbga: PopSize must be at least 2, got %d", o.PopSize)
+	}
 	if o.Generations <= 0 {
 		o.Generations = 100
 	}
@@ -360,48 +373,10 @@ func Run(ctx context.Context, p Problem, o Options) (*Result, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	cacheSize := o.CacheSize
-	if cacheSize == 0 {
-		cacheSize = DefaultCacheSize
-	}
-	ev := newEvaluator(p, workers, newGenomeCache(cacheSize))
-	cfg := ga.Config{
-		GenomeLen:   p.NumParams() + p.NumObjectives(),
-		PopSize:     o.PopSize,
-		Generations: o.Generations,
-		Seed:        o.Seed,
-		Crossover:   o.Crossover,
-		SkipArchive: true, // the evaluator keeps the richer archive
-	}
-	var hooks *ga.Hooks
-	if o.OnGeneration != nil {
-		hooks = &ga.Hooks{OnGeneration: func(gen int, pop []ga.Individual) {
-			best := math.Inf(-1)
-			for i := range pop {
-				if pop[i].Fitness > best {
-					best = pop[i].Fitness
-				}
-			}
-			hits, misses := ev.cache.stats()
-			o.OnGeneration(GenStats{
-				Gen:         gen,
-				Evals:       gen * o.PopSize,
-				BestFitness: best,
-				CacheHits:   int(hits),
-				CacheMisses: int(misses),
-			})
-		}}
-	}
-	gaRes, err := ga.Run(ctx, cfg, ev, hooks)
-	if err != nil && gaRes == nil {
-		return nil, fmt.Errorf("wbga: %w", err)
-	}
-
-	res := &Result{Evals: ev.archive}
-	if gaRes != nil {
-		res.Evaluations = gaRes.Evaluations
-	}
-	hits, misses := ev.cache.stats()
+	ev := newEvaluator(p, workers, cache)
+	evaluations, err := evolve(ctx, ev, o)
+	res := &Result{Evals: ev.archive, Evaluations: evaluations}
+	hits, misses := cache.stats()
 	res.CacheHits, res.CacheMisses = int(hits), int(misses)
 	if err != nil {
 		// Cancelled mid-run: preserve the partial archive, skip the
@@ -414,6 +389,113 @@ func Run(ctx context.Context, p Problem, o Options) (*Result, error) {
 	}
 	res.FrontIdx = pareto.Front(objs, p.Maximize())
 	return res, nil
+}
+
+// evolve runs the GA over genomes of parameter genes followed by weight
+// genes, all in [0,1]: each generation after the first carries the
+// previous one's elite (its first genome of highest fitness; NaN never
+// qualifies, so an all-NaN generation has none) and fills up with
+// children of tournament-selected parents, crossed with probability
+// crossoverRate and then mutated. Every generation is scored through ev
+// and reported to o.OnGeneration. ctx is checked before each
+// generation; evolve returns the evaluations made and, if the run was
+// cut short, ctx.Err().
+func evolve(ctx context.Context, ev *evaluator, o Options) (int, error) {
+	rng := rand.New(rand.NewSource(o.Seed))
+	pop := make([][]float64, o.PopSize)
+	for i := range pop {
+		pop[i] = make([]float64, ev.prob.NumParams()+ev.prob.NumObjectives())
+		for j := range pop[i] {
+			pop[i][j] = rng.Float64()
+		}
+	}
+	var fits []float64
+	elite, evals := -1, 0
+	for gen := 1; gen <= o.Generations; gen++ {
+		if err := ctx.Err(); err != nil {
+			return evals, err
+		}
+		if gen > 1 {
+			next := make([][]float64, 0, len(pop))
+			if elite >= 0 {
+				// No genome is written once bred, so the elite is shared.
+				next = append(next, pop[elite])
+			}
+			for len(next) < len(pop) {
+				c1 := append([]float64(nil), pop[tournament(fits, rng)]...)
+				c2 := append([]float64(nil), pop[tournament(fits, rng)]...)
+				if rng.Float64() < crossoverRate {
+					crossover(c1, c2, rng)
+				}
+				// c2 draws its mutations even when only c1 fits: every
+				// seeded archive depends on this order of draws.
+				mutate(c1, rng)
+				mutate(c2, rng)
+				next = append(next, c1)
+				if len(next) < len(pop) {
+					next = append(next, c2)
+				}
+			}
+			pop = next
+		}
+		fits = ev.evaluatePopulation(pop)
+		evals += len(pop)
+		elite = -1
+		best := math.Inf(-1)
+		for i, f := range fits {
+			if f > best {
+				elite, best = i, f
+			}
+		}
+		if o.OnGeneration != nil {
+			hits, misses := ev.cache.stats()
+			o.OnGeneration(GenStats{Gen: gen, Evals: evals, BestFitness: best,
+				CacheHits: int(hits), CacheMisses: int(misses)})
+		}
+	}
+	return evals, nil
+}
+
+// tournament returns the index of the fitter of two uniformly drawn
+// individuals: binary tournament selection, keeping the first on a tie
+// or a NaN.
+func tournament(fits []float64, rng *rand.Rand) int {
+	a := rng.Intn(len(fits))
+	if b := rng.Intn(len(fits)); fits[b] > fits[a] {
+		a = b
+	}
+	return a
+}
+
+// crossover swaps the tails of a and b after a cut drawn uniformly from
+// [1, len(a)-1] (single-point crossover; genomes have at least one
+// parameter and one weight gene).
+func crossover(a, b []float64, rng *rand.Rand) {
+	cut := 1 + rng.Intn(len(a)-1)
+	for i := cut; i < len(a); i++ {
+		a[i], b[i] = b[i], a[i]
+	}
+}
+
+// mutate adds a Gaussian step of standard deviation mutationSigma to
+// each gene with probability 1/len(g), clamping the result to [0,1].
+func mutate(g []float64, rng *rand.Rand) {
+	rate := 1 / float64(len(g))
+	for i := range g {
+		if rng.Float64() < rate {
+			g[i] = clamp01(g[i] + rng.NormFloat64()*mutationSigma)
+		}
+	}
+}
+
+func clamp01(x float64) float64 {
+	if x < 0 {
+		return 0
+	}
+	if x > 1 {
+		return 1
+	}
+	return x
 }
 
 // GAStringLayout renders the Fig 4/6 GA-string construction for
