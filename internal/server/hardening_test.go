@@ -469,8 +469,9 @@ func TestMaxTablePointsBelowFour(t *testing.T) {
 }
 
 // TestFlowPopSizeOneRefused: the WBGA cannot breed from one individual,
-// so flow submit answers 422 naming core.ErrPopSize before any job is
-// queued, as it does for a negative size.
+// so flow submit refuses a population of one with 422 naming
+// core.ErrPopSize, as it does a negative size, instead of accepting a
+// job that then fails.
 func TestFlowPopSizeOneRefused(t *testing.T) {
 	srv := New(Config{ModelsDir: t.TempDir(), Metrics: &core.Metrics{}, Logger: quietLog(),
 		FlowWorkers: 1, Problems: synthFactory()})

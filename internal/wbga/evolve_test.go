@@ -93,15 +93,16 @@ func TestElitismMonotoneBest(t *testing.T) {
 				!reflect.DeepEqual(gen[0].Weights, elite.Weights) {
 				t.Fatalf("generation %d does not open with the previous elite", start/pop+1)
 			}
-			if best(gen) < best(prev) {
-				t.Errorf("generation %d best %g fell below previous %g", start/pop+1, best(gen), best(prev))
+			if bestObjective(gen) < bestObjective(prev) {
+				t.Errorf("generation %d best %g fell below previous %g",
+					start/pop+1, bestObjective(gen), bestObjective(prev))
 			}
 		}
 		prev = gen
 	}
 }
 
-func best(gen []Evaluation) float64 {
+func bestObjective(gen []Evaluation) float64 {
 	b := math.Inf(-1)
 	for _, e := range gen {
 		b = math.Max(b, e.Objectives[0])
