@@ -2,6 +2,7 @@ package wbga
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -207,5 +208,127 @@ func TestTournamentPrefersFit(t *testing.T) {
 	}
 	if hits < 2850 || hits > 3150 {
 		t.Errorf("fit individual selected %d/4000 times, want about 3000", hits)
+	}
+}
+
+// TestArchiveSize: every generation archives its whole population, also
+// when an odd PopSize cuts the last child pair to one.
+func TestArchiveSize(t *testing.T) {
+	for _, pop := range []int{10, 9} {
+		res, err := Run(context.Background(), sphere{3}, Options{PopSize: pop, Generations: 5, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Evals) != 5*pop || res.Evaluations != 5*pop {
+			t.Errorf("PopSize %d: archive %d entries, Evaluations %d, want %d (pop x generations)",
+				pop, len(res.Evals), res.Evaluations, 5*pop)
+		}
+	}
+}
+
+// TestOptionsValidation: a population of one is refused, two is the
+// smallest accepted, and a zero or negative PopSize or Generations takes
+// the default of 100.
+func TestOptionsValidation(t *testing.T) {
+	if _, err := Run(context.Background(), biObjective{}, Options{PopSize: 1}); err == nil {
+		t.Error("population of one accepted")
+	}
+	for _, c := range []struct {
+		o    Options
+		want int
+	}{
+		{Options{PopSize: 2, Generations: 1}, 2},
+		{Options{}, 100 * 100},
+		{Options{PopSize: -3, Generations: -1}, 100 * 100},
+	} {
+		res, err := Run(context.Background(), sphere{2}, c.o)
+		if err != nil {
+			t.Fatalf("%+v: %v", c.o, err)
+		}
+		if res.Evaluations != c.want {
+			t.Errorf("%+v: %d evaluations, want %d", c.o, res.Evaluations, c.want)
+		}
+	}
+}
+
+// TestEvolveReportsEveryGeneration: evolve reports each generation once,
+// in order, right after scoring it: at report k the archive holds k
+// whole populations, and BestFitness is the best of the last of them.
+func TestEvolveReportsEveryGeneration(t *testing.T) {
+	const pop, gens = 8, 12
+	ev := newEvaluator(biObjective{}, 1, nil)
+	var seen []int
+	n, err := evolve(context.Background(), ev, Options{PopSize: pop, Generations: gens, Seed: 1,
+		OnGeneration: func(gs GenStats) {
+			seen = append(seen, gs.Gen)
+			if len(ev.archive) != gs.Gen*pop {
+				t.Errorf("report %d: archive holds %d evaluations, want %d",
+					gs.Gen, len(ev.archive), gs.Gen*pop)
+				return
+			}
+			best := math.Inf(-1)
+			for _, e := range ev.archive[len(ev.archive)-pop:] {
+				best = math.Max(best, e.Fitness)
+			}
+			if gs.BestFitness != best {
+				t.Errorf("report %d: BestFitness %g, generation's best %g", gs.Gen, gs.BestFitness, best)
+			}
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != pop*gens {
+		t.Errorf("evolve made %d evaluations, want %d", n, pop*gens)
+	}
+	if len(seen) != gens {
+		t.Fatalf("reports for generations %v, want 1..%d", seen, gens)
+	}
+	for i, g := range seen {
+		if g != i+1 {
+			t.Fatalf("reports for generations %v, want 1..%d", seen, gens)
+		}
+	}
+}
+
+// TestEvolveCancelMidRun: a cancel from generation 3's report lets that
+// generation stand and stops evolve before generation 4 is scored.
+func TestEvolveCancelMidRun(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const pop = 10
+	ev := newEvaluator(sphere{4}, 1, nil)
+	last := 0
+	n, err := evolve(ctx, ev, Options{PopSize: pop, Generations: 50, Seed: 1,
+		OnGeneration: func(gs GenStats) {
+			last = gs.Gen
+			if gs.Gen == 3 {
+				cancel()
+			}
+		}})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if n != 3*pop || len(ev.archive) != 3*pop {
+		t.Errorf("after a cancel at generation 3: %d evaluations, archive %d, want %d",
+			n, len(ev.archive), 3*pop)
+	}
+	if last != 3 {
+		t.Errorf("last report for generation %d, want 3", last)
+	}
+}
+
+func TestEvolveCancelledBeforeStart(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	ev := newEvaluator(sphere{4}, 1, nil)
+	reports := 0
+	n, err := evolve(ctx, ev, Options{PopSize: 10, Generations: 20, Seed: 1,
+		OnGeneration: func(GenStats) { reports++ }})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if n != 0 || len(ev.archive) != 0 || reports != 0 {
+		t.Errorf("pre-cancelled evolve ran: %d evaluations, archive %d, %d reports",
+			n, len(ev.archive), reports)
 	}
 }

@@ -192,9 +192,6 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(context.Background(), sphere{0}, Options{}); err == nil {
 		t.Error("problem without parameters accepted")
 	}
-	if _, err := Run(context.Background(), biObjective{}, Options{PopSize: 1}); err == nil {
-		t.Error("population of one accepted")
-	}
 }
 
 type badProblem struct{ biObjective }
