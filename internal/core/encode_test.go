@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/gob"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -96,19 +99,78 @@ func TestEncodeModelDeterministic(t *testing.T) {
 	}
 }
 
+// TestDecodeModelRejectsGarbage: bytes that are no payload of either
+// layout, or a v2 payload cut short, padded or claiming more than it
+// holds, are refused with ErrModelPayload.
 func TestDecodeModelRejectsGarbage(t *testing.T) {
-	for _, b := range [][]byte{nil, {}, []byte("not a gob stream"), {0x01, 0x02}} {
-		if _, err := DecodeModel(b); err == nil {
-			t.Errorf("DecodeModel(%q) accepted", b)
-		}
-	}
-	// Truncated valid stream.
-	m := encodeTestModel(t)
-	full, err := EncodeModel(m)
+	full, err := EncodeModel(encodeTestModel(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeModel(full[:len(full)/2]); err == nil {
-		t.Error("truncated payload accepted")
+	le := binary.LittleEndian
+	counts := func(nObj, nParam, nUnit, nPoint uint32) []byte {
+		b := []byte(modelMagic)
+		for _, n := range []uint32{nObj, nParam, nUnit, nPoint} {
+			b = le.AppendUint32(b, n)
+		}
+		return b
+	}
+	var v1 bytes.Buffer
+	if err := gob.NewEncoder(&v1).Encode(modelWire{Version: 7}); err != nil {
+		t.Fatal(err)
+	}
+	for name, b := range map[string][]byte{
+		"nil":                  nil,
+		"empty":                {},
+		"neither layout":       []byte("neither a v2 nor a v1 payload"),
+		"short":                {0x01, 0x02},
+		"magic only":           []byte(modelMagic),
+		"truncated":            full[:len(full)/2],
+		"one byte short":       full[:len(full)-1],
+		"trailing byte":        append(full[:len(full):len(full)], 0),
+		"points overrun":       append(counts(2, 3, 3, math.MaxUint32), full[20:]...),
+		"labels overrun":       append(counts(math.MaxUint32, 3, 3, 16), full[20:]...),
+		"no points":            counts(0, 0, 0, 0),
+		"label overruns":       append(counts(1, 0, 0, 0), 0xff, 0xff, 0, 0),
+		"unknown v1 version":   v1.Bytes(),
+		"too few points":       mustEncode(t, &Model{ObjectiveNames: []string{"a", "b"}, ParamNames: []string{"p"}, Points: []ParetoPoint{{Params: []float64{1}}}}),
+		"ragged v1 parameters": raggedV1(t),
+	} {
+		if _, err := DecodeModel(b); !errors.Is(err, ErrModelPayload) {
+			t.Errorf("%s: DecodeModel gave %v, want ErrModelPayload", name, err)
+		}
+	}
+}
+
+func mustEncode(t *testing.T, m *Model) []byte {
+	t.Helper()
+	b, err := EncodeModel(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// raggedV1 is a v1 payload whose last point carries fewer parameters
+// than the model names, which the fixed layout cannot express.
+func raggedV1(t *testing.T) []byte {
+	m := encodeTestModel(t)
+	pts := append([]ParetoPoint(nil), m.Points...)
+	pts[len(pts)-1].Params = pts[len(pts)-1].Params[:1]
+	var b bytes.Buffer
+	w := modelWire{Version: modelWireVersion, ObjectiveNames: m.ObjectiveNames, ParamNames: m.ParamNames, ParamUnits: m.ParamUnits, Points: pts}
+	if err := gob.NewEncoder(&b).Encode(w); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// TestEncodeModelRefusesRaggedPoints: a point whose parameter count is
+// not the model's has no place in the fixed layout.
+func TestEncodeModelRefusesRaggedPoints(t *testing.T) {
+	m := encodeTestModel(t)
+	m.Points[2].Params = append(m.Points[2].Params, 1)
+	if _, err := EncodeModel(m); err == nil {
+		t.Fatal("EncodeModel accepted a point with an extra parameter")
 	}
 }

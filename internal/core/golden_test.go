@@ -9,7 +9,6 @@ import (
 	"math"
 	"math/rand"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -236,48 +235,65 @@ func domainQueries(m *core.Model) []designQuery {
 	return qs
 }
 
-// encodeChildEnv makes TestDesignGolden print the EncodeModel digests
-// and stop (see encodeDigests).
-const encodeChildEnv = "ANALOGYIELD_DESIGN_GOLDEN_ENCODE"
-
-// encodeDigests returns the sha256 of each golden front's EncodeModel
-// payload, computed by this test binary in a fresh process: gob numbers
-// types per process in the order they are first encoded, so the payload
-// a process writes depends on what it gob-encoded before (a checkpoint,
-// say). A fresh process writes what a freshly started server would.
-func encodeDigests(t *testing.T) map[string]string {
-	cmd := exec.Command(os.Args[0], "-test.run=^TestDesignGolden$")
-	cmd.Env = append(os.Environ(), encodeChildEnv+"=1")
-	out, err := cmd.Output()
+// model builds the front's model.
+func (f goldenFront) model(t testing.TB) *core.Model {
+	t.Helper()
+	m, err := core.BuildModel(f.points, f.objs, f.params, f.units, core.ModelOptions{MaxTablePoints: f.maxPoints})
 	if err != nil {
-		t.Fatalf("encoding in a fresh process: %v\n%s", err, out)
+		t.Fatalf("%s: BuildModel: %v", f.name, err)
 	}
-	digests := map[string]string{}
-	for _, line := range strings.Split(string(out), "\n") {
-		if name, digest, ok := strings.Cut(line, " encode "); ok {
-			digests[name] = digest
-		}
-	}
-	return digests
+	return m
 }
 
-func printEncodeDigests(t *testing.T) {
-	for _, f := range goldenFronts() {
-		m, err := core.BuildModel(f.points, f.objs, f.params, f.units, core.ModelOptions{MaxTablePoints: f.maxPoints})
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := core.EncodeModel(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fmt.Printf("%s encode %s\n", f.name, sha(data))
+// queries is the golden's query list for the front's model m.
+func (f goldenFront) queries(m *core.Model) []designQuery {
+	qs := domainQueries(m)
+	if f.sweepShape {
+		qs = append(sweepQueries(f.objs), qs...)
 	}
+	return qs
+}
+
+// designRecord is one query's golden line: the Float64bits of every
+// Design field and the predicted yield, or the error text.
+func designRecord(d *core.Design, err error) string {
+	if err != nil {
+		return "error " + err.Error()
+	}
+	bits := func(v float64) string { return fmt.Sprintf("%016x", math.Float64bits(v)) }
+	v := []string{
+		bits(d.DeltaPct[0]), bits(d.DeltaPct[1]), bits(d.Target[0]), bits(d.Target[1]),
+		bits(d.FrontPerf[0]), bits(d.FrontPerf[1]), bits(d.CurveParam), bits(d.PredictedYield),
+	}
+	for _, x := range d.Params {
+		v = append(v, bits(x))
+	}
+	return "design " + strings.Join(v, " ")
 }
 
 func sha(b []byte) string {
 	h := sha256.Sum256(b)
 	return hex.EncodeToString(h[:])
+}
+
+// readDesignGolden returns the lines of the design golden file.
+func readDesignGolden(t *testing.T) []string {
+	t.Helper()
+	fh, err := os.Open(filepath.FromSlash(designGoldenFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fh.Close()
+	var lines []string
+	sc := bufio.NewScanner(fh)
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		lines = append(lines, sc.Text())
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return lines
 }
 
 // TestDesignGolden pins the Table 3 query to the Float64bits recorded in
@@ -287,36 +303,11 @@ func sha(b []byte) string {
 // module), over five fronts. Never regenerate it (-update) for a change
 // that is meant to keep the numerics.
 func TestDesignGolden(t *testing.T) {
-	if os.Getenv(encodeChildEnv) != "" {
-		printEncodeDigests(t)
-		return
-	}
-	encoded := encodeDigests(t)
 	var lines []string
 	add := func(format string, a ...any) { lines = append(lines, fmt.Sprintf(format, a...)) }
-	bits := func(v float64) string { return fmt.Sprintf("%016x", math.Float64bits(v)) }
 	for _, f := range goldenFronts() {
-		m, err := core.BuildModel(f.points, f.objs, f.params, f.units, core.ModelOptions{MaxTablePoints: f.maxPoints})
-		if err != nil {
-			t.Fatalf("%s: BuildModel: %v", f.name, err)
-		}
-		qs := domainQueries(m)
-		if f.sweepShape {
-			qs = append(sweepQueries(f.objs), qs...)
-		}
-		record := func(d *core.Design, err error) string {
-			if err != nil {
-				return "error " + err.Error()
-			}
-			v := []string{
-				bits(d.DeltaPct[0]), bits(d.DeltaPct[1]), bits(d.Target[0]), bits(d.Target[1]),
-				bits(d.FrontPerf[0]), bits(d.FrontPerf[1]), bits(d.CurveParam), bits(d.PredictedYield),
-			}
-			for _, x := range d.Params {
-				v = append(v, bits(x))
-			}
-			return "design " + strings.Join(v, " ")
-		}
+		m := f.model(t)
+		qs := f.queries(m)
 		// The test-only reference (oracle_test.go) and DesignInto on one
 		// scratch across the whole sweep, whose segment hints carry from
 		// query to query, must both give DesignForScaled's answer.
@@ -328,13 +319,13 @@ func TestDesignGolden(t *testing.T) {
 			if err == nil {
 				answered++
 			}
-			line := record(d, err)
+			line := designRecord(d, err)
 			var warm core.Design
-			if err := m.DesignInto(&warm, q.spec0, q.spec1, q.scale, &sc); record(&warm, err) != line {
-				t.Errorf("%s q%d: DesignInto %s, DesignForScaled %s", f.name, i, record(&warm, err), line)
+			if err := m.DesignInto(&warm, q.spec0, q.spec1, q.scale, &sc); designRecord(&warm, err) != line {
+				t.Errorf("%s q%d: DesignInto %s, DesignForScaled %s", f.name, i, designRecord(&warm, err), line)
 			}
-			if rd, err := ref.design(q.spec0, q.spec1, q.scale); record(rd, err) != line {
-				t.Errorf("%s q%d: reference %s, DesignForScaled %s", f.name, i, record(rd, err), line)
+			if rd, err := ref.design(q.spec0, q.spec1, q.scale); designRecord(rd, err) != line {
+				t.Errorf("%s q%d: reference %s, DesignForScaled %s", f.name, i, designRecord(rd, err), line)
 			}
 			add("%s/q%03d %s", f.name, i, line)
 		}
@@ -342,7 +333,11 @@ func TestDesignGolden(t *testing.T) {
 			t.Fatalf("%s: only %d of %d queries answered; the sweep proves too little", f.name, answered, len(qs))
 		}
 
-		add("%s encode %s", f.name, encoded[f.name])
+		data, err := core.EncodeModel(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		add("%s encode %s", f.name, sha(data))
 		dir := t.TempDir()
 		if err := m.Save(dir); err != nil {
 			t.Fatal(err)
@@ -372,20 +367,7 @@ func TestDesignGolden(t *testing.T) {
 		}
 		return
 	}
-	fh, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fh.Close()
-	var want []string
-	sc := bufio.NewScanner(fh)
-	sc.Buffer(nil, 1<<20)
-	for sc.Scan() {
-		want = append(want, sc.Text())
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
+	want := readDesignGolden(t)
 	if len(want) != len(lines) {
 		t.Fatalf("%s has %d lines, the test records %d", designGoldenFile, len(want), len(lines))
 	}

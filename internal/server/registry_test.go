@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"os"
 	"reflect"
 	"sync"
 	"testing"
@@ -363,5 +364,53 @@ func TestInstallRefusesUncompilable(t *testing.T) {
 	}
 	if n := r.Resident(); n != 0 {
 		t.Errorf("Resident = %d after a refused install", n)
+	}
+}
+
+// TestRegistryServesStoredV1Payload: a store written before the fixed
+// model layout holds front64 as v1 gob bytes under their own version.
+// Re-installing the same model adds one v2 version beside it, and a
+// query pinned to the v1 version answers exactly as one pinned to v2.
+func TestRegistryServesStoredV1Payload(t *testing.T) {
+	ctx := context.Background()
+	v1, err := os.ReadFile("../core/testdata/front64_v1.gob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := store.NewMemory()
+	old, err := st.Put(api.DefaultTenant, store.KindModel, "m", v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRegistry(st, 8)
+	defer r.Close()
+	cur, err := r.Install(api.DefaultTenant, "m", synthModel(t, 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cur == old.Version {
+		t.Fatal("the re-install kept the v1 version")
+	}
+	if _, _, err := st.Get(store.Key{Tenant: api.DefaultTenant, Kind: store.KindModel, Name: "m", Version: old.Version}); err != nil {
+		t.Fatalf("the v1 version is gone after the re-install: %v", err)
+	}
+	answered := 0
+	for i, q := range sweepRequests("m") {
+		pinOld, pinCur := q, q
+		pinOld.Version, pinCur.Version = old.Version, cur
+		a, errA := r.Query(ctx, pinOld)
+		b, errB := r.Query(ctx, pinCur)
+		switch {
+		case (errA == nil) != (errB == nil) || errA != nil && errA.Error() != errB.Error():
+			t.Errorf("query %d: v1 error %v, v2 error %v", i, errA, errB)
+		case errA == nil:
+			answered++
+			if d := sameAnswer(a, b); d != "" {
+				t.Errorf("query %d: v1 and v2 answers differ: %s", i, d)
+			}
+		}
+	}
+	if answered == 0 {
+		t.Fatal("no query answered; the pin is not being tested")
 	}
 }

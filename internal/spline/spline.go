@@ -84,7 +84,9 @@ func New(deg Degree, xs, ys []float64) (*Curve, error) {
 	return c, nil
 }
 
-// checkKnots validates and sorts a copy of the sample set.
+// checkKnots validates and sorts a copy of the sample set. Knots that
+// arrive in ascending order, as every table fit passes them, are copied
+// without a sort.
 func checkKnots(xs, ys []float64, minPoints int) ([]float64, []float64, error) {
 	if len(xs) != len(ys) {
 		return nil, nil, fmt.Errorf("spline: %d x values but %d y values", len(xs), len(ys))
@@ -92,25 +94,36 @@ func checkKnots(xs, ys []float64, minPoints int) ([]float64, []float64, error) {
 	if len(xs) < minPoints {
 		return nil, nil, fmt.Errorf("spline: need at least %d points, got %d", minPoints, len(xs))
 	}
-	type pt struct{ x, y float64 }
-	pts := make([]pt, len(xs))
+	ascending := true
 	for i := range xs {
 		if math.IsNaN(xs[i]) || math.IsNaN(ys[i]) {
 			return nil, nil, fmt.Errorf("spline: NaN sample at index %d", i)
 		}
-		pts[i] = pt{xs[i], ys[i]}
-	}
-	sort.Slice(pts, func(i, j int) bool { return pts[i].x < pts[j].x })
-	sx := make([]float64, len(pts))
-	sy := make([]float64, len(pts))
-	for i, p := range pts {
-		if i > 0 && p.x == sx[i-1] {
-			return nil, nil, fmt.Errorf("spline: duplicate knot x = %g", p.x)
+		if i > 0 && xs[i] < xs[i-1] {
+			ascending = false
 		}
-		sx[i] = p.x
-		sy[i] = p.y
+	}
+	sx := append([]float64(nil), xs...)
+	sy := append([]float64(nil), ys...)
+	if !ascending {
+		sort.Sort(byKnot{sx, sy})
+	}
+	for i := 1; i < len(sx); i++ {
+		if sx[i] == sx[i-1] {
+			return nil, nil, fmt.Errorf("spline: duplicate knot x = %g", sx[i])
+		}
 	}
 	return sx, sy, nil
+}
+
+// byKnot sorts samples by x, carrying each y with its x.
+type byKnot struct{ xs, ys []float64 }
+
+func (k byKnot) Len() int           { return len(k.xs) }
+func (k byKnot) Less(i, j int) bool { return k.xs[i] < k.xs[j] }
+func (k byKnot) Swap(i, j int) {
+	k.xs[i], k.xs[j] = k.xs[j], k.xs[i]
+	k.ys[i], k.ys[j] = k.ys[j], k.ys[i]
 }
 
 // fitNatural solves for the natural cubic spline's second derivatives

@@ -42,6 +42,41 @@ func TestLinearRejectsDuplicates(t *testing.T) {
 	}
 }
 
+// TestCheckKnotsSkipsSortOnlyWhenAscending: ascending knots, which skip
+// the sort, give the same curve and the same duplicate-knot error text
+// as a shuffle of them, which is sorted.
+func TestCheckKnotsSkipsSortOnlyWhenAscending(t *testing.T) {
+	xs := []float64{-3, -1, 0, 0.5, 2, 7, 11}
+	ys := []float64{4, -2, 9, 1, 1, 6, -5}
+	perm := rand.New(rand.NewSource(3)).Perm(len(xs))
+	sx, sy := make([]float64, len(xs)), make([]float64, len(xs))
+	for i, j := range perm {
+		sx[i], sy[i] = xs[j], ys[j]
+	}
+	for _, deg := range []Degree{DegreeLinear, DegreeQuadratic, DegreeCubic, DegreeMonotoneCubic} {
+		a, err := New(deg, xs, ys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := New(deg, sx, sy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for x := -3.0; x <= 11; x += 0.25 {
+			if va, vb := a.Eval(x), b.Eval(x); math.Float64bits(va) != math.Float64bits(vb) {
+				t.Errorf("degree %d: Eval(%g) = %g ascending, %g shuffled", deg, x, va, vb)
+			}
+		}
+	}
+	const want = "spline: duplicate knot x = 2"
+	for _, knots := range [][]float64{{0, 1, 2, 2, 3}, {3, 2, 0, 2, 1}} {
+		_, err := New(DegreeLinear, knots, []float64{1, 2, 3, 4, 5})
+		if err == nil || err.Error() != want {
+			t.Errorf("knots %v: error %v, want %q", knots, err, want)
+		}
+	}
+}
+
 func TestLinearRejectsMismatch(t *testing.T) {
 	if _, err := New(DegreeLinear, []float64{0, 1}, []float64{1}); err == nil {
 		t.Fatal("length mismatch accepted")
