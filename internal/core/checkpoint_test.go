@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"analogyield/internal/process"
@@ -118,5 +120,36 @@ func TestFingerprintCoversDeterministicInputs(t *testing.T) {
 		if c.fingerprint() != fp {
 			t.Errorf("fingerprint varies with execution-only knob %s", name)
 		}
+	}
+}
+
+// TestISCheckpointRefused: testdata/flow_is.ckpt holds the MOO stage and
+// one Monte Carlo point of a flow run under importance sampling, whose
+// fingerprint covered the strategy. A flow with the same problem,
+// budgets and seed must refuse it rather than mix IS and naive points,
+// and must leave the file as it was.
+func TestISCheckpointRefused(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "flow_is.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "flow.ckpt")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := FlowConfig{
+		Problem: synthProblem{}, Proc: process.C35(),
+		PopSize: 8, Generations: 3, MCSamples: 10, Seed: 1, Checkpoint: path,
+	}
+	_, err = RunFlow(context.Background(), cfg)
+	if err == nil || !strings.Contains(err.Error(), "different flow configuration") {
+		t.Fatalf("IS checkpoint: err = %v, want the different-configuration refusal", err)
+	}
+	ck, err := loadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ck.Done) != 1 || ck.Fingerprint == cfg.withDefaults().fingerprint() {
+		t.Fatalf("checkpoint changed or not an IS checkpoint: %d points, fingerprint %s", len(ck.Done), ck.Fingerprint)
 	}
 }
