@@ -57,7 +57,6 @@ import (
 	"syscall"
 	"time"
 
-	"analogyield/internal/montecarlo"
 	"analogyield/internal/server"
 	"analogyield/internal/store"
 )
@@ -94,7 +93,6 @@ func serve(args []string) int {
 		proxies     = fs.String("trusted-proxies", "", "comma-separated CIDRs/IPs of reverse proxies whose X-Forwarded-For is honoured")
 		corsOrigins = fs.String("cors-origin", "", "comma-separated origins allowed cross-origin browser access (\"*\" = any; default off)")
 		pprofAddr   = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; default off)")
-		mcStrategy  = fs.String("mc-strategy", "", "default Monte Carlo estimator for submitted flows: naive (default), is, surrogate, is+surrogate")
 		replicaID   = fs.String("replica-id", "", "cluster mode: this replica's unique id (empty = single-node, no leases)")
 		peers       = fs.String("peers", "", "cluster mode: comma-separated peer base URLs for Monte Carlo shard dispatch (e.g. http://10.0.0.2:8080)")
 		leaseTTL    = fs.Duration("lease-ttl", 0, "cluster mode: job lease TTL; a crashed replica's jobs are adoptable after this long (0 = 15s default)")
@@ -103,10 +101,6 @@ func serve(args []string) int {
 
 	log := slog.New(slog.NewTextHandler(os.Stderr, nil))
 
-	if _, err := montecarlo.ParseStrategy(*mcStrategy); err != nil {
-		log.Error("bad -mc-strategy", "err", err)
-		return 2
-	}
 	if *peers != "" && *replicaID == "" {
 		log.Error("-peers requires -replica-id (cluster mode is off without one)")
 		return 2
@@ -156,8 +150,6 @@ func serve(args []string) int {
 		TrustedProxies: splitList(*proxies),
 		CORSOrigins:    splitList(*corsOrigins),
 		Logger:         log,
-
-		DefaultMCStrategy: *mcStrategy,
 
 		ReplicaID: *replicaID,
 		Peers:     splitList(*peers),

@@ -42,7 +42,6 @@ func main() {
 		pop       = flag.Int("pop", 100, "GA population size")
 		gen       = flag.Int("gen", 100, "GA generations")
 		mc        = flag.Int("mc", 200, "Monte Carlo samples per Pareto point")
-		mcStrat   = flag.String("mc-strategy", "", "MC estimator: naive (default), is, surrogate, is+surrogate")
 		seed      = flag.Int64("seed", 1, "RNG seed")
 		knots     = flag.Int("knots", 200, "max table knots after thinning")
 		ckpt      = flag.String("checkpoint", "", "checkpoint file for resume (default <out>/flow.ckpt; \"none\" disables)")
@@ -65,7 +64,6 @@ func main() {
 		PopSize:         *pop,
 		Generations:     *gen,
 		MCSamples:       *mc,
-		MCStrategy:      *mcStrat,
 		Seed:            *seed,
 		Model:           core.ModelOptions{MaxTablePoints: *knots},
 		Checkpoint:      ckptPath,
@@ -154,9 +152,6 @@ func progressObserver() core.Observer {
 			pct(core.StageMC, ev.Index+1, ev.Total)
 		case core.PointDropped:
 			fmt.Fprintf(os.Stderr, "\nwarning: Pareto point %d dropped: %v\n", ev.Index, ev.Err)
-		case core.MCStageStats:
-			fmt.Fprintf(os.Stderr, "\rmc %s: %d of %d samples simulated, mean ESS %.1f\n",
-				ev.Strategy, ev.FullEvals, ev.Samples, ev.MeanESS)
 		case core.StageEnd:
 			fmt.Fprintf(os.Stderr, "\r%s done in %.1fs                    \n", ev.Stage, ev.Elapsed.Seconds())
 			lastPct = -1
@@ -177,14 +172,6 @@ func summary(res *core.FlowResult, t0 time.Time) {
 	fmt.Printf("  Evaluation samples: %d\n", res.Evaluations)
 	fmt.Printf("  Pareto points:      %d\n", len(res.FrontIdx))
 	fmt.Printf("  MC simulations:     %d\n", res.MCSimulations)
-	if res.MCPredicted > 0 {
-		saved := 100 * float64(res.MCPredicted) / float64(res.MCSimulations+res.MCPredicted)
-		fmt.Printf("  MC predicted:       %d (surrogate answered %.1f%% of the budget)\n",
-			res.MCPredicted, saved)
-	}
-	if res.MCMeanESS > 0 {
-		fmt.Printf("  MC mean ESS:        %.1f per point\n", res.MCMeanESS)
-	}
 	if res.DroppedPoints > 0 {
 		fmt.Printf("  Dropped points:     %d\n", res.DroppedPoints)
 	}

@@ -19,7 +19,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"analogyield/internal/montecarlo"
 	"analogyield/internal/wbga"
 )
 
@@ -65,13 +64,9 @@ func (c FlowConfig) fingerprint() string {
 		checkpointVersion,
 		c.Problem.ParamNames(), c.Problem.ObjectiveNames(), c.Problem.Maximize(),
 		c.PopSize, c.Generations, c.MCSamples, c.Seed)
-	// The MC strategy changes which samples are drawn/simulated, so a
-	// checkpoint must not be resumed under a different one. The naive
-	// default contributes nothing, keeping pre-strategy checkpoints
-	// resumable.
-	if strat, err := montecarlo.ParseStrategy(c.MCStrategy); err == nil && strat != montecarlo.StrategyNaive {
-		fmt.Fprintf(h, "|mcstrategy=%s", strat)
-	}
+	// Flows that ran under an importance-sampling or surrogate estimator
+	// also hashed "|mcstrategy=<name>", so their checkpoints are refused
+	// as written by a different configuration.
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -123,12 +123,12 @@ func TestFingerprintCoversDeterministicInputs(t *testing.T) {
 	}
 }
 
-// TestISCheckpointRefused: testdata/flow_is.ckpt holds the MOO stage and
+// TestISCheckpointRefusesNaiveResume: testdata/flow_is.ckpt holds the MOO stage and
 // one Monte Carlo point of a flow run under importance sampling, whose
 // fingerprint covered the strategy. A flow with the same problem,
 // budgets and seed must refuse it rather than mix IS and naive points,
 // and must leave the file as it was.
-func TestISCheckpointRefused(t *testing.T) {
+func TestISCheckpointRefusesNaiveResume(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("testdata", "flow_is.ckpt"))
 	if err != nil {
 		t.Fatal(err)

@@ -21,8 +21,7 @@ const (
 
 // Event is one structured progress notification from a flow. The
 // concrete types are StageStart, StageEnd, GenerationDone, MCPointDone,
-// MCStageStats, PointDropped, CheckpointSaved and FlowResumed. Events
-// are delivered
+// PointDropped, CheckpointSaved and FlowResumed. Events are delivered
 // sequentially from the goroutine running the flow, in causal order; an
 // Observer therefore needs no internal locking against the flow itself.
 type Event interface{ flowEvent() }
@@ -68,25 +67,6 @@ type MCPointDone struct {
 	Resumed  bool
 }
 
-// MCStageStats summarises a variance-reduced Monte Carlo stage: how the
-// evaluation budget was spent and how statistically effective the
-// weighted samples were. It is emitted once, just before the MC
-// StageEnd, and only when FlowConfig.MCStrategy is not naive — the
-// naive event stream is unchanged.
-type MCStageStats struct {
-	Strategy string
-	// Points is the number of Pareto points analysed (resumed included);
-	// Samples the total per-point budgets, split into FullEvals circuit
-	// simulations and Predicted surrogate answers.
-	Points    int
-	Samples   int
-	FullEvals int
-	Predicted int
-	// MeanESS is the mean effective sample size per freshly analysed
-	// point (zero when every point was replayed from a checkpoint).
-	MeanESS float64
-}
-
 // PointDropped reports a Pareto point whose Monte Carlo analysis failed
 // entirely; the point is excluded from the model and counted in
 // FlowResult.DroppedPoints.
@@ -115,7 +95,6 @@ func (StageStart) flowEvent()      {}
 func (StageEnd) flowEvent()        {}
 func (GenerationDone) flowEvent()  {}
 func (MCPointDone) flowEvent()     {}
-func (MCStageStats) flowEvent()    {}
 func (PointDropped) flowEvent()    {}
 func (CheckpointSaved) flowEvent() {}
 func (FlowResumed) flowEvent()     {}

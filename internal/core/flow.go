@@ -28,13 +28,6 @@ type FlowConfig struct {
 	Seed        int64
 	Workers     int // parallelism for MOO and MC (0 → GOMAXPROCS)
 
-	// MCStrategy selects the Monte Carlo variance-reduction strategy
-	// for the per-point variation analysis: "naive" (or empty, the
-	// default — plain MC, bit-identical to earlier releases), "is"
-	// (importance sampling), "surrogate" (GP-filtered evaluation) or
-	// "is+surrogate". See montecarlo.ParseStrategy.
-	MCStrategy string
-
 	// MCDispatcher, when non-nil, spreads each Pareto point's Monte
 	// Carlo sample range across peer replicas (montecarlo.Plan's
 	// Dispatcher, which shards naive points only); the server wires one
@@ -112,9 +105,6 @@ func (c FlowConfig) Validate() error {
 	if c.MaxDroppedFraction < 0 {
 		return fmt.Errorf("core: negative MaxDroppedFraction %g", c.MaxDroppedFraction)
 	}
-	if _, err := montecarlo.ParseStrategy(c.MCStrategy); err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
 	return c.Model.validate()
 }
 
@@ -172,16 +162,12 @@ type FlowResult struct {
 	// their Monte Carlo analysis failed entirely (see
 	// FlowConfig.MaxDroppedFraction).
 	DroppedPoints int
-	// MCPredicted counts Monte Carlo samples answered by the surrogate
-	// filter instead of a circuit simulation; MCSimulations counts only
-	// the simulations actually run, so MCPredicted is the flow's
-	// evaluation saving. Zero under the naive and plain-IS strategies.
+	// MCPredicted and MCMeanESS are always 0: the flow's Monte Carlo
+	// stage is plain Monte Carlo, so no sample is answered by a
+	// surrogate and no importance weight thins the sample. They remain
+	// for callers that still read them.
 	MCPredicted int
-	// MCMeanESS is the mean effective sample size per freshly analysed
-	// Pareto point under an importance-sampling strategy (checkpointed
-	// points replayed on resume are not re-counted); zero for naive
-	// runs.
-	MCMeanESS float64
+	MCMeanESS   float64
 	// Resumed reports that prior work was recovered from a checkpoint.
 	Resumed bool
 	// Metrics is the end-of-run snapshot of the flow's counter registry.
@@ -447,11 +433,6 @@ func (f *flowRun) runMC(ctx context.Context) error {
 		f.metrics.addStage(StageMC, elapsed)
 	}()
 
-	strategy, serr := montecarlo.ParseStrategy(cfg.MCStrategy)
-	if serr != nil {
-		return serr // unreachable after Validate; kept for direct callers
-	}
-
 	apply := func(rec mcPointRecord, resumed bool) {
 		if rec.Dropped {
 			res.DroppedPoints++
@@ -460,13 +441,6 @@ func (f *flowRun) runMC(ctx context.Context) error {
 		}
 		res.Points = append(res.Points, rec.Point)
 		res.MCSimulations += rec.MCSims
-		// Under a surrogate strategy MCSims records the simulations
-		// actually run; the balance of the per-point budget was answered
-		// by the filter. This derivation also holds for checkpointed
-		// points, whose Result is not retained.
-		if strategy != montecarlo.StrategyNaive {
-			res.MCPredicted += cfg.MCSamples - rec.MCSims
-		}
 		f.emit(MCPointDone{
 			Index:    rec.FrontPos,
 			Total:    total,
@@ -498,17 +472,11 @@ func (f *flowRun) runMC(ctx context.Context) error {
 			Genes:   genes[i],
 		}
 	}
-	if strategy != montecarlo.StrategyNaive {
-		f.metrics.setMCStrategy(strategy.String())
-	}
-	var essSum float64
-	essPoints := 0
 	plan := montecarlo.Plan{
 		Proc:       cfg.Proc,
 		Points:     specs,
 		Workers:    cfg.Workers,
 		Metrics:    objNames,
-		Variance:   montecarlo.VarianceOptions{Strategy: strategy},
 		Gauges:     f.metrics,
 		Dispatcher: cfg.MCDispatcher,
 	}
@@ -536,16 +504,7 @@ func (f *flowRun) runMC(ctx context.Context) error {
 				Perf:     [2]float64{ev.Objectives[0], ev.Objectives[1]},
 				DeltaPct: [2]float64{mcRes.Stats[0].DeltaPct, mcRes.Stats[1].DeltaPct},
 			}
-			// MCSims records simulations actually run: the full budget
-			// under naive/IS, fewer when the surrogate filter answered
-			// part of it.
 			rec.MCSims = cfg.MCSamples
-			if strategy != montecarlo.StrategyNaive {
-				rec.MCSims = mcRes.FullEvals
-				f.metrics.mcPredicted.Add(int64(mcRes.Predicted))
-				essSum += mcRes.ESS
-				essPoints++
-			}
 			rec.Failures = mcRes.Failed
 			f.metrics.mcSimulations.Add(int64(rec.MCSims))
 			f.metrics.solverFailures.Add(int64(mcRes.Failed))
@@ -571,26 +530,12 @@ func (f *flowRun) runMC(ctx context.Context) error {
 		return err
 	}
 
-	if essPoints > 0 {
-		res.MCMeanESS = essSum / float64(essPoints)
-		f.metrics.addMCESS(essSum, essPoints)
-	}
 	if res.DroppedPoints > 0 {
 		frac := float64(res.DroppedPoints) / float64(total)
 		if frac > cfg.MaxDroppedFraction {
 			return fmt.Errorf("core: Monte Carlo dropped %d of %d Pareto points (%.0f%%, budget %.0f%%)",
 				res.DroppedPoints, total, 100*frac, 100*cfg.MaxDroppedFraction)
 		}
-	}
-	if strategy != montecarlo.StrategyNaive {
-		f.emit(MCStageStats{
-			Strategy:  strategy.String(),
-			Points:    len(res.Points),
-			Samples:   res.MCSimulations + res.MCPredicted,
-			FullEvals: res.MCSimulations,
-			Predicted: res.MCPredicted,
-			MeanESS:   res.MCMeanESS,
-		})
 	}
 	f.emit(StageEnd{Stage: StageMC, Elapsed: time.Since(t1)})
 	return nil

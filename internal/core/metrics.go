@@ -20,9 +20,8 @@ import (
 // the server — per-request) are ShardedCounters: increments scatter
 // across cache-line-padded shards and are only summed when the registry
 // is read, so concurrent writers on different cores do not serialize on
-// one cache line (see sharded.go). The stage clocks and ESS
-// accumulators stay plain atomics — they are touched once per stage or
-// per flow.
+// one cache line (see sharded.go). The stage clocks stay plain atomics
+// — they are touched once per stage.
 type Metrics struct {
 	evaluations    ShardedCounter
 	mcSimulations  ShardedCounter
@@ -48,16 +47,6 @@ type Metrics struct {
 	mcBusyWorkers    gauge
 	mcQueueDepth     gauge
 	mcPointsInFlight gauge
-
-	// Variance-reduction counters, populated only by non-naive
-	// strategies: surrogate-answered samples, the accumulated effective
-	// sample size with its point count (for the mean), and the most
-	// recent strategy name.
-	mcPredicted  ShardedCounter
-	mcESSMilli   atomic.Int64 // Σ ESS across points, in thousandths
-	mcESSPoints  atomic.Int64
-	mcStrategyMu sync.Mutex
-	mcStrategy   string
 
 	// Cluster counters, populated only when the server runs with a
 	// replica identity: lease traffic (jobs claimed, takeovers of
@@ -108,11 +97,6 @@ type MetricsSnapshot struct {
 	MCQueueDepthPeak     int64 `json:"mc_queue_depth_peak"`
 	MCPointsInFlight     int64 `json:"mc_points_in_flight"`
 	MCPointsInFlightPeak int64 `json:"mc_points_in_flight_peak"`
-	// Variance-reduction counters; all omitted for naive-only
-	// registries, so the snapshot JSON of earlier releases is unchanged.
-	MCStrategy  string  `json:"mc_strategy,omitempty"`
-	MCPredicted int64   `json:"mc_predicted,omitempty"`
-	MCMeanESS   float64 `json:"mc_mean_ess,omitempty"`
 	// Cluster counters; all omitted for single-node registries, so the
 	// snapshot JSON of earlier releases is unchanged.
 	Replica            string `json:"replica,omitempty"`
@@ -150,14 +134,6 @@ func (m *Metrics) AddBusyWorkers(delta int64)    { m.mcBusyWorkers.add(delta) }
 func (m *Metrics) AddQueueDepth(delta int64)     { m.mcQueueDepth.add(delta) }
 func (m *Metrics) AddPointsInFlight(delta int64) { m.mcPointsInFlight.add(delta) }
 
-// setMCStrategy records the active variance-reduction strategy (last
-// writer wins across concurrent flows — the field is informational).
-func (m *Metrics) setMCStrategy(name string) {
-	m.mcStrategyMu.Lock()
-	m.mcStrategy = name
-	m.mcStrategyMu.Unlock()
-}
-
 // SetReplica records this process's replica identity for cluster-mode
 // exposition; single-node deployments never call it and keep the
 // pre-cluster snapshot shape.
@@ -192,14 +168,6 @@ func (m *Metrics) IncLeaseRejections()       { m.leaseRejections.Add(1) }
 func (m *Metrics) IncMCShardsDispatched()    { m.mcShardsDispatched.Add(1) }
 func (m *Metrics) IncMCShardsFallback()      { m.mcShardsFallback.Add(1) }
 func (m *Metrics) IncMCShardsServed()        { m.mcShardsServed.Add(1) }
-
-// addMCESS folds one flow's accumulated per-point ESS into the
-// registry (stored in thousandths so the hot path stays a plain atomic
-// add).
-func (m *Metrics) addMCESS(essSum float64, points int) {
-	m.mcESSMilli.Add(int64(essSum * 1000))
-	m.mcESSPoints.Add(int64(points))
-}
 
 func (m *Metrics) addStage(s Stage, d time.Duration) {
 	switch s {
@@ -259,13 +227,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 	if lookups := s.CacheHits + s.CacheMisses; lookups > 0 {
 		s.CacheHitRate = float64(s.CacheHits) / float64(lookups)
 	}
-	s.MCPredicted = m.mcPredicted.Load()
-	if pts := m.mcESSPoints.Load(); pts > 0 {
-		s.MCMeanESS = float64(m.mcESSMilli.Load()) / 1000 / float64(pts)
-	}
-	m.mcStrategyMu.Lock()
-	s.MCStrategy = m.mcStrategy
-	m.mcStrategyMu.Unlock()
 	m.replicaMu.Lock()
 	s.Replica = m.replica
 	m.replicaMu.Unlock()

@@ -2,259 +2,12 @@ package core
 
 import (
 	"context"
-	"errors"
-	"path/filepath"
-	"reflect"
 	"testing"
 
 	"analogyield/internal/montecarlo"
 	"analogyield/internal/process"
 	"analogyield/internal/yield"
 )
-
-// flowEvents runs a flow and returns its result plus the event stream.
-func flowEvents(t *testing.T, cfg FlowConfig) (*FlowResult, []Event) {
-	t.Helper()
-	var events []Event
-	cfg.Obs = ObserverFunc(func(e Event) { events = append(events, e) })
-	res, err := RunFlow(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res, events
-}
-
-// stripTimings zeroes the wall-clock fields so event streams from two
-// runs can be compared structurally.
-func stripTimings(events []Event) []Event {
-	out := make([]Event, len(events))
-	for i, e := range events {
-		if se, ok := e.(StageEnd); ok {
-			se.Elapsed = 0
-			out[i] = se
-			continue
-		}
-		out[i] = e
-	}
-	return out
-}
-
-// TestNaiveStrategyMatchesDefault is the compatibility golden: an empty
-// MCStrategy, the explicit "naive" spelling, and the pre-strategy
-// default must produce bit-identical results and identical event
-// streams, with none of the variance-reduction extras present.
-func TestNaiveStrategyMatchesDefault(t *testing.T) {
-	base := FlowConfig{
-		Problem: synthProblem{}, Proc: process.C35(),
-		PopSize: 24, Generations: 12, MCSamples: 30, Seed: 1,
-	}
-	defRes, defEvents := flowEvents(t, base)
-
-	naive := base
-	naive.MCStrategy = "naive"
-	naiveRes, naiveEvents := flowEvents(t, naive)
-
-	if !reflect.DeepEqual(defRes.Points, naiveRes.Points) {
-		t.Error("explicit naive strategy changed the MC points")
-	}
-	if !reflect.DeepEqual(defRes.Archive, naiveRes.Archive) {
-		t.Error("explicit naive strategy changed the archive")
-	}
-	if !reflect.DeepEqual(defRes.Model.Points, naiveRes.Model.Points) {
-		t.Error("explicit naive strategy changed the model tables")
-	}
-	if !reflect.DeepEqual(stripTimings(defEvents), stripTimings(naiveEvents)) {
-		t.Error("explicit naive strategy changed the event stream")
-	}
-	for _, events := range [][]Event{defEvents, naiveEvents} {
-		for _, e := range events {
-			if _, ok := e.(MCStageStats); ok {
-				t.Fatal("naive flow emitted MCStageStats")
-			}
-		}
-	}
-	for _, res := range []*FlowResult{defRes, naiveRes} {
-		if res.MCPredicted != 0 || res.MCMeanESS != 0 {
-			t.Error("naive flow carries variance-reduction counters")
-		}
-		if res.Metrics.MCStrategy != "" || res.Metrics.MCPredicted != 0 || res.Metrics.MCMeanESS != 0 {
-			t.Errorf("naive metrics snapshot carries strategy fields: %+v", res.Metrics)
-		}
-	}
-	if res := smallFlow(t); !reflect.DeepEqual(res.Points, defRes.Points) {
-		t.Error("default flow diverged from the smallFlow baseline")
-	}
-}
-
-// TestISStrategyFlow runs the full flow under importance sampling and
-// checks the diagnostics thread through result, events and metrics.
-func TestISStrategyFlow(t *testing.T) {
-	cfg := FlowConfig{
-		Problem: synthProblem{}, Proc: process.C35(),
-		PopSize: 24, Generations: 12, MCSamples: 40, Seed: 1,
-		MCStrategy: "is",
-	}
-	res, events := flowEvents(t, cfg)
-	if len(res.Points) == 0 || res.Model == nil {
-		t.Fatal("IS flow produced no model")
-	}
-	if res.MCSimulations != len(res.Points)*40 {
-		t.Errorf("MCSimulations = %d, want %d (IS does not skip evaluations)",
-			res.MCSimulations, len(res.Points)*40)
-	}
-	if res.MCPredicted != 0 {
-		t.Errorf("plain IS predicted %d samples", res.MCPredicted)
-	}
-	if res.MCMeanESS <= 0 || res.MCMeanESS > 40 {
-		t.Errorf("MCMeanESS = %g, want in (0, 40]", res.MCMeanESS)
-	}
-	var stats []MCStageStats
-	for _, e := range events {
-		if s, ok := e.(MCStageStats); ok {
-			stats = append(stats, s)
-		}
-	}
-	if len(stats) != 1 {
-		t.Fatalf("%d MCStageStats events, want 1", len(stats))
-	}
-	s := stats[0]
-	if s.Strategy != "is" || s.Points != len(res.Points) ||
-		s.FullEvals != res.MCSimulations || s.Predicted != 0 || s.MeanESS != res.MCMeanESS {
-		t.Errorf("MCStageStats = %+v inconsistent with result", s)
-	}
-	if res.Metrics.MCStrategy != "is" {
-		t.Errorf("metrics strategy = %q", res.Metrics.MCStrategy)
-	}
-	if res.Metrics.MCMeanESS <= 0 {
-		t.Error("metrics mean ESS not recorded")
-	}
-	// Variation figures should agree with the naive flow's within broad
-	// statistical tolerance — same model, different estimator.
-	naiveRes, _ := flowEvents(t, FlowConfig{
-		Problem: synthProblem{}, Proc: process.C35(),
-		PopSize: 24, Generations: 12, MCSamples: 40, Seed: 1,
-	})
-	if len(naiveRes.Points) != len(res.Points) {
-		t.Fatalf("IS flow analysed %d points, naive %d", len(res.Points), len(naiveRes.Points))
-	}
-	for i := range res.Points {
-		a, b := res.Points[i].DeltaPct[0], naiveRes.Points[i].DeltaPct[0]
-		if a <= 0 || a > 5*b+1 {
-			t.Errorf("point %d: IS delta %g vs naive %g implausible", i, a, b)
-		}
-	}
-}
-
-// TestSurrogateStrategyFlow checks the budget bookkeeping of a
-// surrogate-filtered flow: simulated plus predicted samples always add
-// up to the per-point budget, and determinism across worker counts
-// holds end to end.
-func TestSurrogateStrategyFlow(t *testing.T) {
-	run := func(workers int) *FlowResult {
-		t.Helper()
-		res, err := RunFlow(context.Background(), FlowConfig{
-			Problem: synthProblem{}, Proc: process.C35(),
-			PopSize: 24, Generations: 12, MCSamples: 120, Seed: 1,
-			MCStrategy: "is+surrogate", Workers: workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	res := run(0)
-	if res.MCSimulations+res.MCPredicted != len(res.Points)*120 {
-		t.Errorf("simulated %d + predicted %d != budget %d",
-			res.MCSimulations, res.MCPredicted, len(res.Points)*120)
-	}
-	other := run(1)
-	if !reflect.DeepEqual(res.Points, other.Points) {
-		t.Error("surrogate flow not deterministic across worker counts")
-	}
-	if res.MCSimulations != other.MCSimulations || res.MCPredicted != other.MCPredicted {
-		t.Error("surrogate budget split differs across worker counts")
-	}
-}
-
-// TestISFlowResume interrupts an importance-sampled checkpointed flow
-// and resumes it, demanding bit-identical points and a consistent
-// simulation count (MCSims per point persists the post-filter count).
-func TestISFlowResume(t *testing.T) {
-	base := FlowConfig{
-		Problem: synthProblem{}, Proc: process.C35(),
-		PopSize: 24, Generations: 12, MCSamples: 30, Seed: 1,
-		MCStrategy: "is",
-	}
-	want, err := RunFlow(context.Background(), base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckpt := filepath.Join(t.TempDir(), "flow.ckpt")
-	cfg := base
-	cfg.Checkpoint = ckpt
-	cfg.CheckpointEvery = 2
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	mcDone := 0
-	cfg.Obs = ObserverFunc(func(e Event) {
-		if _, ok := e.(MCPointDone); ok {
-			mcDone++
-			if mcDone == 3 {
-				cancel()
-			}
-		}
-	})
-	if _, err := RunFlow(ctx, cfg); !errors.Is(err, context.Canceled) {
-		t.Fatalf("interrupt run: err = %v", err)
-	}
-	cfg.Obs = nil
-	got, err := RunFlow(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Resumed {
-		t.Error("resumed IS flow not flagged Resumed")
-	}
-	if !reflect.DeepEqual(got.Points, want.Points) {
-		t.Error("IS points differ after resume (bit-identity violated)")
-	}
-	if got.MCSimulations != want.MCSimulations {
-		t.Errorf("MCSimulations %d after resume, want %d", got.MCSimulations, want.MCSimulations)
-	}
-}
-
-// TestISCheckpointRefusesNaiveResume: a checkpoint written under one
-// strategy must not resume under another — the sample streams differ.
-func TestISCheckpointRefusesNaiveResume(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "flow.ckpt")
-	cfg := FlowConfig{
-		Problem: synthProblem{}, Proc: process.C35(),
-		PopSize: 24, Generations: 12, MCSamples: 30, Seed: 1,
-		MCStrategy: "is", Checkpoint: ckpt,
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	cfg.Obs = ObserverFunc(func(e Event) {
-		if _, ok := e.(MCPointDone); ok {
-			cancel()
-		}
-	})
-	if _, err := RunFlow(ctx, cfg); !errors.Is(err, context.Canceled) {
-		t.Fatalf("interrupt run: err = %v", err)
-	}
-	cfg.Obs = nil
-	cfg.MCStrategy = "naive"
-	if _, err := RunFlow(context.Background(), cfg); err == nil {
-		t.Fatal("naive resume of an IS checkpoint accepted")
-	}
-}
-
-func TestFlowConfigRejectsUnknownStrategy(t *testing.T) {
-	cfg := FlowConfig{Problem: synthProblem{}, Proc: process.C35(), MCStrategy: "qmc"}
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("unknown MCStrategy accepted")
-	}
-}
 
 func TestVerifyDesignYieldMC(t *testing.T) {
 	// Delegation: the naive MC verification path must match the

@@ -239,7 +239,7 @@ func TestRunFactoryValidation(t *testing.T) {
 	for _, strat := range []Strategy{StrategyNaive, StrategyIS, StrategySurrogate} {
 		plan := onePoint(1, 80)
 		plan.Workers = 2
-		plan.Variance.Strategy = strat
+		plan.Variance = VarianceOptions{Strategy: strat, Specs: []SpecBound{{Col: 0, Bound: 10}}}
 		if _, err := runOne(context.Background(), plan, func() PointEvaluator { return nil }); err == nil {
 			t.Errorf("%v: all-nil evaluators should error (every sample failed)", strat)
 		}
@@ -255,6 +255,7 @@ func TestRunFactoryCalledAtMostWorkers(t *testing.T) {
 		for _, points := range []int{1, 4} {
 			plan := Plan{Proc: proc(), Workers: workers, Variance: VarianceOptions{
 				Strategy: strat, TrainSamples: 24, CorrectionSamples: 8, Kappa: 1e12,
+				Specs: []SpecBound{{Col: 0, Bound: 10}},
 			}}
 			for p := 0; p < points; p++ {
 				plan.Points = append(plan.Points, PointSpec{Seed: int64(p + 1), Samples: 120})

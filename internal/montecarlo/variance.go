@@ -15,8 +15,11 @@
 //   - StrategySurrogate simulates an initial training batch, fits a
 //     small GP (internal/surrogate) mapping the 4-d global shift to the
 //     metric vector, and simulates only samples the GP cannot classify
-//     confidently; the rest are answered by the (bias-corrected)
-//     prediction. Every decision is logged in Result.Decisions.
+//     confidently against the plan's spec bounds; the rest are
+//     answered by the (bias-corrected) prediction. Every decision is
+//     logged in Result.Decisions. A surrogate plan must carry spec
+//     bounds (ErrSurrogateSpecs): the filter calls pass/fail, which is
+//     what a yield check estimates.
 //   - StrategyISSurrogate composes both.
 //
 // A point's phases (train → fit → classify → verify) are sequential, so
@@ -26,6 +29,7 @@ package montecarlo
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sync/atomic"
@@ -91,7 +95,7 @@ func (s Strategy) usesSurrogate() bool {
 }
 
 // SpecBound is a pass/fail bound on one metric column, used by the
-// surrogate filter to classify in spec space: a sample is confidently
+// surrogate filter to classify samples: a sample is confidently
 // classified only when every bound is cleared (or one is violated) by
 // at least Kappa predictive standard deviations.
 type SpecBound struct {
@@ -125,18 +129,20 @@ type VarianceOptions struct {
 	// (default 16). Ignored without the surrogate.
 	CorrectionSamples int
 	// Kappa is the classification margin in predictive standard
-	// deviations for spec-space filtering (default 3). Larger values
-	// simulate more and trust the surrogate less.
+	// deviations (default 3). Larger values simulate more and trust the
+	// surrogate less.
 	Kappa float64
-	// Tau bounds the acceptable predictive sd as a fraction of the
-	// training-sample sd when no Specs are given (moment-space
-	// filtering, default 0.3).
-	Tau float64
-	// Specs optionally switches the filter to spec-space
-	// classification: a prediction is trusted only when every bound is
-	// decisively cleared or decisively violated.
+	// Specs are the bounds the surrogate filter classifies against: a
+	// prediction is trusted only when every bound is decisively cleared
+	// or one is decisively violated. Required by the surrogate
+	// strategies, ignored by the others.
 	Specs []SpecBound
 }
+
+// ErrSurrogateSpecs refuses a surrogate plan without spec bounds. The
+// filter answers a sample only when the prediction clears or violates
+// a bound decisively; with none, it has nothing to decide.
+var ErrSurrogateSpecs = errors.New("montecarlo: a surrogate strategy needs spec bounds (VarianceOptions.Specs)")
 
 func (v VarianceOptions) withDefaults() VarianceOptions {
 	if v.TrainSamples <= 0 {
@@ -148,9 +154,6 @@ func (v VarianceOptions) withDefaults() VarianceOptions {
 	if v.Kappa <= 0 {
 		v.Kappa = 3
 	}
-	if v.Tau <= 0 {
-		v.Tau = 0.3
-	}
 	return v
 }
 
@@ -159,6 +162,9 @@ func (v *VarianceOptions) validate() error {
 	case StrategyNaive, StrategyIS, StrategySurrogate, StrategyISSurrogate:
 	default:
 		return fmt.Errorf("montecarlo: invalid strategy %d", v.Strategy)
+	}
+	if v.Strategy.usesSurrogate() && len(v.Specs) == 0 {
+		return fmt.Errorf("%w: strategy %v", ErrSurrogateSpecs, v.Strategy)
 	}
 	if v.Strategy.usesIS() && v.Proposal != nil {
 		if err := v.Proposal.Validate(); err != nil {
@@ -316,9 +322,7 @@ func (e *engine) point(ctx context.Context, p int) (*Result, error) {
 		}
 	}
 
-	// Bias correction from the held-out batch, and the training-sample
-	// spread that moment-space filtering compares predictive sd
-	// against.
+	// Bias correction from the held-out batch.
 	bias := make([]float64, width)
 	mean := make([]float64, width)
 	sd := make([]float64, width)
@@ -340,16 +344,6 @@ func (e *engine) point(ctx context.Context, p int) (*Result, error) {
 			bias[k] /= float64(corrN)
 		}
 	}
-	trainAcc := make([]welford, width)
-	for i := 0; i < prefix; i++ {
-		if res.Samples[i] == nil {
-			continue
-		}
-		for k := range trainAcc {
-			trainAcc[k].add(res.Samples[i][k])
-		}
-	}
-
 	// Classify. Confident predictions are stored (with their conditional
 	// variance accumulated for the sigma add-back); the uncertain band
 	// goes to the evaluator.
@@ -362,7 +356,7 @@ func (e *engine) point(ctx context.Context, p int) (*Result, error) {
 		for k := range mean {
 			mean[k] += bias[k]
 		}
-		if filterConfident(&v, mean, sd, trainAcc) {
+		if filterConfident(&v, mean, sd) {
 			pred := make([]float64, width)
 			copy(pred, mean)
 			res.Samples[i] = pred
@@ -395,40 +389,30 @@ func (e *engine) point(ctx context.Context, p int) (*Result, error) {
 }
 
 // filterConfident decides whether a prediction with uncertainty sd can
-// stand in for a simulation. With Specs, the sample must clear or
-// violate the bounds decisively (Kappa sds of slack); without, the
-// prediction must be sharp relative to the observed metric spread.
-func filterConfident(v *VarianceOptions, mean, sd []float64, train []welford) bool {
-	if len(v.Specs) > 0 {
-		clearFail := false
-		allClearPass := true
-		for _, sp := range v.Specs {
-			m, margin := mean[sp.Col], v.Kappa*sd[sp.Col]
-			if sp.AtMost {
-				if m-margin > sp.Bound {
-					clearFail = true
-				}
-				if m+margin > sp.Bound {
-					allClearPass = false
-				}
-			} else {
-				if m+margin < sp.Bound {
-					clearFail = true
-				}
-				if m-margin < sp.Bound {
-					allClearPass = false
-				}
+// stand in for a simulation: the sample must clear every spec bound, or
+// violate one, by Kappa sds of slack.
+func filterConfident(v *VarianceOptions, mean, sd []float64) bool {
+	clearFail := false
+	allClearPass := true
+	for _, sp := range v.Specs {
+		m, margin := mean[sp.Col], v.Kappa*sd[sp.Col]
+		if sp.AtMost {
+			if m-margin > sp.Bound {
+				clearFail = true
+			}
+			if m+margin > sp.Bound {
+				allClearPass = false
+			}
+		} else {
+			if m+margin < sp.Bound {
+				clearFail = true
+			}
+			if m-margin < sp.Bound {
+				allClearPass = false
 			}
 		}
-		return clearFail || allClearPass
 	}
-	for k := range mean {
-		ts := train[k].stats().Sigma
-		if sd[k] > v.Tau*ts {
-			return false
-		}
-	}
-	return true
+	return clearFail || allClearPass
 }
 
 // waccum is the weighted (West) extension of welford: streaming

@@ -81,7 +81,8 @@ func TestRunVarianceNaiveDelegates(t *testing.T) {
 // field of the result is bit-identical for any worker count.
 func TestISIdenticalAcrossWorkers(t *testing.T) {
 	for _, strat := range []Strategy{StrategyIS, StrategySurrogate, StrategyISSurrogate} {
-		v := VarianceOptions{Strategy: strat, TrainSamples: 32, CorrectionSamples: 8}
+		v := VarianceOptions{Strategy: strat, TrainSamples: 32, CorrectionSamples: 8,
+			Specs: []SpecBound{{Col: 0, Bound: 10}}}
 		run := func(workers int) *Result {
 			t.Helper()
 			res, err := runOne(context.Background(),
@@ -303,7 +304,8 @@ func TestSurrogateParanoidKappaEqualsNaive(t *testing.T) {
 // bit-exactly for any worker count.
 func TestRunVarianceBatchMatchesStandalone(t *testing.T) {
 	points := []PointSpec{{Seed: 31, Samples: 150}, {Seed: 32, Samples: 90}, {Seed: 33, Samples: 210}}
-	v := VarianceOptions{Strategy: StrategyISSurrogate, TrainSamples: 24, CorrectionSamples: 8}
+	v := VarianceOptions{Strategy: StrategyISSurrogate, TrainSamples: 24, CorrectionSamples: 8,
+		Specs: []SpecBound{{Col: 0, Bound: 10}}}
 	for _, workers := range []int{1, 4} {
 		var order []int
 		var got []*Result
@@ -387,7 +389,7 @@ func TestRunVarianceAllFailed(t *testing.T) {
 	boom := shared(func(*process.Sample) ([]float64, error) { return nil, errors.New("boom") })
 	for _, strat := range []Strategy{StrategyIS, StrategySurrogate} {
 		plan := onePoint(1, 50)
-		plan.Variance.Strategy = strat
+		plan.Variance = VarianceOptions{Strategy: strat, Specs: []SpecBound{{Col: 0, Bound: 10}}}
 		if _, err := runOne(context.Background(), plan, boom); err == nil {
 			t.Errorf("%v: all-fail run should error", strat)
 		}
@@ -436,5 +438,16 @@ func TestVarianceOptionsValidation(t *testing.T) {
 		Specs: []SpecBound{{Col: 5, Bound: 1}}}
 	if err := run(300, wide, smoothEval); err == nil {
 		t.Error("out-of-range spec column accepted")
+	}
+	// A surrogate plan without bounds is refused before any sample runs.
+	for _, strat := range []Strategy{StrategySurrogate, StrategyISSurrogate} {
+		evals := 0
+		err := run(300, VarianceOptions{Strategy: strat}, func(s *process.Sample) ([]float64, error) {
+			evals++
+			return smoothEval(s)
+		})
+		if !errors.Is(err, ErrSurrogateSpecs) || evals != 0 {
+			t.Errorf("%v without spec bounds: err = %v after %d evaluations, want ErrSurrogateSpecs before any", strat, err, evals)
+		}
 	}
 }

@@ -175,9 +175,9 @@ type FlowRequest struct {
 	Workers         int    `json:"workers,omitempty"`
 	MaxTablePoints  int    `json:"max_table_points,omitempty"`
 	CheckpointEvery int    `json:"checkpoint_every,omitempty"`
-	// MCStrategy selects the Monte Carlo estimator: "naive" (default),
-	// "is", "surrogate" or "is+surrogate". Empty defers to the server's
-	// configured default. Non-naive jobs emit "mc_stats" events.
+	// MCStrategy must be empty or "naive": flows run plain Monte Carlo.
+	// Any other value is refused (422), so a request written for an
+	// estimator the flow no longer runs fails instead of running naive.
 	MCStrategy string `json:"mc_strategy,omitempty"`
 }
 
@@ -252,12 +252,6 @@ type Event struct {
 	Checkpoint  string      `json:"checkpoint,omitempty"`   // checkpoint_saved, flow_resumed
 	MCDone      int         `json:"mc_done,omitempty"`      // checkpoint_saved, flow_resumed
 	State       string      `json:"state,omitempty"`        // job_done
-	Strategy    string      `json:"strategy,omitempty"`     // mc_stats
-	Points      int         `json:"points,omitempty"`       // mc_stats
-	Samples     int         `json:"samples,omitempty"`      // mc_stats
-	FullEvals   int         `json:"full_evals,omitempty"`   // mc_stats
-	Predicted   int         `json:"predicted,omitempty"`    // mc_stats
-	MeanESS     float64     `json:"mean_ess,omitempty"`     // mc_stats
 }
 
 // Event type tags.
@@ -266,7 +260,6 @@ const (
 	EventStageEnd        = "stage_end"
 	EventGeneration      = "generation"
 	EventMCPoint         = "mc_point"
-	EventMCStats         = "mc_stats"
 	EventPointDropped    = "point_dropped"
 	EventCheckpointSaved = "checkpoint_saved"
 	EventFlowResumed     = "flow_resumed"

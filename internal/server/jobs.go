@@ -38,6 +38,16 @@ var ErrUnknownJob = errors.New("server: unknown job")
 // ErrQueueFull reports a submission against a saturated job queue.
 var ErrQueueFull = errors.New("server: job queue full")
 
+// flowQueueDepth is how many submitted flows may wait for a worker
+// before Submit answers ErrQueueFull.
+const flowQueueDepth = 64
+
+// ErrMCStrategy refuses a flow request whose mc_strategy names an
+// estimator other than plain Monte Carlo, the only one a flow runs.
+// The field is still read so that such a request fails instead of
+// quietly running naive.
+var ErrMCStrategy = errors.New(`server: flows run plain Monte Carlo; mc_strategy must be "" or "naive"`)
+
 // job is one flow submission and its full lifecycle state.
 type job struct {
 	id     string
@@ -91,10 +101,6 @@ type JobManager struct {
 	procs    map[string]ProcessFactory
 	metrics  *core.Metrics
 	log      *slog.Logger
-	// defaultMCStrategy applies when a FlowRequest leaves MCStrategy
-	// empty (Config.DefaultMCStrategy; empty = naive).
-	defaultMCStrategy string
-
 	// cluster, when non-nil, makes this manager one replica of a fleet
 	// sharing the artefact store: jobs are claimed through store leases,
 	// checkpoints are written fenced, and a takeover scanner adopts jobs
@@ -118,7 +124,7 @@ type JobManager struct {
 }
 
 // NewJobManager starts workers goroutines consuming a job queue of the
-// given depth (<=0 selects 1 worker / depth 64).
+// given depth (<=0 selects 1 worker / depth flowQueueDepth).
 func NewJobManager(dataDir string, workers, queueDepth int, reg *Registry,
 	problems map[string]ProblemFactory, procs map[string]ProcessFactory,
 	metrics *core.Metrics, log *slog.Logger) *JobManager {
@@ -126,7 +132,7 @@ func NewJobManager(dataDir string, workers, queueDepth int, reg *Registry,
 		workers = 1
 	}
 	if queueDepth <= 0 {
-		queueDepth = 64
+		queueDepth = flowQueueDepth
 	}
 	if log == nil {
 		log = slog.Default()
@@ -333,9 +339,8 @@ func (m *JobManager) submit(req api.FlowRequest, adopted *store.Lease) (*api.Job
 	if !ok {
 		return fail(fmt.Errorf("server: unknown process %q", procName))
 	}
-	strategy := req.MCStrategy
-	if strategy == "" {
-		strategy = m.defaultMCStrategy
+	if req.MCStrategy != "" && req.MCStrategy != "naive" {
+		return fail(fmt.Errorf("%w, got %q", ErrMCStrategy, req.MCStrategy))
 	}
 	problem := pf()
 	cfg := core.FlowConfig{
@@ -348,7 +353,6 @@ func (m *JobManager) submit(req api.FlowRequest, adopted *store.Lease) (*api.Job
 		Workers:         req.Workers,
 		Model:           core.ModelOptions{MaxTablePoints: req.MaxTablePoints},
 		CheckpointEvery: req.CheckpointEvery,
-		MCStrategy:      strategy,
 		Metrics:         m.metrics,
 		MCDispatcher:    m.newShardDispatcher(tenant, req.Problem, procName, len(problem.ObjectiveNames())),
 	}
@@ -692,9 +696,6 @@ func (j *job) observe(e core.Event) {
 		j.mu.Lock()
 		j.status.ParetoPoints++
 		j.mu.Unlock()
-	case core.MCStageStats:
-		ev = api.Event{Type: api.EventMCStats, Strategy: t.Strategy, Points: t.Points,
-			Samples: t.Samples, FullEvals: t.FullEvals, Predicted: t.Predicted, MeanESS: t.MeanESS}
 	case core.PointDropped:
 		ev = api.Event{Type: api.EventPointDropped, Index: t.Index}
 		if t.Err != nil {

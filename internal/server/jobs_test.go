@@ -1,9 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -206,61 +211,61 @@ func TestJobQueueFull(t *testing.T) {
 	}
 }
 
+// TestJobMCStrategy: flows run plain Monte Carlo only. A request that
+// names any other estimator, or a junk one, gets 422 naming
+// ErrMCStrategy before a job exists, instead of quietly running naive;
+// "" and "naive" are accepted and run.
 func TestJobMCStrategy(t *testing.T) {
-	m, _ := newTestJM(t, 1, 8, synthFactory())
-
-	req := smallFlowReq("vr")
-	req.MCStrategy = "is"
-	st, err := m.Submit(req)
-	if err != nil {
-		t.Fatal(err)
+	srv := New(Config{ModelsDir: t.TempDir(), Metrics: &core.Metrics{}, Logger: quietLog(),
+		FlowWorkers: 1, Problems: synthFactory()})
+	defer shutdown(t, srv)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	post := func(strategy string) (int, []byte) {
+		t.Helper()
+		flow := smallFlowReq("mc-" + strings.ReplaceAll(strategy, "+", "-"))
+		flow.MCStrategy = strategy
+		body, err := json.Marshal(flow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/flows", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, out
 	}
-	waitDone(t, m, st.ID, 30*time.Second)
-	got, err := m.Status(api.DefaultTenant, st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.State != api.JobSucceeded {
-		t.Fatalf("state = %q (%s)", got.State, got.Error)
-	}
-	j, err := m.get(api.DefaultTenant, st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stats []api.Event
-	for _, ev := range j.eventsSince(0) {
-		if ev.Type == api.EventMCStats {
-			stats = append(stats, ev)
+	for _, strategy := range []string{"is", "surrogate", "is+surrogate", "qmc"} {
+		status, body := post(strategy)
+		var apiErr api.Error
+		if err := json.Unmarshal(body, &apiErr); err != nil {
+			t.Fatalf("mc_strategy %q: status %d, body is not an api.Error: %s", strategy, status, body)
+		}
+		if status != http.StatusUnprocessableEntity || !strings.Contains(apiErr.Message, ErrMCStrategy.Error()) {
+			t.Errorf("mc_strategy %q: status %d, error %q; want 422 naming %q", strategy, status, apiErr.Message, ErrMCStrategy)
 		}
 	}
-	if len(stats) != 1 {
-		t.Fatalf("%d mc_stats events, want 1", len(stats))
+	if jobs := srv.Jobs().List(api.DefaultTenant); len(jobs) != 0 {
+		t.Fatalf("%d jobs created by refused requests", len(jobs))
 	}
-	s := stats[0]
-	if s.Strategy != "is" || s.Points == 0 || s.FullEvals != s.Samples || s.MeanESS <= 0 {
-		t.Errorf("mc_stats event = %+v inconsistent with an IS run", s)
-	}
-
-	// An empty request strategy falls back to the manager default.
-	m.defaultMCStrategy = "is+surrogate"
-	st2, err := m.Submit(smallFlowReq("vr-default"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2, err := m.get(api.DefaultTenant, st2.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j2.cfg.MCStrategy != "is+surrogate" {
-		t.Errorf("default strategy not applied: %q", j2.cfg.MCStrategy)
-	}
-	waitDone(t, m, st2.ID, 30*time.Second)
-
-	// Unknown strategies are rejected at submission.
-	bad := smallFlowReq("vr-bad")
-	bad.MCStrategy = "qmc"
-	if _, err := m.Submit(bad); err == nil {
-		t.Error("unknown mc_strategy accepted")
+	for _, strategy := range []string{"", "naive"} {
+		status, body := post(strategy)
+		if status != http.StatusAccepted {
+			t.Fatalf("mc_strategy %q: status %d (%s), want 202", strategy, status, body)
+		}
+		var st api.JobStatus
+		if err := json.Unmarshal(body, &st); err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, srv.Jobs(), st.ID, 30*time.Second)
+		if got, err := srv.Jobs().Status(api.DefaultTenant, st.ID); err != nil || got.State != api.JobSucceeded {
+			t.Errorf("mc_strategy %q: job %+v, err %v; want succeeded", strategy, got, err)
+		}
 	}
 }
 

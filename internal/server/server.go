@@ -69,10 +69,9 @@ type Config struct {
 	DataDir string
 	// MaxModels bounds the registry's resident models (0 → 8).
 	MaxModels int
-	// FlowWorkers sizes the job pool (0 → 2); FlowQueue its backlog
-	// (0 → 64).
+	// FlowWorkers sizes the job pool (0 → 2); flowQueueDepth jobs may
+	// wait behind it.
 	FlowWorkers int
-	FlowQueue   int
 	// Listeners is the number of SO_REUSEPORT listener shards Start
 	// opens on Addr, each with its own accept loop and http.Server over
 	// the shared handler, so accepts spread across cores instead of
@@ -117,10 +116,6 @@ type Config struct {
 	// must be set together.
 	TLSCertFile string
 	TLSKeyFile  string
-	// DefaultMCStrategy is the Monte Carlo estimator used by flow
-	// submissions that leave mc_strategy empty: "naive" (default, also
-	// when empty), "is", "surrogate" or "is+surrogate".
-	DefaultMCStrategy string
 	// ReplicaID names this process in a multi-replica deployment and
 	// turns on cluster mode: flow jobs are claimed through store leases
 	// (the Store must be shared across replicas — a Disk store on a
@@ -241,9 +236,8 @@ func New(cfg Config) *Server {
 		proxies:    proxies,
 		shutdownCh: make(chan struct{}),
 	}
-	s.jobs = NewJobManager(cfg.DataDir, cfg.FlowWorkers, cfg.FlowQueue, reg,
+	s.jobs = NewJobManager(cfg.DataDir, cfg.FlowWorkers, flowQueueDepth, reg,
 		cfg.Problems, cfg.Processes, cfg.Metrics, cfg.Logger)
-	s.jobs.defaultMCStrategy = cfg.DefaultMCStrategy
 	if cfg.ReplicaID != "" {
 		s.jobs.EnableCluster(cfg.ReplicaID, cfg.Peers, cfg.LeaseTTL)
 	}

@@ -70,8 +70,6 @@ func Write(w io.Writer, m *core.Metrics) {
 	b.sample("ayd_dropped_points_total", "", float64(s.DroppedPoints))
 	b.family("ayd_checkpoints_total", "counter", "Flow checkpoints written.")
 	b.sample("ayd_checkpoints_total", "", float64(s.Checkpoints))
-	b.family("ayd_mc_predicted_total", "counter", "MC samples answered by the surrogate instead of simulation.")
-	b.sample("ayd_mc_predicted_total", "", float64(s.MCPredicted))
 	b.family("ayd_analysis_op_solves_total", "counter", "DC operating points solved by flow and shard evaluations.")
 	b.sample("ayd_analysis_op_solves_total", "", float64(s.OPSolves))
 	b.family("ayd_analysis_op_iterations_total", "counter", "Newton iterations of those solves, failed attempts included.")
@@ -96,13 +94,6 @@ func Write(w io.Writer, m *core.Metrics) {
 	b.sample("ayd_mc_points_in_flight", "", float64(s.MCPointsInFlight))
 	b.family("ayd_mc_points_in_flight_peak", "gauge", "High-water mark of MC points in flight.")
 	b.sample("ayd_mc_points_in_flight_peak", "", float64(s.MCPointsInFlightPeak))
-
-	if s.MCStrategy != "" {
-		b.family("ayd_mc_strategy_info", "gauge", "Most recent variance-reduction strategy (value is always 1).")
-		b.sample("ayd_mc_strategy_info", `strategy="`+escapeLabel(s.MCStrategy)+`"`, 1)
-		b.family("ayd_mc_mean_ess", "gauge", "Mean effective sample size per MC point.")
-		b.sample("ayd_mc_mean_ess", "", s.MCMeanESS)
-	}
 
 	// Cluster families appear only when this process runs as a named
 	// replica, so single-node expositions stay byte-identical to the

@@ -174,7 +174,6 @@ func TestWriteExpositionFormat(t *testing.T) {
 		"ayd_cache_misses_total":               float64(snap.CacheMisses),
 		"ayd_dropped_points_total":             float64(snap.DroppedPoints),
 		"ayd_checkpoints_total":                float64(snap.Checkpoints),
-		"ayd_mc_predicted_total":               float64(snap.MCPredicted),
 		"ayd_analysis_op_solves_total":         float64(snap.OPSolves),
 		"ayd_analysis_op_iterations_total":     float64(snap.OPIterations),
 		"ayd_analysis_op_warm_fallbacks_total": float64(snap.OPWarmFallbacks),
@@ -199,13 +198,7 @@ func TestWriteExpositionFormat(t *testing.T) {
 		find(t, samples, "ayd_stage_seconds_total", map[string]string{"stage": stage})
 	}
 
-	// No strategy recorded ⇒ the info series must be absent.
-	for _, s := range samples {
-		if s.name == "ayd_mc_strategy_info" || s.name == "ayd_mc_mean_ess" {
-			t.Errorf("unexpected strategy series %s with no strategy set", s.name)
-		}
-	}
-	// Likewise the cluster families: a single-node process exports none.
+	// The cluster families: a single-node process exports none.
 	for _, s := range samples {
 		if strings.HasPrefix(s.name, "ayd_replica_") ||
 			strings.HasPrefix(s.name, "ayd_lease") ||
