@@ -3,7 +3,10 @@ package core
 import (
 	"context"
 	"math"
+	"math/rand"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -412,5 +415,47 @@ func TestRunFlowOTAIntegration(t *testing.T) {
 	}
 	if math.Abs(objs[0]-d.Target[0]) > 1.5 {
 		t.Errorf("simulated gain %.2f far from model target %.2f", objs[0], d.Target[0])
+	}
+}
+
+// TestByLessSortsLikeSortSlice: BuildModel and dedupeBy sort with
+// slices.SortFunc and byLess where they used sort.Slice with <. Over
+// keys with heavy ties and NaNs, at sizes that reach insertion sort,
+// the median-of-three and ninther pivots and the pattern breaker, both
+// sorts must leave every element in the same place.
+func TestByLessSortsLikeSortSlice(t *testing.T) {
+	type item struct {
+		key float64
+		id  int
+	}
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{0, 1, 2, 7, 12, 13, 49, 50, 51, 200, 1000, 5000} {
+		for trial := 0; trial < 20; trial++ {
+			a := make([]item, n)
+			for i := range a {
+				switch k := rng.Intn(10); {
+				case k == 0:
+					a[i].key = math.NaN()
+				case k < 4:
+					a[i].key = float64(rng.Intn(4)) // ties
+				default:
+					a[i].key = rng.NormFloat64()
+				}
+				a[i].id = i
+			}
+			if trial%4 == 1 {
+				slices.SortFunc(a, func(x, y item) int { return byLess(x.key, y.key) })
+				slices.Reverse(a[:n/2])
+			}
+			b := slices.Clone(a)
+			sort.Slice(a, func(i, j int) bool { return a[i].key < a[j].key })
+			slices.SortFunc(b, func(x, y item) int { return byLess(x.key, y.key) })
+			for i := range a {
+				if a[i].id != b[i].id {
+					t.Fatalf("n=%d trial %d: position %d holds element %d after sort.Slice, %d after slices.SortFunc",
+						n, trial, i, a[i].id, b[i].id)
+				}
+			}
+		}
 	}
 }

@@ -186,8 +186,13 @@ func (w *modelWire) decode(b []byte) error {
 	return nil
 }
 
-// decodeV1 reads a v1 gob payload.
+// decodeV1 reads a v1 gob payload. Gob sizes its read buffer from a
+// message's length prefix before it reads the message, so the prefixes
+// are checked against the bytes that follow them first.
 func (w *modelWire) decodeV1(b []byte) error {
+	if err := checkGobFraming(b); err != nil {
+		return err
+	}
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(w); err != nil {
 		return fmt.Errorf("%w: decoding v1 gob: %w", ErrModelPayload, err)
 	}
@@ -195,4 +200,42 @@ func (w *modelWire) decodeV1(b []byte) error {
 		return fmt.Errorf("%w: v1 gob with version %d, want %d", ErrModelPayload, w.Version, modelWireVersion)
 	}
 	return nil
+}
+
+// checkGobFraming walks the messages of gob stream b and refuses a
+// length prefix that is malformed or claims more bytes than remain.
+func checkGobFraming(b []byte) error {
+	for off := 0; off < len(b); {
+		n, k := gobUint(b[off:])
+		if k == 0 {
+			return fmt.Errorf("%w: v1 gob message length at byte %d is malformed or cut short", ErrModelPayload, off)
+		}
+		off += k
+		if n > uint64(len(b)-off) {
+			return fmt.Errorf("%w: v1 gob message at byte %d claims %d bytes, %d remain", ErrModelPayload, off, n, len(b)-off)
+		}
+		off += int(n)
+	}
+	return nil
+}
+
+// gobUint decodes the gob unsigned integer that opens b and returns it
+// with the number of bytes it took, or k = 0 when b holds none. A first
+// byte below 0x80 is the value itself; otherwise it is the negated
+// count, at most 8, of the big-endian value bytes that follow.
+func gobUint(b []byte) (v uint64, k int) {
+	if len(b) == 0 {
+		return 0, 0
+	}
+	if b[0] < 0x80 {
+		return uint64(b[0]), 1
+	}
+	n := -int(int8(b[0]))
+	if n > 8 || len(b) <= n {
+		return 0, 0
+	}
+	for _, c := range b[1 : 1+n] {
+		v = v<<8 | uint64(c)
+	}
+	return v, 1 + n
 }

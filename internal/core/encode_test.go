@@ -7,6 +7,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -135,9 +136,23 @@ func TestDecodeModelRejectsGarbage(t *testing.T) {
 		"unknown v1 version":   v1.Bytes(),
 		"too few points":       mustEncode(t, &Model{ObjectiveNames: []string{"a", "b"}, ParamNames: []string{"p"}, Points: []ParetoPoint{{Params: []float64{1}}}}),
 		"ragged v1 parameters": raggedV1(t),
+		// Gob message lengths of 3 MB and 256 MB in 4 and 5 bytes; gob
+		// would size its read buffer from them.
+		"v1 message overrun":     []byte("\xfd000"),
+		"v1 message overrun cap": {0xfc, 0x10, 0x00, 0x00, 0x00},
+		"v1 length cut short":    {0xfc, 0x10},
+		"v1 length of 9 bytes":   {0xf7, 1, 2, 3, 4, 5, 6, 7, 8, 9},
 	} {
-		if _, err := DecodeModel(b); !errors.Is(err, ErrModelPayload) {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		_, err := DecodeModel(b)
+		runtime.ReadMemStats(&ms)
+		if !errors.Is(err, ErrModelPayload) {
 			t.Errorf("%s: DecodeModel gave %v, want ErrModelPayload", name, err)
+		}
+		if alloc := ms.TotalAlloc - before; alloc >= 64<<10 {
+			t.Errorf("%s: refusing %d bytes allocated %d bytes", name, len(b), alloc)
 		}
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"analogyield/internal/spline"
 	"analogyield/internal/table"
@@ -108,7 +108,7 @@ func BuildModel(points []ParetoPoint, objNames, paramNames, paramUnits []string,
 
 	// Sort by performance 0 and merge near-duplicates.
 	pts := append([]ParetoPoint(nil), points...)
-	sort.Slice(pts, func(i, j int) bool { return pts[i].Perf[0] < pts[j].Perf[0] })
+	slices.SortFunc(pts, func(a, b ParetoPoint) int { return byLess(a.Perf[0], b.Perf[0]) })
 	merged := pts[:0]
 	for _, p := range pts {
 		if len(merged) > 0 && p.Perf[0]-merged[len(merged)-1].Perf[0] < minPerfSeparation {
@@ -191,6 +191,21 @@ func BuildModel(points []ParetoPoint, objNames, paramNames, paramUnits []string,
 	return m, nil
 }
 
+// byLess compares a and b under <: negative exactly when a < b, so a
+// NaN compares equal to everything (cmp.Compare would order it first)
+// and slices.SortFunc places every element, ties and NaNs included,
+// where sort.Slice with < places it: both run the same pdqsort on the
+// sign of the comparison.
+func byLess(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
+}
+
 // dedupeBy sorts (x, y) by x and merges points closer than sep.
 func dedupeBy(x, y []float64, sep float64) ([]float64, []float64) {
 	type pt struct{ x, y float64 }
@@ -198,7 +213,7 @@ func dedupeBy(x, y []float64, sep float64) ([]float64, []float64) {
 	for i := range x {
 		pts[i] = pt{x[i], y[i]}
 	}
-	sort.Slice(pts, func(i, j int) bool { return pts[i].x < pts[j].x })
+	slices.SortFunc(pts, func(a, b pt) int { return byLess(a.x, b.x) })
 	var ox, oy []float64
 	for _, p := range pts {
 		if len(ox) > 0 && p.x-ox[len(ox)-1] < sep {
