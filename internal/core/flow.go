@@ -71,6 +71,23 @@ type FlowConfig struct {
 	Metrics *Metrics
 }
 
+// ErrMCStrategy refuses a Monte Carlo strategy other than plain Monte
+// Carlo for a flow. The flow estimates each point's Δ%, a moment, which
+// importance sampling and the surrogate filter never sharpened; they
+// stay for yield verification (VerifyDesignYieldMC).
+var ErrMCStrategy = errors.New(`core: flows run plain Monte Carlo; the Monte Carlo strategy must be "" or "naive"`)
+
+// CheckFlowMCStrategy accepts the strategy names a flow request may
+// still carry, "" and "naive", and refuses any other with
+// ErrMCStrategy, so that such a request fails instead of quietly
+// running naive.
+func CheckFlowMCStrategy(name string) error {
+	if s, err := montecarlo.ParseStrategy(name); err != nil || s != montecarlo.StrategyNaive {
+		return fmt.Errorf("%w, got %q", ErrMCStrategy, name)
+	}
+	return nil
+}
+
 // ErrPopSize rejects a negative PopSize or a population of one, which
 // the WBGA cannot breed from.
 var ErrPopSize = errors.New("core: PopSize must be 0 (the default 100) or at least 2")

@@ -2,12 +2,32 @@ package core
 
 import (
 	"context"
+	"errors"
+	"strings"
 	"testing"
 
 	"analogyield/internal/montecarlo"
 	"analogyield/internal/process"
 	"analogyield/internal/yield"
 )
+
+// TestFlowConfigRejectsUnknownStrategy: a flow runs plain Monte Carlo
+// only, so of the strategy names a flow request may carry just "" and
+// "naive" pass; the verification estimators and junk alike are refused
+// with ErrMCStrategy naming what was asked for.
+func TestFlowConfigRejectsUnknownStrategy(t *testing.T) {
+	for _, name := range []string{"", "naive"} {
+		if err := CheckFlowMCStrategy(name); err != nil {
+			t.Errorf("strategy %q refused: %v", name, err)
+		}
+	}
+	for _, name := range []string{"is", "surrogate", "is+surrogate", "qmc", "Naive"} {
+		err := CheckFlowMCStrategy(name)
+		if !errors.Is(err, ErrMCStrategy) || !strings.Contains(err.Error(), `"`+name+`"`) {
+			t.Errorf("strategy %q: err = %v, want ErrMCStrategy naming it", name, err)
+		}
+	}
+}
 
 func TestVerifyDesignYieldMC(t *testing.T) {
 	// Delegation: the naive MC verification path must match the

@@ -42,12 +42,6 @@ var ErrQueueFull = errors.New("server: job queue full")
 // before Submit answers ErrQueueFull.
 const flowQueueDepth = 64
 
-// ErrMCStrategy refuses a flow request whose mc_strategy names an
-// estimator other than plain Monte Carlo, the only one a flow runs.
-// The field is still read so that such a request fails instead of
-// quietly running naive.
-var ErrMCStrategy = errors.New(`server: flows run plain Monte Carlo; mc_strategy must be "" or "naive"`)
-
 // job is one flow submission and its full lifecycle state.
 type job struct {
 	id     string
@@ -339,8 +333,8 @@ func (m *JobManager) submit(req api.FlowRequest, adopted *store.Lease) (*api.Job
 	if !ok {
 		return fail(fmt.Errorf("server: unknown process %q", procName))
 	}
-	if req.MCStrategy != "" && req.MCStrategy != "naive" {
-		return fail(fmt.Errorf("%w, got %q", ErrMCStrategy, req.MCStrategy))
+	if err := core.CheckFlowMCStrategy(req.MCStrategy); err != nil {
+		return fail(err)
 	}
 	problem := pf()
 	cfg := core.FlowConfig{

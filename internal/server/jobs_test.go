@@ -213,7 +213,7 @@ func TestJobQueueFull(t *testing.T) {
 
 // TestJobMCStrategy: flows run plain Monte Carlo only. A request that
 // names any other estimator, or a junk one, gets 422 naming
-// ErrMCStrategy before a job exists, instead of quietly running naive;
+// core.ErrMCStrategy before a job exists, instead of quietly running naive;
 // "" and "naive" are accepted and run.
 func TestJobMCStrategy(t *testing.T) {
 	srv := New(Config{ModelsDir: t.TempDir(), Metrics: &core.Metrics{}, Logger: quietLog(),
@@ -246,8 +246,8 @@ func TestJobMCStrategy(t *testing.T) {
 		if err := json.Unmarshal(body, &apiErr); err != nil {
 			t.Fatalf("mc_strategy %q: status %d, body is not an api.Error: %s", strategy, status, body)
 		}
-		if status != http.StatusUnprocessableEntity || !strings.Contains(apiErr.Message, ErrMCStrategy.Error()) {
-			t.Errorf("mc_strategy %q: status %d, error %q; want 422 naming %q", strategy, status, apiErr.Message, ErrMCStrategy)
+		if status != http.StatusUnprocessableEntity || !strings.Contains(apiErr.Message, core.ErrMCStrategy.Error()) {
+			t.Errorf("mc_strategy %q: status %d, error %q; want 422 naming %q", strategy, status, apiErr.Message, core.ErrMCStrategy)
 		}
 	}
 	if jobs := srv.Jobs().List(api.DefaultTenant); len(jobs) != 0 {
