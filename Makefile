@@ -66,7 +66,7 @@ soak-smoke:
 	scripts/soak-smoke.sh
 
 # Local multi-replica cluster on a shared store: REPLICAS (default 2)
-# ayd processes with lease coordination and Monte Carlo shard dispatch.
+# ayd processes with lease coordination and crash takeover.
 # Base URLs land in .cluster/urls; `make cluster-down` tears it down.
 cluster:
 	scripts/cluster.sh up $${REPLICAS:-2}

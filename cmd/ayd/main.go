@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	ayd serve [-addr :8080] [-listeners N] [-store disk|mem]
+//	ayd serve [-addr :8080] [-store disk|mem]
 //	          [-models DIR] [-data DIR] [-workers N] [-max-models N]
 //	          [-max-inflight N] [-max-inflight-heavy N] [-max-body BYTES]
 //	          [-query-timeout D] [-drain-timeout D]
@@ -12,19 +12,12 @@
 //	          [-max-header-bytes N]
 //	          [-tls-cert FILE -tls-key FILE] [-trusted-proxies CIDRS]
 //	          [-cors-origin ORIGINS] [-pprof 127.0.0.1:6060]
-//	          [-replica-id ID] [-peers URLS] [-lease-ttl D]
+//	          [-replica-id ID] [-lease-ttl D]
 //
 // -replica-id enables cluster mode: replicas sharing one -models
-// directory coordinate flow-job ownership through store leases, adopt a
-// crashed or drained peer's jobs from their mirrored checkpoints, and —
-// when -peers lists the other replicas' base URLs — spread each job's
-// Monte Carlo stage across the fleet (results stay bit-identical to a
-// single-node run regardless of shard placement).
-//
-// -listeners N > 1 opens N SO_REUSEPORT sockets on -addr, each with
-// its own accept loop and http.Server over the shared handler, so the
-// kernel spreads connections across cores instead of funneling them
-// through one accept queue (unsupported platforms fall back to 1).
+// directory coordinate flow-job ownership through store leases and
+// adopt a crashed or drained peer's jobs from their mirrored
+// checkpoints. The replica that owns a job runs all of it.
 //
 // The HTTP layer is hardened for untrusted traffic (internal/httpx):
 // panic recovery, request IDs, body limits, per-route and global
@@ -74,7 +67,6 @@ func serve(args []string) int {
 	fs := flag.NewFlagSet("ayd serve", flag.ExitOnError)
 	var (
 		addr        = fs.String("addr", "127.0.0.1:8080", "listen address")
-		listeners   = fs.Int("listeners", 1, "SO_REUSEPORT listener shards on -addr (each with its own accept loop; >1 needs kernel support, falls back to 1)")
 		readHdrTO   = fs.Duration("read-header-timeout", 5*time.Second, "slowloris guard: max time a connection may take to send request headers (negative = unlimited)")
 		idleTO      = fs.Duration("idle-timeout", 120*time.Second, "keep-alive: max idle time between requests on a connection (negative = unlimited)")
 		maxHdr      = fs.Int("max-header-bytes", 0, "max request header bytes per connection (0 = Go default, 1 MiB)")
@@ -94,17 +86,11 @@ func serve(args []string) int {
 		corsOrigins = fs.String("cors-origin", "", "comma-separated origins allowed cross-origin browser access (\"*\" = any; default off)")
 		pprofAddr   = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; default off)")
 		replicaID   = fs.String("replica-id", "", "cluster mode: this replica's unique id (empty = single-node, no leases)")
-		peers       = fs.String("peers", "", "cluster mode: comma-separated peer base URLs for Monte Carlo shard dispatch (e.g. http://10.0.0.2:8080)")
 		leaseTTL    = fs.Duration("lease-ttl", 0, "cluster mode: job lease TTL; a crashed replica's jobs are adoptable after this long (0 = 15s default)")
 	)
 	fs.Parse(args)
 
 	log := slog.New(slog.NewTextHandler(os.Stderr, nil))
-
-	if *peers != "" && *replicaID == "" {
-		log.Error("-peers requires -replica-id (cluster mode is off without one)")
-		return 2
-	}
 
 	if *pprofAddr != "" {
 		// The profiling endpoints live on their own listener, never on the
@@ -130,7 +116,6 @@ func serve(args []string) int {
 
 	srv := server.New(server.Config{
 		Addr:              *addr,
-		Listeners:         *listeners,
 		ReadHeaderTimeout: *readHdrTO,
 		IdleTimeout:       *idleTO,
 		MaxHeaderBytes:    *maxHdr,
@@ -152,7 +137,6 @@ func serve(args []string) int {
 		Logger:         log,
 
 		ReplicaID: *replicaID,
-		Peers:     splitList(*peers),
 		LeaseTTL:  *leaseTTL,
 	})
 	if err := srv.Start(); err != nil {

@@ -16,7 +16,7 @@
 //
 //	aydload [-url http://127.0.0.1:8080] [-addr 127.0.0.1:0] [-qps 2000]
 //	        [-duration 10s] [-warmup 1s] [-inflight 256] [-conns N]
-//	        [-listeners N] [-model loadtest] [-o result.json]
+//	        [-model loadtest] [-o result.json]
 //	        [-cpuprofile cpu.prof] [-memprofile mem.prof]
 //
 // Capacity-sweep mode:
@@ -57,12 +57,11 @@
 //
 // With -addr, aydload instead re-executes itself as a *separate*
 // serving process (the same internal/server stack the ayd binary runs)
-// bound to the given address with -listeners SO_REUSEPORT shards, waits
-// for it to come up, and drives it over real TCP — syscalls, loopback
-// queueing, connection pool and all. That is the over-the-wire
-// measurement (in_process: false) recorded in
-// benchmarks/BENCH_serve_net.json and BENCH_capacity.json. -url still
-// targets any externally managed server.
+// bound to the given address, waits for it to come up, and drives it
+// over real TCP — syscalls, loopback queueing, connection pool and
+// all. That is the over-the-wire measurement (in_process: false)
+// recorded in benchmarks/BENCH_serve_net.json and BENCH_capacity.json.
+// -url still targets any externally managed server.
 //
 // Both -url and -addr accept a comma-separated list, which is the
 // cluster measurement mode: workers (and their persistent connections)
@@ -89,7 +88,6 @@ import (
 	"os/exec"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -138,7 +136,6 @@ type capacityResult struct {
 	Model         string  `json:"model"`
 	InProcess     bool    `json:"in_process,omitempty"`
 	GOMAXPROCS    int     `json:"gomaxprocs"`
-	Listeners     int     `json:"listeners"`
 	Conns         int     `json:"conns"`
 	Inflight      int     `json:"inflight"`
 	Batch         int     `json:"batch,omitempty"`   // >1: queries per request; qps counts queries
@@ -155,19 +152,16 @@ type capacityResult struct {
 	Knee          *step   `json:"knee,omitempty"`
 }
 
-// serveEnv marks the re-executed serving child; it carries the listen
-// address the parent chose, the model name, and the listener shard
-// count.
+// serveEnv marks the re-executed serving child and carries the listen
+// address the parent chose; modelEnv carries the model name.
 const (
 	serveEnv        = "AYDLOAD_SERVE"
 	modelEnv        = "AYDLOAD_MODEL"
-	listenersEnv    = "AYDLOAD_LISTENERS"
 	childProfileEnv = "AYDLOAD_CHILD_CPUPROFILE"
 )
 
 func main() {
 	if addr := os.Getenv(serveEnv); addr != "" {
-		listeners, _ := strconv.Atoi(os.Getenv(listenersEnv))
 		// AYDLOAD_CHILD_CPUPROFILE profiles the serving side of an
 		// -addr run — the -cpuprofile flag only covers the load
 		// generator's own process.
@@ -178,7 +172,7 @@ func main() {
 				}
 			}
 		}
-		if err := serveChild(addr, os.Getenv(modelEnv), listeners); err != nil {
+		if err := serveChild(addr, os.Getenv(modelEnv)); err != nil {
 			fmt.Fprintln(os.Stderr, "aydload (serve child):", err)
 			os.Exit(1)
 		}
@@ -193,7 +187,6 @@ func main() {
 		inflight = flag.Int("inflight", 64, "worker/connection count = max concurrent requests; arrivals past a deep backlog are shed and counted")
 		batch    = flag.Int("batch", 1, "queries per request: N>1 posts {\"queries\":[...]} bodies to the same endpoint, -qps then counts queries/s (the optimizer-loop shape; the SLO still bounds per-request p99)")
 		conns    = flag.Int("conns", 0, "client connection fan-out: MaxConnsPerHost/MaxIdleConnsPerHost (0 = -inflight)")
-		listens  = flag.Int("listeners", 1, "SO_REUSEPORT listener shards for the spawned/in-process server")
 		model    = flag.String("model", "loadtest", "model name to query")
 		out      = flag.String("o", "", "write the JSON report here (default stdout)")
 
@@ -229,7 +222,7 @@ func main() {
 	cfg := runConfig{
 		url: *url, addr: *addr, qps: *qps,
 		duration: *duration, warmup: *warmup,
-		inflight: *inflight, batch: *batch, conns: *conns, listeners: *listens,
+		inflight: *inflight, batch: *batch, conns: *conns,
 		model: *model, out: *out, soak: *soak,
 		sweep: *sweep, sweepStart: *sweepStart, sweepFactor: *sweepFactor,
 		sweepMax: *sweepMax, sweepRefine: *sweepRefine, sweepRetries: *sweepRetry,
@@ -260,7 +253,6 @@ type runConfig struct {
 	duration, warmup      time.Duration
 	inflight, conns       int
 	batch                 int
-	listeners             int
 	model, out            string
 	soak, sweep           bool
 	sweepStart            float64
@@ -297,7 +289,7 @@ func run(cfg runConfig) error {
 	case cfg.addr != "":
 		// One spawned serving child per comma-separated address.
 		for _, a := range splitList(cfg.addr) {
-			childURL, stop, err := spawnChild(a, cfg.model, cfg.listeners)
+			childURL, stop, err := spawnChild(a, cfg.model)
 			if err != nil {
 				return err
 			}
@@ -306,7 +298,7 @@ func run(cfg runConfig) error {
 			urls = append(urls, childURL)
 		}
 	default:
-		srv, err := startServer("127.0.0.1:0", cfg.model, cfg.listeners, "")
+		srv, err := startServer("127.0.0.1:0", cfg.model, "")
 		if err != nil {
 			return err
 		}
@@ -650,7 +642,6 @@ func sweepCapacity(lg *loadgen, cfg runConfig) *capacityResult {
 		GOMAXPROCS:   runtime.GOMAXPROCS(0),
 		GOGC:         os.Getenv("GOGC"),
 		GOMEMLIMIT:   os.Getenv("GOMEMLIMIT"),
-		Listeners:    cfg.listeners,
 		Conns:        cfg.conns,
 		Inflight:     cfg.inflight,
 		Batch:        cfg.batch,
@@ -830,7 +821,7 @@ func splitList(s string) []string {
 // bound address on stdout, and serves until the parent closes its
 // stdin. Flow checkpoints go to a temporary directory, never the
 // caller's working directory.
-func serveChild(addr, model string, listeners int) error {
+func serveChild(addr, model string) error {
 	if model == "" {
 		model = "loadtest"
 	}
@@ -839,7 +830,7 @@ func serveChild(addr, model string, listeners int) error {
 		return err
 	}
 	defer os.RemoveAll(dataDir)
-	srv, err := startServer(addr, model, listeners, dataDir)
+	srv, err := startServer(addr, model, dataDir)
 	if err != nil {
 		return err
 	}
@@ -856,16 +847,13 @@ func serveChild(addr, model string, listeners int) error {
 // spawnChild re-executes this binary as a separate serving process, its
 // stderr passed through, and waits for its ready line; the returned stop
 // runs stopChild once and returns its result on every call.
-func spawnChild(addr, model string, listeners int) (url string, stop func() error, err error) {
+func spawnChild(addr, model string) (url string, stop func() error, err error) {
 	exe, err := os.Executable()
 	if err != nil {
 		return "", nil, err
 	}
 	cmd := exec.Command(exe)
-	cmd.Env = append(os.Environ(),
-		serveEnv+"="+addr,
-		modelEnv+"="+model,
-		listenersEnv+"="+strconv.Itoa(listeners))
+	cmd.Env = append(os.Environ(), serveEnv+"="+addr, modelEnv+"="+model)
 	cmd.Stderr = os.Stderr
 	stdin, err := cmd.StdinPipe()
 	if err != nil {
@@ -904,11 +892,11 @@ func stopChild(cmd *exec.Cmd, stdin io.Closer) error {
 	}
 }
 
-// startServer starts a serving stack bound to addr (sharded across the
-// given listener count) with a synthetic 64-point model installed under
-// the given name — the same analytic front the server package's tests
-// and benchmarks use — and flow checkpoints under dataDir.
-func startServer(addr, model string, listeners int, dataDir string) (*server.Server, error) {
+// startServer starts a serving stack bound to addr with a synthetic
+// 64-point model installed under the given name — the same analytic
+// front the server package's tests and benchmarks use — and flow
+// checkpoints under dataDir.
+func startServer(addr, model, dataDir string) (*server.Server, error) {
 	const n = 64
 	pts := make([]core.ParetoPoint, n)
 	for i := range pts {
@@ -928,9 +916,8 @@ func startServer(addr, model string, listeners int, dataDir string) (*server.Ser
 		return nil, err
 	}
 	srv := server.New(server.Config{
-		Addr:      addr,
-		Listeners: listeners,
-		DataDir:   dataDir,
+		Addr:    addr,
+		DataDir: dataDir,
 		// Level-gated, not just discarded: with Info filtered out the
 		// access-log middleware skips per-request attribute formatting
 		// instead of rendering lines nobody reads.

@@ -97,7 +97,7 @@ func TestParseScrapeReadsTelemetry(t *testing.T) {
 // as a -race build does after a data race, fails with the child's exit
 // status named, although every load and leak bound holds.
 func TestSoakFailsOnChildExit(t *testing.T) {
-	srv, err := startServer("127.0.0.1:0", "loadtest", 1, t.TempDir())
+	srv, err := startServer("127.0.0.1:0", "loadtest", t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,15 +28,6 @@ type FlowConfig struct {
 	Seed        int64
 	Workers     int // parallelism for MOO and MC (0 → GOMAXPROCS)
 
-	// MCDispatcher, when non-nil, spreads each Pareto point's Monte
-	// Carlo sample range across peer replicas (montecarlo.Plan's
-	// Dispatcher, which shards naive points only); the server wires one
-	// up in cluster mode. Results are bit-identical to a local run for
-	// any shard layout, and the field is deliberately excluded from the
-	// checkpoint fingerprint: a job checkpointed on one cluster shape
-	// resumes on any other.
-	MCDispatcher montecarlo.ShardDispatcher
-
 	Model ModelOptions
 
 	// MaxDroppedFraction bounds the tolerated fraction of Pareto points
@@ -476,7 +467,7 @@ func (f *flowRun) runMC(ctx context.Context) error {
 	// draining at each one, and the engine's in-order delivery hands
 	// finished points back in front position order — so events,
 	// checkpoints and results are bit-identical to the serial per-point
-	// loop for any Workers value or shard layout.
+	// loop for any Workers value.
 	start := len(f.ck.Done)
 	specs := make([]montecarlo.PointSpec, total-start)
 	genes := make([][]float64, total-start)
@@ -486,16 +477,14 @@ func (f *flowRun) runMC(ctx context.Context) error {
 		specs[i] = montecarlo.PointSpec{
 			Seed:    cfg.Seed + int64(pos)*1000003,
 			Samples: cfg.MCSamples,
-			Genes:   genes[i],
 		}
 	}
 	plan := montecarlo.Plan{
-		Proc:       cfg.Proc,
-		Points:     specs,
-		Workers:    cfg.Workers,
-		Metrics:    objNames,
-		Gauges:     f.metrics,
-		Dispatcher: cfg.MCDispatcher,
+		Proc:    cfg.Proc,
+		Points:  specs,
+		Workers: cfg.Workers,
+		Metrics: objNames,
+		Gauges:  f.metrics,
 	}
 	pool := &workspaces{}
 	defer func() { f.metrics.AddOPStats(pool.stats()) }()

@@ -15,31 +15,24 @@ import (
 // registry may be shared by several flows (a long-lived server
 // accumulates across runs). The zero value is ready to use; the ayd
 // server exports it at GET /metrics (internal/telemetry).
-//
-// Counters that sit on hot paths (per-evaluation, per-sample, or — via
-// the server — per-request) are ShardedCounters: increments scatter
-// across cache-line-padded shards and are only summed when the registry
-// is read, so concurrent writers on different cores do not serialize on
-// one cache line (see sharded.go). The stage clocks stay plain atomics
-// — they are touched once per stage.
 type Metrics struct {
-	evaluations    ShardedCounter
-	mcSimulations  ShardedCounter
-	solverFailures ShardedCounter
-	cacheHits      ShardedCounter
-	cacheMisses    ShardedCounter
-	droppedPoints  ShardedCounter
-	checkpoints    ShardedCounter
-	flows          ShardedCounter
+	evaluations    atomic.Int64
+	mcSimulations  atomic.Int64
+	solverFailures atomic.Int64
+	cacheHits      atomic.Int64
+	cacheMisses    atomic.Int64
+	droppedPoints  atomic.Int64
+	checkpoints    atomic.Int64
+	flows          atomic.Int64
 	mooNanos       atomic.Int64
 	mcNanos        atomic.Int64
 	tablesNanos    atomic.Int64
 
 	// Operating-point solver work (see analysis.OPStats), folded in
-	// once per flow stage and once per served shard request.
-	opSolves        ShardedCounter
-	opIterations    ShardedCounter
-	opWarmFallbacks ShardedCounter
+	// once per flow stage.
+	opSolves        atomic.Int64
+	opIterations    atomic.Int64
+	opWarmFallbacks atomic.Int64
 
 	// MC scheduler occupancy gauges (see montecarlo.Gauges) plus their
 	// observed peaks — the peaks survive the run, so a post-hoc scrape
@@ -50,18 +43,13 @@ type Metrics struct {
 
 	// Cluster counters, populated only when the server runs with a
 	// replica identity: lease traffic (jobs claimed, takeovers of
-	// crashed peers' jobs, fenced writes rejected) and remote
-	// Monte Carlo shard flow in both directions (dispatched to peers,
-	// degraded to local fallback, served on behalf of peers).
-	replicaMu          sync.Mutex
-	replica            string
-	leasesHeld         atomic.Int64
-	leaseAcquired      ShardedCounter
-	leaseTakeovers     ShardedCounter
-	leaseRejections    ShardedCounter
-	mcShardsDispatched ShardedCounter
-	mcShardsFallback   ShardedCounter
-	mcShardsServed     ShardedCounter
+	// crashed peers' jobs, fenced writes rejected).
+	replicaMu       sync.Mutex
+	replica         string
+	leasesHeld      atomic.Int64
+	leaseAcquired   atomic.Int64
+	leaseTakeovers  atomic.Int64
+	leaseRejections atomic.Int64
 
 	histMu sync.Mutex
 	hists  map[string]*Histogram
@@ -99,14 +87,11 @@ type MetricsSnapshot struct {
 	MCPointsInFlightPeak int64 `json:"mc_points_in_flight_peak"`
 	// Cluster counters; all omitted for single-node registries, so the
 	// snapshot JSON of earlier releases is unchanged.
-	Replica            string `json:"replica,omitempty"`
-	LeasesHeld         int64  `json:"leases_held,omitempty"`
-	LeaseAcquired      int64  `json:"lease_acquired,omitempty"`
-	LeaseTakeovers     int64  `json:"lease_takeovers,omitempty"`
-	LeaseRejections    int64  `json:"lease_rejections,omitempty"`
-	MCShardsDispatched int64  `json:"mc_shards_dispatched,omitempty"`
-	MCShardsFallback   int64  `json:"mc_shards_fallback,omitempty"`
-	MCShardsServed     int64  `json:"mc_shards_served,omitempty"`
+	Replica         string `json:"replica,omitempty"`
+	LeasesHeld      int64  `json:"leases_held,omitempty"`
+	LeaseAcquired   int64  `json:"lease_acquired,omitempty"`
+	LeaseTakeovers  int64  `json:"lease_takeovers,omitempty"`
+	LeaseRejections int64  `json:"lease_rejections,omitempty"`
 	// Latencies carries one snapshot per named latency histogram (see
 	// Metrics.Histogram); nil when the registry has none.
 	Latencies map[string]HistogramSnapshot `json:"latencies,omitempty"`
@@ -165,9 +150,6 @@ func (m *Metrics) LeasesHeld() int64         { return m.leasesHeld.Load() }
 func (m *Metrics) IncLeaseAcquired()         { m.leaseAcquired.Add(1) }
 func (m *Metrics) IncLeaseTakeovers()        { m.leaseTakeovers.Add(1) }
 func (m *Metrics) IncLeaseRejections()       { m.leaseRejections.Add(1) }
-func (m *Metrics) IncMCShardsDispatched()    { m.mcShardsDispatched.Add(1) }
-func (m *Metrics) IncMCShardsFallback()      { m.mcShardsFallback.Add(1) }
-func (m *Metrics) IncMCShardsServed()        { m.mcShardsServed.Add(1) }
 
 func (m *Metrics) addStage(s Stage, d time.Duration) {
 	switch s {
@@ -234,9 +216,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 	s.LeaseAcquired = m.leaseAcquired.Load()
 	s.LeaseTakeovers = m.leaseTakeovers.Load()
 	s.LeaseRejections = m.leaseRejections.Load()
-	s.MCShardsDispatched = m.mcShardsDispatched.Load()
-	s.MCShardsFallback = m.mcShardsFallback.Load()
-	s.MCShardsServed = m.mcShardsServed.Load()
 	m.histMu.Lock()
 	if len(m.hists) > 0 {
 		s.Latencies = make(map[string]HistogramSnapshot, len(m.hists))
@@ -258,54 +237,29 @@ const (
 	histGrowth  = 1.4
 )
 
-// histShards is the number of independent bucket arrays per Histogram.
-// Eight padded shards of ~450 bytes each keep a histogram under 4 KiB
-// while giving concurrent observers on different cores distinct cache
-// lines to increment. Must be a power of two no larger than
-// counterShards (the shard hash is shared).
-const histShards = 8
-
-// histShard is one observer lane: its own count, sum and bucket array,
-// padded so the next shard starts on a fresh cache line.
-type histShard struct {
-	count   atomic.Int64
-	sumNano atomic.Int64
-	buckets [histBuckets]atomic.Int64
-	_       [48]byte // 50 int64s + 48B pad = 448B = 7 cache lines exactly
-}
-
 // Histogram is a fixed-bucket exponential latency histogram with
-// lock-free recording, designed for hot request paths: Observe is two
-// atomic increments and a bucket increment on a per-goroutine shard
-// (plus a read-mostly atomic max update), so concurrent observers on
-// different cores do not contend on shared cache lines. Readers sum
-// the shards — Snapshot/Export are rare (scrapes) and pay the
-// aggregation cost so Observe doesn't have to. Quantiles are estimated
-// by linear interpolation inside the matched bucket, which is accurate
-// to the bucket's ±20% resolution — plenty for p50/p95 alerts. The
-// zero value is ready to use.
+// lock-free recording, designed for hot request paths: Observe is a
+// bucket increment and a duration-sum add (plus a read-mostly atomic
+// max update). Readers derive the count from the bucket reads
+// themselves. Quantiles are estimated by linear interpolation inside
+// the matched bucket, which is accurate to the bucket's ±20%
+// resolution — plenty for p50/p95 alerts. The zero value is ready to
+// use.
 type Histogram struct {
+	buckets [histBuckets]atomic.Int64
+	sumNano atomic.Int64
 	maxNano atomic.Int64
-	shards  [histShards]histShard
 }
 
-// totals sums the shard counts and duration sums (each shard read
-// atomically; the set is not a single transaction).
-func (h *Histogram) totals() (count, sumNano int64) {
-	for i := range h.shards {
-		count += h.shards[i].count.Load()
-		sumNano += h.shards[i].sumNano.Load()
+// load reads every bucket once and returns the counts with their total
+// (each bucket is read atomically; the set is not a single
+// transaction, but the total always equals the counts' sum).
+func (h *Histogram) load() (counts [histBuckets]int64, total int64) {
+	for i := range h.buckets {
+		counts[i] = h.buckets[i].Load()
+		total += counts[i]
 	}
-	return count, sumNano
-}
-
-// bucketLoad sums bucket i across shards.
-func (h *Histogram) bucketLoad(i int) int64 {
-	var n int64
-	for s := range h.shards {
-		n += h.shards[s].buckets[i].Load()
-	}
-	return n
+	return counts, total
 }
 
 // HistogramSnapshot is a point-in-time quantile summary, in
@@ -342,13 +296,11 @@ func (h *Histogram) Observe(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	sh := &h.shards[shardIndex()&(histShards-1)]
-	sh.count.Add(1)
-	sh.sumNano.Add(int64(d))
-	sh.buckets[histBucket(d)].Add(1)
-	// The max cell stays unsharded: it is read on every Observe but
-	// written only when a new maximum appears, so the line lives in the
-	// shared (read-only) cache state almost all the time.
+	h.buckets[histBucket(d)].Add(1)
+	h.sumNano.Add(int64(d))
+	// The max cell is read on every Observe but written only when a new
+	// maximum appears, so it stays in the shared cache state almost all
+	// the time.
 	for {
 		cur := h.maxNano.Load()
 		if int64(d) <= cur || h.maxNano.CompareAndSwap(cur, int64(d)) {
@@ -360,14 +312,19 @@ func (h *Histogram) Observe(d time.Duration) {
 // Quantile estimates the q-th quantile (0 < q < 1) in seconds; it
 // returns 0 when nothing has been observed.
 func (h *Histogram) Quantile(q float64) float64 {
-	total, _ := h.totals()
+	counts, total := h.load()
+	return h.quantile(&counts, total, q)
+}
+
+// quantile estimates the q-th quantile from one load of the buckets.
+func (h *Histogram) quantile(counts *[histBuckets]int64, total int64, q float64) float64 {
 	if total == 0 {
 		return 0
 	}
 	rank := q * float64(total)
 	var cum float64
-	for i := 0; i < histBuckets; i++ {
-		n := float64(h.bucketLoad(i))
+	for i, c := range counts {
+		n := float64(c)
 		if n == 0 {
 			continue
 		}
@@ -406,30 +363,29 @@ func (h *Histogram) Export() (buckets []HistogramBucket, count int64, sumSeconds
 	buckets = make([]HistogramBucket, histBuckets)
 	var cum int64
 	for i := range buckets {
-		cum += h.bucketLoad(i)
+		cum += h.buckets[i].Load()
 		ub := histBound(i)
 		if i == histBuckets-1 {
 			ub = math.Inf(1)
 		}
 		buckets[i] = HistogramBucket{UpperBound: ub, CumulativeCount: cum}
 	}
-	_, sumNano := h.totals()
-	return buckets, cum, float64(sumNano) / 1e9
+	return buckets, cum, float64(h.sumNano.Load()) / 1e9
 }
 
 // Snapshot summarises the histogram (counts are read atomically; the
 // set is not a single transaction).
 func (h *Histogram) Snapshot() HistogramSnapshot {
-	count, sumNano := h.totals()
+	counts, total := h.load()
 	s := HistogramSnapshot{
-		Count:     count,
-		P50Millis: 1e3 * h.Quantile(0.50),
-		P95Millis: 1e3 * h.Quantile(0.95),
-		P99Millis: 1e3 * h.Quantile(0.99),
+		Count:     total,
+		P50Millis: 1e3 * h.quantile(&counts, total, 0.50),
+		P95Millis: 1e3 * h.quantile(&counts, total, 0.95),
+		P99Millis: 1e3 * h.quantile(&counts, total, 0.99),
 		MaxMillis: float64(h.maxNano.Load()) / 1e6,
 	}
-	if s.Count > 0 {
-		s.MeanMillis = float64(sumNano) / 1e6 / float64(s.Count)
+	if total > 0 {
+		s.MeanMillis = float64(h.sumNano.Load()) / 1e6 / float64(total)
 	}
 	return s
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -155,4 +156,121 @@ func TestHistogramExport(t *testing.T) {
 	if snap := h.Snapshot(); snap.Count != count {
 		t.Errorf("Snapshot count %d != Export count %d", snap.Count, count)
 	}
+}
+
+func TestHistogramObserveAllocFree(t *testing.T) {
+	var h Histogram
+	if n := testing.AllocsPerRun(1000, func() { h.Observe(time.Millisecond) }); n != 0 {
+		t.Fatalf("Observe allocates %.1f objects/op, want 0", n)
+	}
+}
+
+// TestHistogramExportMonotoneUnderWriters is the histogram's race
+// hammer: while writers pour observations in, every Export must produce
+// an internally monotone cumulative ladder whose +Inf bucket equals the
+// returned count, and consecutive exports must never go backwards —
+// the guarantees the Prometheus exposition depends on.
+func TestHistogramExportMonotoneUnderWriters(t *testing.T) {
+	var h Histogram
+	var stop atomic.Bool
+	durations := []time.Duration{
+		10 * time.Microsecond, time.Millisecond, 7 * time.Millisecond,
+		80 * time.Millisecond, 2 * time.Second, time.Hour,
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; !stop.Load(); i++ {
+				h.Observe(durations[(g+i)%len(durations)])
+			}
+		}(g)
+	}
+
+	var prevCount int64
+	var prevSum float64
+	prevLadder := make([]int64, 0, histBuckets)
+	for round := 0; round < 200; round++ {
+		buckets, count, sum := h.Export()
+		var cum int64
+		for i, b := range buckets {
+			if b.CumulativeCount < cum {
+				t.Fatalf("round %d: ladder decreases at bucket %d: %d < %d",
+					round, i, b.CumulativeCount, cum)
+			}
+			cum = b.CumulativeCount
+			if len(prevLadder) == histBuckets && b.CumulativeCount < prevLadder[i] {
+				t.Fatalf("round %d: bucket %d went backwards: %d < %d",
+					round, i, b.CumulativeCount, prevLadder[i])
+			}
+		}
+		if last := buckets[len(buckets)-1].CumulativeCount; last != count {
+			t.Fatalf("round %d: +Inf bucket %d != count %d", round, last, count)
+		}
+		if count < prevCount {
+			t.Fatalf("round %d: count went backwards: %d < %d", round, count, prevCount)
+		}
+		if sum < prevSum {
+			t.Fatalf("round %d: sum went backwards: %g < %g", round, sum, prevSum)
+		}
+		prevCount, prevSum = count, sum
+		prevLadder = prevLadder[:0]
+		for _, b := range buckets {
+			prevLadder = append(prevLadder, b.CumulativeCount)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+
+	// Quiescent: everything must reconcile exactly.
+	_, count, _ := h.Export()
+	if snap := h.Snapshot(); snap.Count != count {
+		t.Fatalf("quiescent Snapshot count %d != Export count %d", snap.Count, count)
+	}
+}
+
+// TestMetricsSnapshotEqualsShardSum hammers the registry's counters
+// and a histogram from many goroutines and checks the quiescent
+// Snapshot is the exact sum of what was written: no increment is lost.
+func TestMetricsSnapshotEqualsShardSum(t *testing.T) {
+	var m Metrics
+	const goroutines, each = 12, 5000
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				m.evaluations.Add(1)
+				m.mcSimulations.Add(2)
+				m.cacheHits.Add(1)
+				m.cacheMisses.Add(1)
+				m.Histogram("hammer").Observe(time.Millisecond)
+			}
+		}()
+	}
+	wg.Wait()
+	s := m.Snapshot()
+	if want := int64(goroutines * each); s.Evaluations != want {
+		t.Errorf("Evaluations = %d, want %d", s.Evaluations, want)
+	}
+	if want := int64(2 * goroutines * each); s.MCSimulations != want {
+		t.Errorf("MCSimulations = %d, want %d", s.MCSimulations, want)
+	}
+	if s.CacheHitRate != 0.5 {
+		t.Errorf("CacheHitRate = %g, want 0.5", s.CacheHitRate)
+	}
+	if got := s.Latencies["hammer"].Count; got != int64(goroutines*each) {
+		t.Errorf("histogram count = %d, want %d", got, goroutines*each)
+	}
+}
+
+func BenchmarkHistogramObserveParallel(b *testing.B) {
+	var h Histogram
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			h.Observe(300 * time.Microsecond)
+		}
+	})
 }

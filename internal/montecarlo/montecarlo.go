@@ -4,16 +4,15 @@
 // and the ±3σ half-range Δ% used by the guard-banding arithmetic.
 //
 // Run is the one entry point. A Plan lists the points to analyse (one
-// per Pareto point in the flow, one for a yield check), the sampling
-// strategy and, optionally, a dispatcher that farms naive samples to
-// peer replicas. Every point runs its strategy's phases on its own
-// goroutine and queues each phase's samples to one worker pool that
-// lives for the whole run.
+// per Pareto point in the flow, one for a yield check) and the sampling
+// strategy. Every point runs its strategy's phases on its own goroutine
+// and queues each phase's samples to one worker pool that lives for the
+// whole run.
 //
 // Sampling is deterministic: sample i of a point always draws process
 // sample (seed, i), and each sample slot is written by exactly one
-// worker, so results are bit-identical for any worker count, item size
-// or shard layout.
+// worker, so results are bit-identical for any worker count or item
+// size.
 package montecarlo
 
 import (
@@ -31,9 +30,6 @@ import (
 type PointSpec struct {
 	Seed    int64 // RNG stream identifier for this point
 	Samples int   // number of MC samples (required, > 0)
-	// Genes is the point's genome as a remote shard evaluator receives
-	// it; only a plan with a ShardDispatcher reads it.
-	Genes []float64
 }
 
 // PointEvaluator evaluates one process sample of the point at plan
@@ -67,19 +63,12 @@ func (nopGauges) AddPointsInFlight(int64) {}
 type Plan struct {
 	Proc    *process.Process // required
 	Points  []PointSpec
-	Workers int // parallel workers (default: GOMAXPROCS)
-	// Metrics optionally names the metric columns for reporting. A plan
-	// whose Dispatcher shards its points must name them: a peer's row
-	// is accepted only at that width.
-	Metrics []string
+	Workers int      // parallel workers (default: GOMAXPROCS)
+	Metrics []string // optional metric column names for reporting
 	// Variance selects the sampling strategy; the zero value is naive
 	// Monte Carlo.
 	Variance VarianceOptions
 	Gauges   Gauges // optional scheduler occupancy sink
-	// Dispatcher optionally spreads each point's samples across peer
-	// replicas. Only naive points are sharded; under any other strategy
-	// it is ignored.
-	Dispatcher ShardDispatcher
 }
 
 // Stats summarises one metric across the samples that evaluated
@@ -148,7 +137,6 @@ func Run(ctx context.Context, plan Plan, factory Factory, done func(point int, r
 		plan:   plan,
 		v:      plan.Variance.withDefaults(),
 		gauges: plan.Gauges,
-		shards: plan.shards(),
 	}
 	if e.gauges == nil {
 		e.gauges = nopGauges{}
@@ -196,15 +184,8 @@ func Run(ctx context.Context, plan Plan, factory Factory, done func(point int, r
 	}()
 
 	// Points start in order, a bounded number at a time: enough that
-	// the pool never waits for a point goroutine between phases. A
-	// sharded point evaluates only 1/(shards+1) of its samples locally
-	// while it waits for its peers, so proportionally more points run.
-	inflight := (workers + 1) * (e.shards + 1)
-	// remote bounds the dispatcher calls in flight to about four per
-	// peer, however many points are running: a peer caps its heavy
-	// routes and sheds the excess, which the owner then evaluates
-	// itself, so a long plan must not open dozens of requests per peer.
-	e.remote = make(chan struct{}, 4*e.shards)
+	// the pool never waits for a point goroutine between phases.
+	inflight := workers + 1
 	go func() {
 		var points sync.WaitGroup
 		slots := make(chan struct{}, inflight)
@@ -288,23 +269,7 @@ func (plan *Plan) validate(factory Factory, done func(int, *Result, error) error
 			return fmt.Errorf("montecarlo: point %d: Samples must be positive, got %d", p, pt.Samples)
 		}
 	}
-	if err := plan.Variance.validate(); err != nil {
-		return err
-	}
-	if plan.shards() > 0 && len(plan.Metrics) == 0 {
-		return fmt.Errorf("montecarlo: a sharded plan must name its metrics")
-	}
-	return nil
-}
-
-// shards is the number of remote shards per point. Only naive points
-// are sharded: the variance-reduced estimators keep per-point adaptive
-// state that must see every sample locally.
-func (plan *Plan) shards() int {
-	if plan.Dispatcher == nil || plan.Variance.Strategy != StrategyNaive {
-		return 0
-	}
-	return max(plan.Dispatcher.Shards(), 0)
+	return plan.Variance.validate()
 }
 
 // engine is one Run's shared scheduling state.
@@ -312,9 +277,7 @@ type engine struct {
 	plan   Plan
 	v      VarianceOptions // plan.Variance with defaults filled in
 	gauges Gauges
-	shards int           // remote shards per point; 0 runs every sample locally
-	remote chan struct{} // semaphore over in-flight EvalShard calls
-	chunk  int           // samples per work item
+	chunk  int // samples per work item
 	phases chan *phase
 	work   chan item
 }
@@ -427,8 +390,7 @@ func (w *welford) stats() Stats {
 
 // rowWidth returns the metric count of res's successful samples. Every
 // sample failing is an error, and so is a row whose width differs from
-// the first row's: a faulty evaluator or peer must not index past a
-// row.
+// the first row's: a faulty evaluator must not index past a row.
 func rowWidth(res *Result) (int, error) {
 	width := -1
 	for i, s := range res.Samples {

@@ -199,10 +199,6 @@ func TestRunBatchValidation(t *testing.T) {
 	if err := Run(context.Background(), bad, factory, done); err == nil {
 		t.Error("unknown strategy accepted")
 	}
-	unnamed := Plan{Proc: proc(), Points: batchSpecs(), Dispatcher: failingDispatcher{shards: 1}}
-	if err := Run(context.Background(), unnamed, factory, done); err == nil {
-		t.Error("a sharded plan without metric names accepted")
-	}
 	if err := Run(context.Background(), Plan{Proc: proc()}, factory, done); err != nil {
 		t.Errorf("empty plan: %v", err)
 	}

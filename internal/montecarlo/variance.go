@@ -240,11 +240,7 @@ func (e *engine) point(ctx context.Context, p int) (*Result, error) {
 	run := func(idxs []int) { e.run(ctx, idxs, evalOne) }
 
 	if !surOn {
-		if e.shards > 0 {
-			e.shard(ctx, p, res, &failed, run)
-		} else {
-			run(ints(0, samples))
-		}
+		run(ints(0, samples))
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

@@ -96,32 +96,57 @@ func trimZeros(v float64) string {
 	return strconv.FormatFloat(v, 'g', 6, 64)
 }
 
+// Error is the error Parse returns for input it refuses, a failing
+// reader included. Its message is the refusal's; it unwraps to the
+// cause (ErrTooLarge for an expansion past the limits).
+type Error struct{ Err error }
+
+func (e *Error) Error() string { return e.Err.Error() }
+func (e *Error) Unwrap() error { return e.Err }
+
 // Parse reads a netlist from r. The returned netlist's Title comes from
-// a leading comment or .title card.
+// a leading comment or .title card. Every error it returns is an
+// *Error.
 func Parse(r io.Reader) (*circuit.Netlist, error) {
+	n, err := parse(r)
+	if err != nil {
+		return nil, &Error{err}
+	}
+	return n, nil
+}
+
+func parse(r io.Reader) (*circuit.Netlist, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	var lines []string
+	// parts holds each logical line's physical pieces: '+' lines
+	// continue the previous one, joined once at the end so a long run
+	// of continuations costs linear time.
+	var parts [][]string
 	lineNos := []int{}
 	no := 0
 	for sc.Scan() {
 		no++
 		raw := strings.TrimRight(sc.Text(), " \t\r")
-		if t := strings.TrimSpace(raw); t == "" {
+		t := strings.TrimSpace(raw)
+		if t == "" {
 			continue
 		}
-		if strings.HasPrefix(strings.TrimSpace(raw), "+") {
-			if len(lines) == 0 {
+		if rest, ok := strings.CutPrefix(t, "+"); ok {
+			if len(parts) == 0 {
 				return nil, fmt.Errorf("netlist: line %d: continuation without a previous line", no)
 			}
-			lines[len(lines)-1] += " " + strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(raw), "+"))
+			parts[len(parts)-1] = append(parts[len(parts)-1], strings.TrimSpace(rest))
 			continue
 		}
-		lines = append(lines, raw)
+		parts = append(parts, []string{raw})
 		lineNos = append(lineNos, no)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
+	}
+	lines := make([]string, len(parts))
+	for i, p := range parts {
+		lines[i] = strings.Join(p, " ")
 	}
 
 	n := circuit.New("")
@@ -160,6 +185,7 @@ func Parse(r io.Reader) (*circuit.Netlist, error) {
 			return nil, err
 		}
 	}
+	var b budget
 	for i, line := range lines {
 		t := strings.TrimSpace(line)
 		lower := strings.ToLower(t)
@@ -179,8 +205,11 @@ func Parse(r io.Reader) (*circuit.Netlist, error) {
 		case strings.HasPrefix(t, "."):
 			return nil, fmt.Errorf("netlist: line %d: unsupported card %q", lineNos[i], fields(t)[0])
 		}
+		if err := b.charge("", t); err != nil {
+			return nil, fmt.Errorf("netlist: line %d: %w", lineNos[i], err)
+		}
 		if strings.ToUpper(t[:1]) == "X" {
-			if err := expandInstance(n, t, subs, models, "", nil, 0); err != nil {
+			if err := expandInstance(n, t, subs, models, "", nil, 0, &b); err != nil {
 				return nil, fmt.Errorf("netlist: line %d: %w", lineNos[i], err)
 			}
 			continue

@@ -1,6 +1,7 @@
 package netlist
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -67,12 +68,46 @@ func extractSubckts(lines []string, lineNos []int) (map[string]*subckt, []string
 // maxSubcktDepth bounds instance nesting (and catches recursion).
 const maxSubcktDepth = 20
 
-// expandInstance adds one X line's subcircuit contents to the netlist.
-// prefix is the hierarchical path ("X1." for a top-level instance);
-// nodeMap translates port names inside the definition to outer netlist
-// node indices; all other nodes become "<prefix><name>".
+// An instance re-reads its definition once per use, so nesting
+// multiplies: ten instances per level, five levels deep, is 100,000
+// devices from under 700 bytes. Parse counts every device and instance
+// line it builds, and their text with its hierarchical prefix, against
+// fixed limits. maxElements is already past what the dense MNA solver
+// handles (4096 unknowns is a 128 MiB matrix); maxText bounds what
+// long names and lines cost when re-read.
+const (
+	maxElements = 4096
+	maxText     = 1 << 20
+)
+
+// ErrTooLarge is wrapped by the error Parse returns for a netlist that
+// expands past maxElements devices and instances, or past maxText
+// bytes of device and instance text.
+var ErrTooLarge = errors.New("subcircuit expansion too large")
+
+// budget counts what a netlist has expanded to so far.
+type budget struct{ elements, text int }
+
+// charge counts one device or instance line built under prefix.
+func (b *budget) charge(prefix, line string) error {
+	b.elements++
+	b.text += len(prefix) + len(line)
+	if b.elements > maxElements {
+		return fmt.Errorf("%w: more than %d devices and instances", ErrTooLarge, maxElements)
+	}
+	if b.text > maxText {
+		return fmt.Errorf("%w: more than %d bytes of device and instance text", ErrTooLarge, maxText)
+	}
+	return nil
+}
+
+// expandInstance adds one X line's subcircuit contents to the netlist,
+// charging every line it builds to b. prefix is the hierarchical path
+// ("X1." for a top-level instance); nodeMap translates port names
+// inside the definition to outer netlist node indices; all other nodes
+// become "<prefix><name>".
 func expandInstance(n *circuit.Netlist, line string, subs map[string]*subckt,
-	models map[string]mos.Params, prefix string, outerMap map[string]int, depth int) error {
+	models map[string]mos.Params, prefix string, outerMap map[string]int, depth int, b *budget) error {
 	if depth > maxSubcktDepth {
 		return fmt.Errorf("subcircuit nesting deeper than %d (recursive definition?)", maxSubcktDepth)
 	}
@@ -106,8 +141,11 @@ func expandInstance(n *circuit.Netlist, line string, subs map[string]*subckt,
 		if t == "" || strings.HasPrefix(t, "*") || strings.HasPrefix(t, ".") {
 			continue
 		}
+		if err := b.charge(childPrefix, t); err != nil {
+			return fmt.Errorf("%s: %w", instName, err)
+		}
 		if strings.ToUpper(t[:1]) == "X" {
-			if err := expandInstance(n, t, subs, models, childPrefix, inner, depth+1); err != nil {
+			if err := expandInstance(n, t, subs, models, childPrefix, inner, depth+1, b); err != nil {
 				return fmt.Errorf("%s: %w", instName, err)
 			}
 			continue

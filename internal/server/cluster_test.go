@@ -2,18 +2,13 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"analogyield/internal/analysis"
 	"analogyield/internal/core"
 	"analogyield/internal/process"
 	"analogyield/internal/server/api"
@@ -29,7 +24,7 @@ func newClusterJM(t *testing.T, st store.Store, id string, ttl time.Duration,
 	m := NewJobManager(t.TempDir(), 2, 8, reg,
 		problems, map[string]ProcessFactory{"c35": process.C35},
 		&core.Metrics{}, quietLog())
-	m.EnableCluster(id, nil, ttl)
+	m.EnableCluster(id, ttl)
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
@@ -75,178 +70,6 @@ func waitModel(t *testing.T, reg *Registry, name string, timeout time.Duration) 
 			t.Fatalf("model %q never installed", name)
 		}
 		time.Sleep(25 * time.Millisecond)
-	}
-}
-
-// TestClusterShardedFlowBitIdentical pins the cluster-mode correctness
-// contract end to end over real HTTP: a flow whose Monte Carlo stage is
-// sharded across 1 or 3 peer replicas (2- and 4-replica layouts)
-// installs a model with the SAME content address as a single-node run —
-// the shard placement is invisible in the results.
-func TestClusterShardedFlowBitIdentical(t *testing.T) {
-	req := api.FlowRequest{
-		TenantRef:   api.TenantRef{Model: "shard-e2e"},
-		Problem:     "synth",
-		PopSize:     24,
-		Generations: 8,
-		MCSamples:   40,
-		Seed:        7,
-	}
-	problems := func() map[string]ProblemFactory {
-		return map[string]ProblemFactory{
-			"synth": func() core.CircuitProblem { return synthProblem{} },
-		}
-	}
-	newSrv := func(id string, peers []string) *Server {
-		srv := New(Config{
-			Store:     store.NewMemory(),
-			DataDir:   t.TempDir(),
-			ReplicaID: id,
-			Peers:     peers,
-			Problems:  problems(),
-			Logger:    quietLog(),
-		})
-		t.Cleanup(func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			srv.Shutdown(ctx)
-		})
-		return srv
-	}
-	// flow runs the job on an owner whose peers are urls and returns the
-	// installed model's version.
-	flow := func(t *testing.T, urls []string) (string, *Server) {
-		owner := newSrv("owner", urls)
-		st, err := owner.Jobs().Submit(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		waitDone(t, owner.Jobs(), st.ID, 60*time.Second)
-		got, err := owner.Jobs().Status(api.DefaultTenant, st.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.State != api.JobSucceeded {
-			t.Fatalf("peers=%d: state %q (%s)", len(urls), got.State, got.Error)
-		}
-		info, err := owner.Registry().Info(api.DefaultTenant, "shard-e2e")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return info.Version, owner
-	}
-	run := func(t *testing.T, peers int) string {
-		var urls []string
-		var peerSrvs []*Server
-		for i := 0; i < peers; i++ {
-			ps := newSrv(fmt.Sprintf("peer-%d", i), nil)
-			hs := httptest.NewServer(ps.Handler())
-			t.Cleanup(hs.Close)
-			urls = append(urls, hs.URL)
-			peerSrvs = append(peerSrvs, ps)
-		}
-		version, owner := flow(t, urls)
-		if peers > 0 {
-			// Guard against a dispatcher that silently does everything
-			// locally (which would also pass the bit-identity check).
-			if d := owner.Metrics().Snapshot().MCShardsDispatched; d == 0 {
-				t.Errorf("peers=%d: owner dispatched no shards", peers)
-			}
-			var served int64
-			for _, ps := range peerSrvs {
-				served += ps.Metrics().Snapshot().MCShardsServed
-			}
-			if served == 0 {
-				t.Errorf("peers=%d: no peer served a shard", peers)
-			}
-		}
-		return version
-	}
-	base := run(t, 0) // single replica
-	for _, peers := range []int{1, 3} {
-		if v := run(t, peers); v != base {
-			t.Errorf("%d-replica layout: model version %s, single-node %s — results not bit-identical",
-				peers+1, v, base)
-		}
-	}
-
-	// A peer on another build answers every shard with one-column rows,
-	// which the wire format accepts. The owner must evaluate those
-	// shards itself rather than panic indexing the second metric.
-	var asked atomic.Int64
-	ragged := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var sr api.ShardRequest
-		if err := json.NewDecoder(r.Body).Decode(&sr); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		asked.Add(1)
-		rows := make([]string, sr.Hi-sr.Lo)
-		for k := range rows {
-			rows[k] = api.EncodeFloats([]float64{1})
-		}
-		json.NewEncoder(w).Encode(api.ShardResponse{Rows: rows})
-	}))
-	t.Cleanup(ragged.Close)
-	v, owner := flow(t, []string{ragged.URL})
-	if v != base {
-		t.Errorf("owner with a ragged peer: model version %s, single-node %s", v, base)
-	}
-	if asked.Load() == 0 {
-		t.Error("the ragged peer was never asked for a shard")
-	}
-	// Every rejected shard shows in the owner's counters as a fallback,
-	// not as healthy dispatch.
-	if m := owner.Metrics().Snapshot(); m.MCShardsFallback != asked.Load() || m.MCShardsDispatched != 0 {
-		t.Errorf("ragged peer asked %d times: owner counted %d fallbacks, %d dispatched; want %d, 0",
-			asked.Load(), m.MCShardsFallback, m.MCShardsDispatched, asked.Load())
-	}
-}
-
-// TestEvalShardOTAMatchesOwner: a peer answering a shard of OTA samples
-// returns the owner's bits, because every sample starts Newton from its
-// design's nominal operating point whichever replica and workspace runs
-// it, and the peer folds its request's solver work into its registry.
-func TestEvalShardOTAMatchesOwner(t *testing.T) {
-	srv := New(Config{Store: store.NewMemory(), DataDir: t.TempDir(), Logger: quietLog()})
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
-	})
-	genes := []float64{0.4, 0.3, 0.6, 0.5, 0.2, 0.7, 0.5, 0.5}
-	const seed, lo, hi = 41, 7, 19
-	resp, err := srv.evalShard(context.Background(), api.ShardRequest{
-		Problem: "ota", Process: "c35", Genes: api.EncodeFloats(genes), Seed: seed, Lo: lo, Hi: hi,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The owner's worker ran another design first and meets the range
-	// in the opposite order.
-	owner, proc, ws := core.NewOTAProblem(), process.C35(), analysis.NewWorkspace()
-	if _, err := owner.EvaluateWS([]float64{0.6, 0.6, 0.2, 0.3, 0.5, 0.5, 0.4, 0.4}, proc.NewSample(3, 0), ws); err != nil {
-		t.Fatal(err)
-	}
-	for i := hi - 1; i >= lo; i-- {
-		want, err := owner.EvaluateWS(genes, proc.NewSample(seed, i), ws)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := api.DecodeFloats(resp.Rows[i-lo])
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := range want {
-			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
-				t.Fatalf("sample %d metric %d: peer %v, owner %v", i, k, got[k], want[k])
-			}
-		}
-	}
-	if m := srv.Metrics().Snapshot(); m.OPSolves != hi-lo+1 || m.OPWarmFallbacks != 0 || m.OPIterations <= m.OPSolves {
-		t.Errorf("peer counted %d solves, %d iterations, %d fallbacks; want %d solves (one nominal), none falling back",
-			m.OPSolves, m.OPIterations, m.OPWarmFallbacks, hi-lo+1)
 	}
 }
 
@@ -413,12 +236,15 @@ func TestClusterChaosTakeoverBitIdentical(t *testing.T) {
 
 // TestClusterHealthExposition pins /healthz to liveness only, the same
 // body in single-node and cluster mode; counters live on /metrics, and
-// /debug/vars is gone.
+// /debug/vars and the replica-to-replica Monte Carlo route are gone.
 func TestClusterHealthExposition(t *testing.T) {
-	get := func(srv *Server, path string) *httptest.ResponseRecorder {
+	serve := func(srv *Server, method, path string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
-		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader("{}")))
 		return rec
+	}
+	get := func(srv *Server, path string) *httptest.ResponseRecorder {
+		return serve(srv, http.MethodGet, path)
 	}
 	shutdown := func(srv *Server) {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -438,6 +264,9 @@ func TestClusterHealthExposition(t *testing.T) {
 		}
 		if rec := get(srv, "/debug/vars"); rec.Code != http.StatusNotFound {
 			t.Errorf("%s /debug/vars: HTTP %d, want 404", name, rec.Code)
+		}
+		if rec := serve(srv, http.MethodPost, "/internal/mc/shard"); rec.Code != http.StatusNotFound {
+			t.Errorf("%s POST /internal/mc/shard: HTTP %d, want 404", name, rec.Code)
 		}
 	}
 	if !strings.Contains(get(clustered, "/metrics").Body.String(), `ayd_replica_info{replica="r9"} 1`) {

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"os"
 	"path/filepath"
 	"sync"
@@ -152,36 +151,32 @@ func NewJobManager(dataDir string, workers, queueDepth int, reg *Registry,
 	return m
 }
 
-// clusterState carries a replica's cluster-mode identity and wiring.
+// defaultLeaseTTL is the job-lease heartbeat window when Config.LeaseTTL
+// is zero: long enough that three missed heartbeats (TTL/3 cadence)
+// precede a takeover, short enough that a crashed replica's jobs are
+// adopted within seconds.
+const defaultLeaseTTL = 15 * time.Second
+
+// clusterState carries a replica's cluster-mode identity. Cluster mode
+// keeps exactly one replica running each job: acquire on submit,
+// heartbeat at TTL/3, fenced checkpoint writes, release-keep-record on
+// drain, and a takeover scanner that adopts jobs whose lease lapsed.
+// The owner runs every Monte Carlo sample itself.
 type clusterState struct {
-	id     string
-	peers  []string
-	ttl    time.Duration
-	client *http.Client
+	id  string
+	ttl time.Duration
 }
 
 // EnableCluster turns the manager into one replica of a fleet sharing
-// the artefact store: id names this replica (the lease owner string),
-// peers lists the other replicas' base URLs (empty = lease coordination
-// without MC distribution), and ttl is the job-lease heartbeat window
-// (0 → 15s). Must be called before the first submission; it also
-// starts the takeover scanner that adopts jobs whose owner's lease
-// lapsed.
-func (m *JobManager) EnableCluster(id string, peers []string, ttl time.Duration) {
+// the artefact store: id names this replica (the lease owner string)
+// and ttl is the job-lease heartbeat window (0 → 15s). Must be called
+// before the first submission; it also starts the takeover scanner
+// that adopts jobs whose owner's lease lapsed.
+func (m *JobManager) EnableCluster(id string, ttl time.Duration) {
 	if ttl <= 0 {
 		ttl = defaultLeaseTTL
 	}
-	m.cluster = &clusterState{
-		id:    id,
-		peers: peers,
-		ttl:   ttl,
-		client: &http.Client{Transport: &http.Transport{
-			MaxIdleConnsPerHost: 64,
-			MaxConnsPerHost:     256,
-			IdleConnTimeout:     90 * time.Second,
-			DisableCompression:  true,
-		}},
-	}
+	m.cluster = &clusterState{id: id, ttl: ttl}
 	m.metrics.SetReplica(id)
 	m.wg.Add(1)
 	go m.takeoverLoop()
@@ -336,9 +331,8 @@ func (m *JobManager) submit(req api.FlowRequest, adopted *store.Lease) (*api.Job
 	if err := core.CheckFlowMCStrategy(req.MCStrategy); err != nil {
 		return fail(err)
 	}
-	problem := pf()
 	cfg := core.FlowConfig{
-		Problem:         problem,
+		Problem:         pf(),
 		Proc:            prf(),
 		PopSize:         req.PopSize,
 		Generations:     req.Generations,
@@ -348,7 +342,6 @@ func (m *JobManager) submit(req api.FlowRequest, adopted *store.Lease) (*api.Job
 		Model:           core.ModelOptions{MaxTablePoints: req.MaxTablePoints},
 		CheckpointEvery: req.CheckpointEvery,
 		Metrics:         m.metrics,
-		MCDispatcher:    m.newShardDispatcher(tenant, req.Problem, procName, len(problem.ObjectiveNames())),
 	}
 	if err := cfg.Validate(); err != nil {
 		return fail(err)

@@ -36,15 +36,10 @@ type Registry struct {
 	st  store.Store
 	cap int
 
-	mu    sync.Mutex // serialises snapshot writers
-	snap  atomic.Pointer[snapshot]
-	clock atomic.Int64 // LRU recency source
-
-	// queries counts queries that reached a model (QueryStats). It ticks
-	// on every request, so it is sharded like the rest of the per-request
-	// counters — at six-figure qps a lone atomic here is a cross-core
-	// cache-line fight.
-	queries core.ShardedCounter
+	mu      sync.Mutex // serialises snapshot writers
+	snap    atomic.Pointer[snapshot]
+	clock   atomic.Int64 // LRU recency source
+	queries atomic.Int64 // queries that reached a model (QueryStats)
 }
 
 // snapshot is one immutable published generation of the resident set,

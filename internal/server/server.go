@@ -42,7 +42,6 @@ import (
 	"net"
 	"net/http"
 	"net/netip"
-	"sync"
 	"time"
 
 	"analogyield/internal/core"
@@ -72,12 +71,6 @@ type Config struct {
 	// FlowWorkers sizes the job pool (0 → 2); flowQueueDepth jobs may
 	// wait behind it.
 	FlowWorkers int
-	// Listeners is the number of SO_REUSEPORT listener shards Start
-	// opens on Addr, each with its own accept loop and http.Server over
-	// the shared handler, so accepts spread across cores instead of
-	// serializing on one socket (0/1 → a single listener; >1 degrades
-	// to 1 with a warning on platforms without SO_REUSEPORT).
-	Listeners int
 	// ReadHeaderTimeout bounds how long a connection may dribble its
 	// request headers before being dropped — the slowloris guard
 	// (0 → 5s, negative → no limit).
@@ -123,12 +116,6 @@ type Config struct {
 	// scanner adopts jobs whose owner stopped heartbeating. Empty =
 	// single-node, byte-identical behaviour to earlier releases.
 	ReplicaID string
-	// Peers lists the other replicas' base URLs (e.g.
-	// "http://127.0.0.1:8081"). When non-empty, each flow job's Monte
-	// Carlo stage is sharded across them (results stay bit-identical to
-	// a single-node run — see montecarlo.Plan's Dispatcher). Ignored
-	// without ReplicaID.
-	Peers []string
 	// LeaseTTL is the job-lease heartbeat window: a replica silent for
 	// this long loses its jobs to a peer (0 → 15s).
 	LeaseTTL time.Duration
@@ -160,9 +147,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FlowWorkers <= 0 {
 		c.FlowWorkers = 2
-	}
-	if c.Listeners <= 0 {
-		c.Listeners = 1
 	}
 	if c.ReadHeaderTimeout == 0 {
 		c.ReadHeaderTimeout = 5 * time.Second
@@ -210,9 +194,8 @@ type Server struct {
 	log     *slog.Logger
 	proxies []netip.Prefix // parsed Config.TrustedProxies
 
-	handler http.Handler   // built once in New, shared by every listener shard
-	srvs    []*http.Server // one per listener shard
-	lns     []net.Listener
+	hs *http.Server // set by Start
+	ln net.Listener
 
 	shutdownCh chan struct{} // closed when Shutdown begins; ends SSE streams
 }
@@ -239,9 +222,8 @@ func New(cfg Config) *Server {
 	s.jobs = NewJobManager(cfg.DataDir, cfg.FlowWorkers, flowQueueDepth, reg,
 		cfg.Problems, cfg.Processes, cfg.Metrics, cfg.Logger)
 	if cfg.ReplicaID != "" {
-		s.jobs.EnableCluster(cfg.ReplicaID, cfg.Peers, cfg.LeaseTTL)
+		s.jobs.EnableCluster(cfg.ReplicaID, cfg.LeaseTTL)
 	}
-	s.handler = s.Handler()
 	return s
 }
 
@@ -297,11 +279,6 @@ func (s *Server) Handler() http.Handler {
 	// neither.
 	both("GET", "flows/{id}/events", http.HandlerFunc(s.handleEvents))
 	mux.Handle("GET /v1/tenants", timed("models", s.handleTenants))
-	// Replica-to-replica Monte Carlo shard evaluation (cluster mode).
-	// Registered unconditionally — a single-node server simply never
-	// receives the route — and capped like the other compute-heavy
-	// routes so a misbehaving peer cannot starve the query path.
-	mux.Handle("POST /internal/mc/shard", heavy(timedHard("mc_shard", s.handleShardEval)))
 	mux.Handle("GET /healthz", http.HandlerFunc(handleHealth))
 	mux.Handle("GET /metrics", telemetry.Handler(m))
 
@@ -321,20 +298,12 @@ func (s *Server) Handler() http.Handler {
 	return h
 }
 
-// Start binds Config.Addr and serves until Shutdown — over TLS with
-// modern defaults when Config.TLSCertFile/TLSKeyFile are set, and
-// across Config.Listeners SO_REUSEPORT shards when asked for more than
-// one. Every shard runs its own http.Server (own accept loop, own
-// connection-tracking lock) over the one shared handler. It returns
-// once the listeners are bound; serving continues in the background.
+// Start binds Config.Addr and serves until Shutdown, over TLS with
+// modern defaults when Config.TLSCertFile/TLSKeyFile are set. It
+// returns once the listener is bound; serving continues in the
+// background.
 func (s *Server) Start() error {
-	n := s.cfg.Listeners
-	if n > 1 && !httpx.ReusePortSupported() {
-		s.log.Warn("SO_REUSEPORT not supported on this platform; using one listener",
-			"requested", n)
-		n = 1
-	}
-	lns, err := httpx.ListenReusePort(s.cfg.Addr, n)
+	ln, err := net.Listen("tcp", s.cfg.Addr)
 	if err != nil {
 		return err
 	}
@@ -342,60 +311,35 @@ func (s *Server) Start() error {
 	if useTLS {
 		tc, err := httpx.LoadTLS(s.cfg.TLSCertFile, s.cfg.TLSKeyFile)
 		if err != nil {
-			for _, ln := range lns {
-				ln.Close()
-			}
+			ln.Close()
 			return err
 		}
-		for i := range lns {
-			lns[i] = tls.NewListener(lns[i], tc)
+		ln = tls.NewListener(ln, tc)
+	}
+	// Negative timeouts disable the limit.
+	hs := &http.Server{
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: max(s.cfg.ReadHeaderTimeout, 0),
+		IdleTimeout:       max(s.cfg.IdleTimeout, 0),
+		MaxHeaderBytes:    s.cfg.MaxHeaderBytes,
+	}
+	s.hs, s.ln = hs, ln
+	go func() {
+		if err := hs.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
+			s.log.Error("serve", "err", err)
 		}
-	}
-	s.lns = lns
-	for _, ln := range lns {
-		hs := s.newHTTPServer()
-		s.srvs = append(s.srvs, hs)
-		go func(hs *http.Server, ln net.Listener) {
-			if err := hs.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				s.log.Error("serve", "err", err)
-			}
-		}(hs, ln)
-	}
-	s.log.Info("listening", "addr", lns[0].Addr().String(), "tls", useTLS,
-		"listeners", len(lns))
+	}()
+	s.log.Info("listening", "addr", ln.Addr().String(), "tls", useTLS)
 	return nil
 }
 
-// newHTTPServer builds one listener shard's http.Server with the
-// configured keep-alive and header limits (negative timeouts disable
-// the limit).
-func (s *Server) newHTTPServer() *http.Server {
-	hs := &http.Server{
-		Handler:           s.handler,
-		ReadHeaderTimeout: s.cfg.ReadHeaderTimeout,
-		IdleTimeout:       s.cfg.IdleTimeout,
-		MaxHeaderBytes:    s.cfg.MaxHeaderBytes,
-	}
-	if hs.ReadHeaderTimeout < 0 {
-		hs.ReadHeaderTimeout = 0
-	}
-	if hs.IdleTimeout < 0 {
-		hs.IdleTimeout = 0
-	}
-	return hs
-}
-
-// Addr reports the bound listen address (valid after Start; every
-// listener shard shares it).
+// Addr reports the bound listen address (valid after Start).
 func (s *Server) Addr() string {
-	if len(s.lns) == 0 {
+	if s.ln == nil {
 		return s.cfg.Addr
 	}
-	return s.lns[0].Addr().String()
+	return s.ln.Addr().String()
 }
-
-// NumListeners reports how many listener shards Start actually opened.
-func (s *Server) NumListeners() int { return len(s.lns) }
 
 // Shutdown drains the server gracefully: new connections stop, SSE
 // streams close, in-flight requests finish, running flows checkpoint
@@ -414,25 +358,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.DrainTimeout)
 		defer cancel()
 	}
-	// Every listener shard drains in parallel inside the one budget — a
-	// slow shard must not serialize behind its siblings.
 	var firstErr error
-	if len(s.srvs) > 0 {
-		errs := make([]error, len(s.srvs))
-		var wg sync.WaitGroup
-		for i, hs := range s.srvs {
-			wg.Add(1)
-			go func(i int, hs *http.Server) {
-				defer wg.Done()
-				errs[i] = hs.Shutdown(ctx)
-			}(i, hs)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
+	if s.hs != nil {
+		firstErr = s.hs.Shutdown(ctx)
 	}
 	if err := s.jobs.Shutdown(ctx); err != nil && firstErr == nil {
 		firstErr = err

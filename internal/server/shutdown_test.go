@@ -2,6 +2,9 @@ package server
 
 import (
 	"context"
+	"io"
+	"net"
+	"net/http"
 	"os"
 	"testing"
 	"time"
@@ -124,5 +127,46 @@ func TestShutdownMidMCLeavesResumableCheckpoint(t *testing.T) {
 	// The finished model answers queries on the second server.
 	if _, err := srv2.Registry().Info(api.DefaultTenant, "ckpt-model"); err != nil {
 		t.Fatalf("model not installed after resume: %v", err)
+	}
+}
+
+// TestListenerShardsSingle boots a server on its one listener, proves
+// a real query flows through it, and then verifies graceful shutdown
+// closes the socket within the drain budget: a dial after Shutdown
+// must be refused, not left hanging in an accept queue nobody reads.
+func TestListenerShardsSingle(t *testing.T) {
+	srv := New(Config{
+		Addr:         "127.0.0.1:0",
+		DrainTimeout: 5 * time.Second,
+		Metrics:      &core.Metrics{},
+		Logger:       quietLog(),
+	})
+	if _, err := srv.Registry().Install(api.DefaultTenant, "listen", synthModel(t, 16)); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	addr := srv.Addr()
+	resp, err := http.Get("http://" + addr + "/v1/models/listen")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body) //nolint:errcheck
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/models/listen: status %d", resp.StatusCode)
+	}
+
+	start := time.Now()
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("drain took %s, over the 5s budget", elapsed)
+	}
+	if conn, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
+		conn.Close()
+		t.Fatal("dial after shutdown succeeded: the listener is still open")
 	}
 }

@@ -2,6 +2,7 @@ package table
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -107,11 +108,26 @@ func (f *File) WriteFile(path string) error {
 	return out.Close()
 }
 
-// Read parses a .tbl stream.
+// maxLine is the longest line Read accepts, its newline included.
+const maxLine = 1 << 20
+
+// maxRowValues is the most values a row may hold for Write's widest
+// rendering of it to fit in maxLine: %.10g renders a float64 in at most
+// 17 bytes ("-1.234567891e-308"), plus a separator or the newline.
+const maxRowValues = maxLine / 18
+
+// ErrTooWide is wrapped by Read's error for a row of more than
+// maxRowValues values, or a '# columns:' header whose written form
+// would pass maxLine: Write could render either into a line Read
+// refuses.
+var ErrTooWide = errors.New("table: line too wide to write back")
+
+// Read parses a .tbl stream. Every file it accepts, Write renders into
+// one it accepts again.
 func Read(r io.Reader) (*File, error) {
 	f := &File{}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	sc.Buffer(make([]byte, 0, 64*1024), maxLine)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -123,10 +139,16 @@ func Read(r io.Reader) (*File, error) {
 			body := strings.TrimSpace(strings.TrimPrefix(line, "#"))
 			if rest, ok := strings.CutPrefix(body, "columns:"); ok {
 				f.Columns = strings.Fields(rest)
+				if n := len("# columns: ") + len(strings.Join(f.Columns, " ")) + 1; n > maxLine {
+					return nil, fmt.Errorf("%w: line %d: header writes as %d bytes", ErrTooWide, lineNo, n)
+				}
 			}
 			continue
 		}
 		fields := strings.Fields(line)
+		if len(fields) > maxRowValues {
+			return nil, fmt.Errorf("%w: line %d: %d values, at most %d", ErrTooWide, lineNo, len(fields), maxRowValues)
+		}
 		row := make([]float64, len(fields))
 		for i, fld := range fields {
 			v, err := strconv.ParseFloat(fld, 64)

@@ -3,6 +3,7 @@ package table
 import (
 	"bytes"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -25,6 +26,7 @@ func FuzzRead(f *testing.F) {
 		"1 x\n",
 		"0x1p-3 1_000\n",
 		"# columns: a\n# columns: b c\n1 2\n",
+		strings.Repeat("1e9 ", 200000) + "\n",
 	} {
 		f.Add([]byte(seed))
 	}

@@ -2,6 +2,7 @@ package table
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"path/filepath"
 	"strings"
@@ -72,6 +73,44 @@ func TestReadRaggedRows(t *testing.T) {
 func TestReadHeaderWidthMismatch(t *testing.T) {
 	if _, err := Read(strings.NewReader("# columns: a b c\n1 2\n")); err == nil {
 		t.Fatal("header/row width mismatch accepted")
+	}
+}
+
+// TestReadRefusesLinesTooWideToWriteBack: Read accepts only what
+// Write can render back under Read's line limit. 200,000 values of
+// "1e9" read in 800 KB, but %.10g writes each as "1000000000", 2.2 MB
+// in all; the widest rendering fits at maxRowValues values and not
+// one more; and a '# columns:' header that Write would widen past the
+// limit is refused too.
+func TestReadRefusesLinesTooWideToWriteBack(t *testing.T) {
+	if _, err := Read(strings.NewReader(strings.Repeat("1e9 ", 200000) + "\n")); !errors.Is(err, ErrTooWide) {
+		t.Errorf("200,000-value row: err %v, want ErrTooWide", err)
+	}
+
+	widest := strings.TrimSpace(strings.Repeat("-1.234567891e-300 ", maxRowValues))
+	f, err := Read(strings.NewReader(widest + "\n"))
+	if err != nil {
+		t.Fatalf("%d widest values refused: %v", maxRowValues, err)
+	}
+	var buf bytes.Buffer
+	if err := f.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Read(&buf); err != nil {
+		t.Fatalf("written row of %d widest values refused: %v", maxRowValues, err)
+	}
+	if _, err := Read(strings.NewReader(widest + " 1\n")); !errors.Is(err, ErrTooWide) {
+		t.Errorf("%d values: err %v, want ErrTooWide", maxRowValues+1, err)
+	}
+
+	// "#columns:" + name fits with its newline; "# columns: " + name
+	// plus the newline is one byte past the limit.
+	name := strings.Repeat("c", maxLine-len("# columns: "))
+	if _, err := Read(strings.NewReader("#columns:" + name + "\n")); !errors.Is(err, ErrTooWide) {
+		t.Errorf("widening header: err %v, want ErrTooWide", err)
+	}
+	if _, err := Read(strings.NewReader("#columns:" + name[1:] + "\n")); err != nil {
+		t.Errorf("header that writes back within the limit refused: %v", err)
 	}
 }
 

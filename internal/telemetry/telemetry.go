@@ -109,12 +109,6 @@ func Write(w io.Writer, m *core.Metrics) {
 		b.sample("ayd_lease_takeovers_total", "", float64(s.LeaseTakeovers))
 		b.family("ayd_lease_rejections_total", "counter", "Fenced writes or renewals refused because the lease was lost.")
 		b.sample("ayd_lease_rejections_total", "", float64(s.LeaseRejections))
-		b.family("ayd_mc_shards_dispatched_total", "counter", "MC shards successfully evaluated by peer replicas.")
-		b.sample("ayd_mc_shards_dispatched_total", "", float64(s.MCShardsDispatched))
-		b.family("ayd_mc_shards_fallback_total", "counter", "MC shards that fell back to local evaluation after a peer failure.")
-		b.sample("ayd_mc_shards_fallback_total", "", float64(s.MCShardsFallback))
-		b.family("ayd_mc_shards_served_total", "counter", "MC shard requests this replica evaluated for peers.")
-		b.sample("ayd_mc_shards_served_total", "", float64(s.MCShardsServed))
 	}
 
 	writeHistograms(b, m, s)

@@ -201,8 +201,7 @@ func TestWriteExpositionFormat(t *testing.T) {
 	// The cluster families: a single-node process exports none.
 	for _, s := range samples {
 		if strings.HasPrefix(s.name, "ayd_replica_") ||
-			strings.HasPrefix(s.name, "ayd_lease") ||
-			strings.HasPrefix(s.name, "ayd_mc_shards_") {
+			strings.HasPrefix(s.name, "ayd_lease") {
 			t.Errorf("unexpected cluster series %s with no replica id set", s.name)
 		}
 	}
@@ -257,11 +256,10 @@ func TestWriteExpositionFormat(t *testing.T) {
 
 // TestWriteGoldenBytes pins the deterministic prefix of the exposition
 // — every family up to the process-level gauges — byte-for-byte against
-// testdata/exposition.golden. The golden file was captured from the
-// pre-sharding (single-atomic) metrics implementation, so this test is
-// the contract that sharding counters and histogram buckets changed
-// nothing observable: same families, same order, same numbers, same
-// formatting. Regenerate with UPDATE_GOLDEN=1 go test ./internal/telemetry/.
+// testdata/exposition.golden: same families, same order, same
+// numbers, same formatting, however the counters and histogram buckets
+// underneath are stored. Regenerate with UPDATE_GOLDEN=1 go test
+// ./internal/telemetry/.
 func TestWriteGoldenBytes(t *testing.T) {
 	var m core.Metrics
 	m.AddBusyWorkers(3)
@@ -310,8 +308,8 @@ func TestWriteGoldenBytes(t *testing.T) {
 }
 
 // TestWriteClusterFamilies pins the cluster-mode additions: once a
-// replica id is set, the lease and shard families appear with the
-// registry's numbers, and every value round-trips through the parser.
+// replica id is set, the lease families appear with the registry's
+// numbers, and every value round-trips through the parser.
 func TestWriteClusterFamilies(t *testing.T) {
 	var m core.Metrics
 	m.SetReplica("replica-1")
@@ -321,13 +319,6 @@ func TestWriteClusterFamilies(t *testing.T) {
 	m.IncLeaseAcquired()
 	m.IncLeaseTakeovers()
 	m.IncLeaseRejections()
-	for i := 0; i < 5; i++ {
-		m.IncMCShardsDispatched()
-	}
-	m.IncMCShardsFallback()
-	for i := 0; i < 7; i++ {
-		m.IncMCShardsServed()
-	}
 
 	var buf bytes.Buffer
 	Write(&buf, &m)
@@ -338,27 +329,21 @@ func TestWriteClusterFamilies(t *testing.T) {
 		t.Errorf("ayd_replica_info = %v, want 1", info.value)
 	}
 	for name, want := range map[string]float64{
-		"ayd_leases_held":                2,
-		"ayd_lease_acquired_total":       2,
-		"ayd_lease_takeovers_total":      1,
-		"ayd_lease_rejections_total":     1,
-		"ayd_mc_shards_dispatched_total": 5,
-		"ayd_mc_shards_fallback_total":   1,
-		"ayd_mc_shards_served_total":     7,
+		"ayd_leases_held":            2,
+		"ayd_lease_acquired_total":   2,
+		"ayd_lease_takeovers_total":  1,
+		"ayd_lease_rejections_total": 1,
 	} {
 		if got := find(t, samples, name, nil).value; got != want {
 			t.Errorf("%s = %v, want %v", name, got, want)
 		}
 	}
 	for name, wantType := range map[string]string{
-		"ayd_replica_info":               "gauge",
-		"ayd_leases_held":                "gauge",
-		"ayd_lease_acquired_total":       "counter",
-		"ayd_lease_takeovers_total":      "counter",
-		"ayd_lease_rejections_total":     "counter",
-		"ayd_mc_shards_dispatched_total": "counter",
-		"ayd_mc_shards_fallback_total":   "counter",
-		"ayd_mc_shards_served_total":     "counter",
+		"ayd_replica_info":           "gauge",
+		"ayd_leases_held":            "gauge",
+		"ayd_lease_acquired_total":   "counter",
+		"ayd_lease_takeovers_total":  "counter",
+		"ayd_lease_rejections_total": "counter",
 	} {
 		if types[name] != wantType {
 			t.Errorf("%s TYPE = %q, want %q", name, types[name], wantType)

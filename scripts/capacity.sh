@@ -9,7 +9,6 @@
 #   scripts/capacity.sh                          # full sweep -> benchmarks/BENCH_capacity.json
 #   SWEEP_START=2000 SWEEP_MAX=4000 STEP=2s REFINE=0 RETRIES=0 \
 #       OUT=/tmp/cap.json scripts/capacity.sh    # CI smoke shape
-#   LISTENERS=4 scripts/capacity.sh              # SO_REUSEPORT shard matrix point
 #
 # Knobs (env):
 #   SWEEP_START  first rung's target qps           (default 9000 batched, 2000 single)
@@ -22,7 +21,6 @@
 #   SLO_P99      tail-latency budget               (default 2ms)
 #   INFLIGHT     workers = connections             (default 8 batched, 12 single)
 #   BATCH        queries per request               (default 8)
-#   LISTENERS    SO_REUSEPORT shards for the child (default 1)
 #   GOGC         GC percent for both processes     (default off)
 #   GOMEMLIMIT   soft heap cap when GOGC=off       (default 256MiB)
 #   OUT          report path                       (default benchmarks/BENCH_capacity.json)
@@ -76,18 +74,17 @@ RETRIES="${RETRIES:-4}"
 STEP="${STEP:-2s}"
 WARMUP="${WARMUP:-1s}"
 SLO_P99="${SLO_P99:-2ms}"
-LISTENERS="${LISTENERS:-1}"
 OUT="${OUT:-benchmarks/BENCH_capacity.json}"
 export GOGC="${GOGC:-off}"
 export GOMEMLIMIT="${GOMEMLIMIT:-256MiB}"
 
 mkdir -p "$(dirname "$OUT")"
 
-echo "== capacity sweep: start=$SWEEP_START x$SWEEP_FACTOR max=$SWEEP_MAX step=$STEP slo-p99=$SLO_P99 inflight=$INFLIGHT batch=$BATCH listeners=$LISTENERS gogc=$GOGC gomemlimit=$GOMEMLIMIT"
+echo "== capacity sweep: start=$SWEEP_START x$SWEEP_FACTOR max=$SWEEP_MAX step=$STEP slo-p99=$SLO_P99 inflight=$INFLIGHT batch=$BATCH gogc=$GOGC gomemlimit=$GOMEMLIMIT"
 go run ./cmd/aydload -sweep -addr 127.0.0.1:0 \
     -sweep-start "$SWEEP_START" -sweep-factor "$SWEEP_FACTOR" -sweep-max "$SWEEP_MAX" \
     -sweep-refine "$REFINE" -sweep-retries "$RETRIES" \
     -duration "$STEP" -warmup "$WARMUP" -slo-p99 "$SLO_P99" \
-    -inflight "$INFLIGHT" -batch "$BATCH" -listeners "$LISTENERS" \
+    -inflight "$INFLIGHT" -batch "$BATCH" \
     -o "$OUT"
 echo "== wrote $OUT"

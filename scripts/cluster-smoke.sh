@@ -36,10 +36,10 @@ trap cleanup EXIT
 
 go build -o "$work/ayd" ./cmd/ayd
 
-start() { # id addr peer-url logfile -> pid on stdout
+start() { # id addr logfile -> pid on stdout
     "$work/ayd" serve -addr "$2" -store disk -models "$store" \
-        -replica-id "$1" -peers "$3" -lease-ttl "$LEASE_TTL" \
-        >"$4" 2>&1 &
+        -replica-id "$1" -lease-ttl "$LEASE_TTL" \
+        >"$3" 2>&1 &
     echo $!
 }
 await() { # url name
@@ -51,8 +51,8 @@ await() { # url name
     exit 1
 }
 
-pid_a="$(start ra "127.0.0.1:$BASE_PORT" "$B" "$work/a.log")"
-pid_b="$(start rb "127.0.0.1:$((BASE_PORT + 1))" "$A" "$work/b.log")"
+pid_a="$(start ra "127.0.0.1:$BASE_PORT" "$work/a.log")"
+pid_b="$(start rb "127.0.0.1:$((BASE_PORT + 1))" "$work/b.log")"
 await "$A" "replica A"
 await "$B" "replica B"
 

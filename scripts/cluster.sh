@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Local ayd cluster bring-up and teardown: N replicas of the real
 # binary sharing one disk artefact store, each with a unique
-# -replica-id, the full peer list for Monte Carlo shard dispatch, and a
-# short job-lease TTL so crash takeover is quick to watch.
+# -replica-id and a short job-lease TTL so crash takeover is quick to
+# watch.
 #
 #   scripts/cluster.sh up 3      # boot 3 replicas on 127.0.0.1:9180..9182
-#   scripts/cluster.sh status    # per-replica lease and shard counters from /metrics
+#   scripts/cluster.sh status    # per-replica lease counters from /metrics
 #   scripts/cluster.sh down      # stop everything, remove runtime state
 #
 # `make cluster` / `make cluster-down` wrap up/down. After `up`, the
@@ -76,7 +76,6 @@ up() {
     mkdir -p "$STATE_DIR" "$STORE_DIR"
     go build -o "$STATE_DIR/ayd" ./cmd/ayd
 
-    # Every replica lists every *other* replica as a shard peer.
     local addrs=() urls=()
     for i in $(seq 0 $((n - 1))); do
         addrs+=("127.0.0.1:$((BASE_PORT + i))")
@@ -84,11 +83,6 @@ up() {
     done
 
     for i in $(seq 0 $((n - 1))); do
-        local peers=""
-        for j in $(seq 0 $((n - 1))); do
-            [ "$j" = "$i" ] && continue
-            peers="${peers:+$peers,}${urls[$j]}"
-        done
         if [ -n "$CPU_QUOTA_US" ]; then
             cgroup_prepare "$i" \
                 || { echo "cluster: cannot apply CPU_QUOTA_US (need writable $CG_ROOT)" >&2; exit 1; }
@@ -99,7 +93,7 @@ up() {
                 echo "$BASHPID" > "$CG_ROOT/ayd-r$i/cgroup.procs"
             fi
             exec "$STATE_DIR/ayd" serve -addr "${addrs[$i]}" -store disk -models "$STORE_DIR" \
-                -replica-id "r$i" ${peers:+-peers "$peers"} -lease-ttl "$LEASE_TTL" \
+                -replica-id "r$i" -lease-ttl "$LEASE_TTL" \
                 $EXTRA_FLAGS
         ) >"$STATE_DIR/r$i.log" 2>&1 &
         echo $! > "$STATE_DIR/r$i.pid"
@@ -151,7 +145,7 @@ status() {
     IFS=, read -ra urls < "$STATE_DIR/urls"
     for u in "${urls[@]}"; do
         echo "== $u"
-        curl -fsS "$u/metrics" | grep -E '^ayd_(replica_info|leases_held|lease_|mc_shards_)' \
+        curl -fsS "$u/metrics" | grep -E '^ayd_(replica_info|leases_held|lease_)' \
             || echo "  (unreachable)"
     done
 }
