@@ -108,12 +108,16 @@ func ACWith(n *circuit.Netlist, op *OPResult, freqs []float64, ws *Workspace) (*
 // Every device is stamped once, into a recording of the linearisation,
 // and the system at freqs[0] is factorised under full partial pivoting:
 // the reference whose pivot order every point reuses. Matrix values
-// change smoothly with frequency while the structure is fixed (with a
-// deterministic per-point fallback when the values drift too far; see
-// num.RefactorInto). Each point depends only on its frequency and the
-// reference, never on the points solved before it, so the points a
-// stopped sweep solved are bit-identical to the same points of the full
-// sweep.
+// change smoothly with frequency while the structure is fixed, so the
+// sweep plans its elimination once, over the recording's structure and
+// its fill under that order (num.CPlan), and solves each point over the
+// plan. A point whose values drift too far for the reused order fails
+// a stability check and is factored afresh, densely; the plan is exact,
+// so either way each point is bit-identical to the dense replay of the
+// reference order that preceded it. Each point depends only on its
+// frequency and the reference, never on the points solved before it, so
+// the points a stopped sweep solved are bit-identical to the same points
+// of the full sweep.
 func ACPrefix(n *circuit.Netlist, op *OPResult, freqs []float64, ws *Workspace, visit func(i int, x []complex128) bool) error {
 	if err := validateFreqs(freqs); err != nil {
 		return err
@@ -122,17 +126,22 @@ func ACPrefix(n *circuit.Netlist, op *OPResult, freqs []float64, ws *Workspace, 
 	rec := ws.acRecording()
 	linearise(n, op, rec)
 	cw := ws.cplx(nu)
-	ref := ws.acReference(nu)
+	ref, plan := ws.acReference(nu)
 	rec.Assemble(omega(freqs[0]), cw.A, cw.B)
 	if err := ref.FactorInto(cw.A); err != nil {
 		return fmt.Errorf("analysis: AC solve at %g Hz: %w", freqs[0], err)
 	}
+	plan.Build(ref, rec.G, rec.C)
 	for i, f := range freqs {
-		rec.Assemble(omega(f), cw.A, cw.B)
-		if _, err := cw.LU.RefactorInto(cw.A, ref); err != nil {
-			return fmt.Errorf("analysis: AC solve at %g Hz: %w", f, err)
+		onPlan := plan.Solve(omega(f), rec.B, cw.X)
+		if !onPlan {
+			rec.Assemble(omega(f), cw.A, cw.B)
+			if err := cw.LU.FactorInto(cw.A); err != nil {
+				return fmt.Errorf("analysis: AC solve at %g Hz: %w", f, err)
+			}
+			cw.LU.Solve(cw.B, cw.X)
 		}
-		cw.LU.Solve(cw.B, cw.X)
+		ws.countAC(onPlan)
 		if !visit(i, cw.X) {
 			return nil
 		}

@@ -7,8 +7,8 @@ import (
 
 // Workspace holds the reusable solver state of one evaluation thread:
 // the real Newton system shared by OP, DC sweeps and transient steps,
-// the AC sweep's recorded linearisation, and the complex system used by
-// AC and noise solves. Reusing one Workspace across the thousands of
+// the AC sweep's recorded linearisation and elimination plan, and the
+// complex system used by noise solves and AC points off the plan. Reusing one Workspace across the thousands of
 // evaluations of a GA or Monte Carlo run keeps the solver hot path
 // allocation-free.
 //
@@ -21,23 +21,27 @@ import (
 // design whose samples SampleOP solved, and counts the operating-point
 // work solved through it (see Stats).
 type Workspace struct {
-	re    *num.Workspace
-	cx    *num.CWorkspace
-	acRef *num.CLU      // AC sweep reference factorisation (see ac.go)
-	ac    circuit.ACCtx // AC sweep linearisation (see linearise)
+	re     *num.Workspace
+	cx     *num.CWorkspace
+	acRef  *num.CLU      // AC sweep reference factorisation (see ac.go)
+	acPlan num.CPlan     // AC sweep elimination plan (see ac.go)
+	ac     circuit.ACCtx // AC sweep linearisation (see linearise)
 
 	nomKey any       // design whose nominal OP nomX holds (nil: none)
 	nomX   []float64 // its nominal OP; empty when that did not converge
 	stats  OPStats
 }
 
-// OPStats counts the operating-point work solved through one Workspace.
-// The counters are plain ints owned by the workspace's goroutine: read
-// them once that goroutine has finished with the workspace.
+// OPStats counts the operating-point work solved through one Workspace,
+// and the AC sweep points. The counters are plain ints owned by the
+// workspace's goroutine: read them once that goroutine has finished with
+// the workspace.
 type OPStats struct {
 	Solves        int // operating points solved: OP calls and warm-started samples
 	Iterations    int // Newton iterations, failed attempts included
 	WarmFallbacks int // sampled solves that fell back to the zero start
+	ACPoints      int // AC sweep points solved
+	ACOffPlan     int // of those, points factored afresh off the sweep's plan
 }
 
 // Add returns the element-wise sum of s and o.
@@ -46,6 +50,8 @@ func (s OPStats) Add(o OPStats) OPStats {
 		Solves:        s.Solves + o.Solves,
 		Iterations:    s.Iterations + o.Iterations,
 		WarmFallbacks: s.WarmFallbacks + o.WarmFallbacks,
+		ACPoints:      s.ACPoints + o.ACPoints,
+		ACOffPlan:     s.ACOffPlan + o.ACOffPlan,
 	}
 }
 
@@ -63,6 +69,16 @@ func (w *Workspace) countOP(iters int) {
 	if w != nil {
 		w.stats.Solves++
 		w.stats.Iterations += iters
+	}
+}
+
+// countAC records one AC sweep point, solved on the sweep's plan or not.
+func (w *Workspace) countAC(onPlan bool) {
+	if w != nil {
+		w.stats.ACPoints++
+		if !onPlan {
+			w.stats.ACOffPlan++
+		}
 	}
 }
 
@@ -84,17 +100,17 @@ func (w *Workspace) real(n int) *num.Workspace {
 	return w.re
 }
 
-// acReference returns the buffer holding the AC sweep's reference
-// factorisation (its order is set by FactorInto). On a nil receiver it
-// allocates fresh buffers.
-func (w *Workspace) acReference(n int) *num.CLU {
+// acReference returns the buffers holding the AC sweep's reference
+// factorisation (its order is set by FactorInto) and its elimination
+// plan. On a nil receiver it allocates fresh buffers.
+func (w *Workspace) acReference(n int) (*num.CLU, *num.CPlan) {
 	if w == nil {
-		return num.NewCLU(n)
+		return num.NewCLU(n), &num.CPlan{}
 	}
 	if w.acRef == nil {
 		w.acRef = num.NewCLU(n)
 	}
-	return w.acRef
+	return w.acRef, &w.acPlan
 }
 
 // cplx returns the complex solver workspace sized for order-n systems.

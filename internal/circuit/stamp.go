@@ -86,19 +86,13 @@ func (c *DCCtx) StampCurrent(a, b int, i float64) {
 // device stamps its real conductances into G, the coefficients c of its
 // capacitive admittances jωc as an ordered list of terms, and its real
 // AC stimulus into B. Assemble then builds any frequency point from the
-// one recording.
+// one recording, and num.CPlan plans the sweep's elimination from G and
+// the terms (see analysis.ACPrefix).
 type ACCtx struct {
-	G  *num.Matrix // real part of the admittance matrix
-	B  []float64   // AC stimulus
-	C  []CapTerm   // capacitive terms, in stamp order
-	DC []float64   // solved DC operating point (node voltages + branches)
-}
-
-// CapTerm is one capacitive stamp: the admittance jω·C added to entry
-// (I, J) of the system matrix.
-type CapTerm struct {
-	I, J int
-	C    float64
+	G  *num.Matrix   // real part of the admittance matrix
+	B  []float64     // AC stimulus
+	C  []num.CapTerm // capacitive terms, in stamp order
+	DC []float64     // solved DC operating point (node voltages + branches)
 }
 
 // Reset empties the recording for an order-n system linearised about
@@ -143,7 +137,7 @@ func (c *ACCtx) AddC(i, j int, v float64) {
 	if i == Ground || j == Ground {
 		return
 	}
-	c.C = append(c.C, CapTerm{I: i, J: j, C: v})
+	c.C = append(c.C, num.CapTerm{I: i, J: j, C: v})
 }
 
 // AddB stamps a real AC stimulus entry, dropping Ground rows.

@@ -211,6 +211,31 @@ func FuzzSpecSweepMatchesFullSweep(f *testing.F) {
 // sampleCaps is a designed filter with all three capacitors in place.
 var sampleCaps = Caps{C1: 50e-12, C2: 25e-12, C3: 2e-12}
 
+// TestFilterSamplesSolveOnPlan: the spec sweeps of 200 transistor-level
+// filter samples, run as a Monte Carlo worker runs them, solve at least
+// 99% of their points on each sweep's elimination plan.
+func TestFilterSamplesSolveOnPlan(t *testing.T) {
+	proc := process.C35()
+	d := filterDesign{sampleCaps, ota.DefaultConfig(), ota.NominalParams()}
+	probe := newSpecProbe(DefaultSpec(), specFreqs(DefaultSpec()), analysis.NewWorkspace())
+	nominal := func() *circuit.Netlist { return BuildTransistor(d.caps, d.cfg, d.params, nil) }
+	for i := 0; i < 200; i++ {
+		n := BuildTransistor(d.caps, d.cfg, d.params, proc.NewSample(1, i))
+		op, err := analysis.SampleOP(n, d, nominal, probe.ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := probe.sweep(n, op); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := probe.ws.Stats()
+	t.Logf("%d AC points, %d off the plan", st.ACPoints, st.ACOffPlan)
+	if st.ACPoints < 200 || 100*st.ACOffPlan > st.ACPoints {
+		t.Errorf("%d AC points, %d off the plan: want at least 99%% on it", st.ACPoints, st.ACOffPlan)
+	}
+}
+
 // TestFilterSampleAllocBudget pins the allocation budget of one filter
 // Monte Carlo sample as a worker runs it: the sample's random stream,
 // BuildTransistor, a warm SampleOP and the spec sweep through a reused

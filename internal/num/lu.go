@@ -3,8 +3,12 @@
 // and complex fields, plus vector and statistics helpers.
 //
 // The matrices that arise from modified nodal analysis of the circuits in
-// this repository are small (tens of unknowns), so a dense solver with
-// partial pivoting is both simpler and faster than a sparse one.
+// this repository are small (tens of unknowns), so for Newton's real
+// systems a dense solver with partial pivoting is both simpler and
+// faster than a sparse one. For the AC sweep that was measured false:
+// its complex systems are about a third nonzero, and every frequency
+// point solves one, so CPlan (plan.go) eliminates over the sweep's
+// structure instead, bit for bit as the dense elimination would.
 package num
 
 import (

@@ -5,6 +5,8 @@
 // factorisation's pivot order without searching for pivots or swapping
 // rows, and falls back to a full partial-pivot FactorInto whenever the
 // reused order turns out to be numerically unstable for the new values.
+// The AC sweep's planned elimination (CPlan, plan.go) reuses a pivot
+// order under the same three checks.
 //
 // Stability is guarded by three checks that cost no extra pass over the
 // input (MNA matrices mix units — conductances ~1e-3 S, gmin 1e-12 S,
@@ -43,7 +45,7 @@ const GrowthLimit = 1e6
 // RefactorInto refactors a into f's buffers reusing the pivot order of
 // ref — typically the full partial-pivot factorisation of a nearby
 // matrix with the same structure (the previous Newton iterate, the
-// first frequency of an AC sweep, the nominal Monte Carlo sample).
+// nominal Monte Carlo sample).
 // ref may be f itself, chaining the reuse. When ref holds no valid
 // factorisation of the right order, or the reused order fails the
 // stability checks above, it falls back to a full FactorInto. The
@@ -141,72 +143,6 @@ func (f *LU) RefactorInto(a *Matrix, ref *LU) (reused bool, err error) {
 		copy(f.piv, piv)
 	}
 	f.sign = sign
-	f.ok = true
-	return true, nil
-}
-
-// cAbs1 is the 1-norm magnitude |re|+|im| — within √2 of cmplx.Abs and
-// far cheaper (no hypot), which is all a stability threshold needs.
-func cAbs1(v complex128) float64 {
-	return math.Abs(real(v)) + math.Abs(imag(v))
-}
-
-// RefactorInto is the complex-field counterpart of LU.RefactorInto: it
-// refactors a reusing ref's pivot order with the same stability checks
-// (magnitudes taken in the cheap 1-norm), falling back to a full
-// partial-pivot FactorInto when the reused order goes bad. ref may be
-// f itself.
-func (f *CLU) RefactorInto(a *CMatrix, ref *CLU) (reused bool, err error) {
-	n := a.N
-	if ref == nil || !ref.ok || ref.n != n {
-		return false, f.FactorInto(a)
-	}
-	piv := ref.piv
-	f.resize(n)
-	f.ok = false
-	lu := f.lu
-	for i := 0; i < n; i++ {
-		copy(lu[i*n:i*n+n], a.Data[piv[i]*n:piv[i]*n+n])
-	}
-	maxU, maxPiv := 0.0, 0.0
-	var div cDivisor
-	for k := 0; k < n; k++ {
-		rowK := lu[k*n : k*n+n]
-		for _, v := range rowK[k:] {
-			if av := cAbs1(v); av > maxU {
-				maxU = av
-			}
-		}
-		pivot := rowK[k]
-		pa := cAbs1(pivot)
-		if !(pa > 0) {
-			return false, f.FactorInto(a) // zero or NaN pivot
-		}
-		if pa > maxPiv {
-			maxPiv = pa
-		}
-		div.set(pivot)
-		for i := k + 1; i < n; i++ {
-			l := div.quo(lu[i*n+k])
-			if !(cAbs1(l) <= MultLimit) {
-				return false, f.FactorInto(a) // unstable (or NaN) multiplier
-			}
-			lu[i*n+k] = l
-			if l == 0 {
-				continue
-			}
-			rowI := lu[i*n : i*n+n]
-			for j := k + 1; j < n; j++ {
-				rowI[j] -= l * rowK[j]
-			}
-		}
-	}
-	if !(maxU <= GrowthLimit*maxPiv) {
-		return false, f.FactorInto(a) // runaway element growth
-	}
-	if f != ref {
-		copy(f.piv, piv)
-	}
 	f.ok = true
 	return true, nil
 }

@@ -167,51 +167,63 @@ func TestRefactorIntoNoReference(t *testing.T) {
 }
 
 // TestCRefactorIntoExactReplay mirrors the real-field replay test over
-// the complex field.
+// the complex field, where the refactorisation is the AC sweep's
+// planned elimination: planning a dense system G + jω·C under the pivot
+// order of its own factorisation must reproduce that factorisation and
+// its solve bit for bit.
 func TestCRefactorIntoExactReplay(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	n := 10
+	g := NewMatrix(n)
+	var caps []CapTerm
 	a := NewCMatrix(n)
-	for i := range a.Data {
-		a.Data[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-	}
 	for i := 0; i < n; i++ {
-		a.Add(i, i, 5)
+		for j := 0; j < n; j++ {
+			re, im := rng.NormFloat64(), rng.NormFloat64()
+			if i == j {
+				re += 5
+			}
+			g.Set(i, j, re)
+			caps = append(caps, CapTerm{i, j, im})
+			a.Set(i, j, complex(re, im)) // ω = 1: 0 + 1·im is im exactly
+		}
 	}
 	ref, err := CFactor(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := NewCLU(n)
-	reused, err := f.RefactorInto(a, ref)
-	if err != nil {
-		t.Fatal(err)
+	var p CPlan
+	p.Build(ref, g, caps)
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = rng.NormFloat64()
 	}
-	if !reused {
-		t.Fatal("pivots not reused on the reference matrix itself")
+	x := make([]complex128, n)
+	if !p.Solve(1, b, x) {
+		t.Fatal("the plan declined the reference matrix itself")
 	}
 	for i := range ref.lu {
-		if f.lu[i] != ref.lu[i] {
-			t.Fatalf("lu[%d] = %v, want %v (bit-exact)", i, f.lu[i], ref.lu[i])
+		if p.f.lu[i] != ref.lu[i] {
+			t.Fatalf("lu[%d] = %v, want %v (bit-exact)", i, p.f.lu[i], ref.lu[i])
 		}
 	}
-	b := make([]complex128, n)
-	for i := range b {
-		b[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	bc := make([]complex128, n)
+	for i, v := range b {
+		bc[i] = complex(v, 0)
 	}
-	x1 := make([]complex128, n)
-	x2 := make([]complex128, n)
-	ref.Solve(b, x1)
-	f.Solve(b, x2)
-	for i := range x1 {
-		if x1[i] != x2[i] {
-			t.Fatalf("solve differs at %d", i)
+	want := make([]complex128, n)
+	ref.Solve(bc, want)
+	for i := range want {
+		if !sameComplex(x[i], want[i]) {
+			t.Fatalf("solve differs at %d: %v vs %v", i, x[i], want[i])
 		}
 	}
 }
 
 // TestCRefactorIntoFallback mirrors the fallback test over the complex
-// field.
+// field: the plan declines a matrix whose natural pivot order is
+// catastrophically wrong for the reference pivots, and a plan without a
+// valid reference declines every point.
 func TestCRefactorIntoFallback(t *testing.T) {
 	n := 3
 	a := NewCMatrix(n)
@@ -222,18 +234,26 @@ func TestCRefactorIntoFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewCMatrix(n)
-	p.Set(0, 0, complex(1e-13, 0))
-	p.Set(0, 1, 1)
-	p.Set(1, 0, 1)
-	p.Set(1, 1, 1)
-	p.Set(2, 2, 1)
-	f := NewCLU(n)
-	reused, err := f.RefactorInto(p, ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reused {
+	g := NewMatrix(n)
+	g.Set(0, 0, 1e-13)
+	g.Set(0, 1, 1)
+	g.Set(1, 0, 1)
+	g.Set(1, 1, 1)
+	g.Set(2, 2, 1)
+	b, x := []float64{1, 2, 3}, make([]complex128, n)
+	var p CPlan
+	p.Build(ref, g, nil)
+	if p.Solve(1, b, x) {
 		t.Error("reused an unstable pivot order")
+	}
+	for _, bad := range []*CLU{nil, NewCLU(n)} {
+		p.Build(bad, g, nil)
+		if p.Solve(1, b, x) {
+			t.Errorf("plan on reference %v solved a point", bad)
+		}
+	}
+	p.Build(ref, NewMatrix(n+1), nil)
+	if p.Solve(1, append(b, 4), append(x, 0)) {
+		t.Error("plan on a reference of another order solved a point")
 	}
 }

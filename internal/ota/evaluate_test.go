@@ -128,6 +128,25 @@ func TestEvaluateMatchesEvaluateWS(t *testing.T) {
 	}
 }
 
+// TestSamplesSolveOnPlan: the AC sweeps of 200 Monte Carlo samples of
+// one design solve at least 99% of their points on each sweep's
+// elimination plan; the rest are factored afresh.
+func TestSamplesSolveOnPlan(t *testing.T) {
+	c := DefaultConfig()
+	proc := process.C35()
+	ws := analysis.NewWorkspace()
+	for i := 0; i < 200; i++ {
+		if _, err := c.EvaluateWS(NominalParams(), proc.NewSample(1, i), ws); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := ws.Stats()
+	t.Logf("%d AC points, %d off the plan", st.ACPoints, st.ACOffPlan)
+	if st.ACPoints < 200 || 100*st.ACOffPlan > st.ACPoints {
+		t.Errorf("%d AC points, %d off the plan: want at least 99%% on it", st.ACPoints, st.ACOffPlan)
+	}
+}
+
 // TestEvaluateSampleAllocBudget pins the allocation budget of one
 // Monte Carlo sample as every worker runs it: the sample's random
 // stream, then a sampled EvaluateWS through a reused workspace — the
