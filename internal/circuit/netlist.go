@@ -23,9 +23,8 @@ type Netlist struct {
 
 	devices  []Device
 	byName   map[string]int
-	branches []int // branch-base per device (offset into branch unknowns)
+	branches []int // per device: its first branch unknown's offset past the nodes
 	nBranch  int
-	basedOn  int // node count the branch bases were computed for
 }
 
 // New returns an empty netlist.
@@ -98,9 +97,8 @@ func (n *Netlist) Add(d Device) error {
 	}
 	n.byName[name] = len(n.devices)
 	n.devices = append(n.devices, d)
-	n.branches = append(n.branches, len(n.names)+n.nBranch) // provisional
+	n.branches = append(n.branches, n.nBranch)
 	n.nBranch += d.Branches()
-	n.rebase()
 	return nil
 }
 
@@ -110,17 +108,6 @@ func (n *Netlist) MustAdd(d Device) {
 	if err := n.Add(d); err != nil {
 		panic(err)
 	}
-}
-
-// rebase recomputes branch bases: branch unknowns follow the nodes, so
-// every base moves when a node is interned.
-func (n *Netlist) rebase() {
-	base := len(n.names)
-	for i, d := range n.devices {
-		n.branches[i] = base
-		base += d.Branches()
-	}
-	n.basedOn = len(n.names)
 }
 
 // Devices returns the device list in insertion order. The returned slice
@@ -136,15 +123,10 @@ func (n *Netlist) Device(name string) Device {
 }
 
 // BranchBase returns the first unknown index of device i's branch
-// currents. It rebases only when nodes were interned since the last
-// Add or rebase, so node interning after Add is safe and the analyses'
-// per-stamp calls cost a comparison.
-func (n *Netlist) BranchBase(i int) int {
-	if n.basedOn != len(n.names) {
-		n.rebase()
-	}
-	return n.branches[i]
-}
+// currents. Branch unknowns follow the nodes, so the base is the node
+// count plus the device's offset, and interning a node after Add moves
+// every base with it.
+func (n *Netlist) BranchBase(i int) int { return len(n.names) + n.branches[i] }
 
 // Stats summarises the netlist for logs and tool output.
 func (n *Netlist) Stats() string {

@@ -97,36 +97,34 @@ func TestBranchBaseAfterLateNodes(t *testing.T) {
 	}
 }
 
-// countingSource is a VSource that counts Branches calls.
-type countingSource struct {
-	VSource
-	calls *int
-}
-
-func (c *countingSource) Branches() int { *c.calls++; return c.VSource.Branches() }
-
-func TestBranchBaseRebasesOnlyAfterNewNodes(t *testing.T) {
+// TestBranchBaseIndices: each device's branch unknowns follow the
+// nodes and the branches of the devices added before it, so a node
+// interned after the adds shifts every base by one.
+func TestBranchBaseIndices(t *testing.T) {
 	n := New("t")
 	a := n.Node("a")
-	calls := 0
-	n.MustAdd(&countingSource{VSource{Inst: "V1", Pos: a, Neg: Ground, DC: 1}, &calls})
-	n.MustAdd(&VSource{Inst: "V2", Pos: a, Neg: Ground, DC: 1})
-	calls = 0
-	for i := 0; i < 100; i++ {
-		if n.BranchBase(0) != 1 || n.BranchBase(1) != 2 {
-			t.Fatalf("bases %d, %d, want 1, 2", n.BranchBase(0), n.BranchBase(1))
+	n.MustAdd(&VSource{Inst: "V1", Pos: a, Neg: Ground, DC: 1})
+	n.MustAdd(&Resistor{Inst: "R1", A: a, B: Ground, R: 1e3})
+	b := n.Node("b")
+	n.MustAdd(&VCVS{Inst: "E1", OutP: b, OutN: Ground, InP: a, InN: Ground, Gain: 2})
+	n.MustAdd(&VSource{Inst: "V2", Pos: b, Neg: Ground, DC: 1})
+	check := func(when string, want ...int) {
+		t.Helper()
+		for i, w := range want {
+			if got := n.BranchBase(i); got != w {
+				t.Errorf("%s: BranchBase(%d) = %d, want %d", when, i, got, w)
+			}
+		}
+		if got, w := n.NumUnknowns(), n.NumNodes()+3; got != w {
+			t.Errorf("%s: %d unknowns, want %d", when, got, w)
 		}
 	}
-	if calls != 0 {
-		t.Errorf("BranchBase with no new nodes queried Branches %d times, want 0", calls)
-	}
+	// Two nodes, then V1's branch, E1's and V2's; R1 has none.
+	check("two nodes", 2, 3, 3, 4)
 	n.Node("late")
-	if got := n.BranchBase(1); got != 3 {
-		t.Errorf("BranchBase after a late node = %d, want 3", got)
-	}
-	if calls != 1 {
-		t.Errorf("one late node cost %d Branches calls, want 1 (one rebase)", calls)
-	}
+	check("a late node", 3, 4, 4, 5)
+	n.Node("a") // already interned: nothing moves
+	check("a known node", 3, 4, 4, 5)
 }
 
 func TestDeviceLookup(t *testing.T) {

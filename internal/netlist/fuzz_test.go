@@ -3,12 +3,15 @@ package netlist
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"analogyield/internal/circuit"
 )
 
 // TestParseRefusesExpansionBlowup: ten instances per level, five
@@ -88,12 +91,16 @@ func FuzzParse(f *testing.F) {
 	// A long run of continuation lines must cost linear time: joined one
 	// at a time, 200,000 of them copy about 40 GB.
 	f.Add([]byte("R1 a 0 1k\n" + strings.Repeat("+ x\n", 200000)))
+	// Non-finite values, an overflow after the suffix included.
+	f.Add([]byte("R1 a 0 nank\n"))
+	f.Add([]byte("R2 a 0 infinity\n"))
+	f.Add([]byte("R3 a 0 1e308k\n"))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		before := ms.TotalAlloc
 		start := time.Now()
-		_, err := Parse(strings.NewReader(string(b)))
+		n, err := Parse(strings.NewReader(string(b)))
 		elapsed := time.Since(start)
 		runtime.ReadMemStats(&ms)
 		if alloc := ms.TotalAlloc - before; alloc > parseAllocBound(len(b)) {
@@ -106,5 +113,44 @@ func FuzzParse(f *testing.F) {
 		if err != nil && !errors.As(err, &perr) {
 			t.Fatalf("error %v is not an *Error", err)
 		}
+		if err == nil {
+			if name := nonFinite(n); name != "" {
+				t.Fatalf("parsed %s with a non-finite value", name)
+			}
+		}
 	})
+}
+
+// nonFinite names the first device of n holding a NaN or infinite
+// value, its model's parameters included, or returns "".
+func nonFinite(n *circuit.Netlist) string {
+	for _, d := range n.Devices() {
+		var vs []float64
+		switch dev := d.(type) {
+		case *circuit.Resistor:
+			vs = []float64{dev.R}
+		case *circuit.Capacitor:
+			vs = []float64{dev.C}
+		case *circuit.Inductor:
+			vs = []float64{dev.L}
+		case *circuit.VSource:
+			vs = []float64{dev.DC, dev.ACMag}
+		case *circuit.ISource:
+			vs = []float64{dev.DC, dev.ACMag}
+		case *circuit.VCVS:
+			vs = []float64{dev.Gain}
+		case *circuit.VCCS:
+			vs = []float64{dev.Gm}
+		case *circuit.MOSFET:
+			m := dev.Model
+			vs = []float64{dev.W, dev.L, m.VTO, m.KP, m.LambdaK, m.Gamma, m.Phi,
+				m.NSub, m.Cox, m.CGSO, m.CGDO, m.CJ, m.LD}
+		}
+		for _, v := range vs {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return d.Name()
+			}
+		}
+	}
+	return ""
 }

@@ -21,6 +21,7 @@ package netlist
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -33,8 +34,13 @@ import (
 	"analogyield/internal/process"
 )
 
+// ErrNonFinite is wrapped by the error ParseValue returns for a number
+// that is NaN or infinite, after its suffix is applied ("nank",
+// "infinity", "1e308k").
+var ErrNonFinite = errors.New("netlist: non-finite value")
+
 // ParseValue converts a SPICE number with an optional engineering
-// suffix ("10u", "2.2k", "1meg") to a float.
+// suffix ("10u", "2.2k", "1meg") to a finite float.
 func ParseValue(s string) (float64, error) {
 	t := strings.ToLower(strings.TrimSpace(s))
 	if t == "" {
@@ -72,7 +78,11 @@ func ParseValue(s string) (float64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("netlist: bad number %q", s)
 	}
-	return v * mult, nil
+	v *= mult
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("%w %q", ErrNonFinite, s)
+	}
+	return v, nil
 }
 
 // FormatValue renders a float with an engineering suffix where exact.
@@ -265,7 +275,7 @@ func parseModel(line string, models map[string]mos.Params) error {
 		}
 		v, err := ParseValue(val)
 		if err != nil {
-			return err
+			return fmt.Errorf("model %s: %w", name, err)
 		}
 		switch strings.ToUpper(key) {
 		case "VTO":
@@ -308,12 +318,19 @@ func parseDevice(n *circuit.Netlist, line string, models map[string]mos.Params, 
 		}
 		return nil
 	}
+	value := func(s string) (float64, error) {
+		v, err := ParseValue(s)
+		if err != nil {
+			return 0, fmt.Errorf("%s: %w", name, err)
+		}
+		return v, nil
+	}
 	switch kind {
 	case "R", "C", "L":
 		if err := need(4); err != nil {
 			return err
 		}
-		v, err := ParseValue(f[3])
+		v, err := value(f[3])
 		if err != nil {
 			return err
 		}
@@ -342,7 +359,7 @@ func parseDevice(n *circuit.Netlist, line string, models map[string]mos.Params, 
 				if i+1 >= len(rest) {
 					return fmt.Errorf("%s: DC needs a value", name)
 				}
-				v, err := ParseValue(rest[i+1])
+				v, err := value(rest[i+1])
 				if err != nil {
 					return err
 				}
@@ -352,14 +369,14 @@ func parseDevice(n *circuit.Netlist, line string, models map[string]mos.Params, 
 				if i+1 >= len(rest) {
 					return fmt.Errorf("%s: AC needs a value", name)
 				}
-				v, err := ParseValue(rest[i+1])
+				v, err := value(rest[i+1])
 				if err != nil {
 					return err
 				}
 				ac = v
 				i++
 			default:
-				v, err := ParseValue(rest[i])
+				v, err := value(rest[i])
 				if err != nil {
 					return err
 				}
@@ -374,7 +391,7 @@ func parseDevice(n *circuit.Netlist, line string, models map[string]mos.Params, 
 		if err := need(6); err != nil {
 			return err
 		}
-		v, err := ParseValue(f[5])
+		v, err := value(f[5])
 		if err != nil {
 			return err
 		}
@@ -398,7 +415,7 @@ func parseDevice(n *circuit.Netlist, line string, models map[string]mos.Params, 
 			if !ok {
 				return fmt.Errorf("%s: bad parameter %q", name, kv)
 			}
-			v, err := ParseValue(val)
+			v, err := value(val)
 			if err != nil {
 				return err
 			}
@@ -411,8 +428,8 @@ func parseDevice(n *circuit.Netlist, line string, models map[string]mos.Params, 
 				return fmt.Errorf("%s: unknown parameter %q", name, key)
 			}
 		}
-		if !(w > 0 && l > 0) || math.IsInf(w, 1) || math.IsInf(l, 1) {
-			return fmt.Errorf("%s: W and L must be positive and finite, got W=%g L=%g", name, w, l)
+		if !(w > 0 && l > 0) {
+			return fmt.Errorf("%s: W and L must be positive, got W=%g L=%g", name, w, l)
 		}
 		return n.Add(&circuit.MOSFET{Inst: name,
 			D: node(f[1]), G: node(f[2]), S: node(f[3]), B: node(f[4]),

@@ -2,6 +2,7 @@ package netlist
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -222,6 +223,45 @@ func TestParseRejectsBadMOSGeometry(t *testing.T) {
 	}
 	if _, err := ParseString("M1 d d 0 0 nmos W=1n L=0.35u\n"); err != nil {
 		t.Errorf("rejected a tiny but positive width: %v", err)
+	}
+}
+
+// TestParseRefusesNonFiniteValues: a NaN or infinite value, including
+// a finite mantissa that overflows after its suffix, is refused with
+// ErrNonFinite by an error naming the line and the device (or model), so
+// it never reaches Newton or the AC solver.
+func TestParseRefusesNonFiniteValues(t *testing.T) {
+	for _, c := range []struct{ line, name string }{
+		{"R1 a 0 nank", "R1"},
+		{"R2 a 0 infinity", "R2"},
+		{"R3 a 0 1e308k", "R3"},
+		{"V2 a 0 DC 1 AC -infinity", "V2"},
+		{"G1 a 0 a 0 nanu", "G1"},
+		{".model hot nmos KP=1e308meg", "hot"},
+	} {
+		_, err := ParseString("* non-finite\nV1 a 0 DC 1\n" + c.line + "\n")
+		if !errors.Is(err, ErrNonFinite) {
+			t.Errorf("%q: err %v, want ErrNonFinite", c.line, err)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "line 3") || !strings.Contains(msg, c.name) {
+			t.Errorf("%q: error %q does not name line 3 and %s", c.line, msg, c.name)
+		}
+	}
+	for _, s := range []string{"nank", "NaNu", "-Infinity", "+infinity", "1e308k", "2e303meg"} {
+		if _, err := ParseValue(s); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("ParseValue(%q): err %v, want ErrNonFinite", s, err)
+		}
+	}
+	// A bare "nan" or "-inf" ends in a suffix letter, so what is left is
+	// no number at all.
+	for _, s := range []string{"nan", "-inf"} {
+		if _, err := ParseValue(s); err == nil {
+			t.Errorf("ParseValue(%q): want error", s)
+		}
+	}
+	if v, err := ParseValue("1e305k"); err != nil || v != 1e308 {
+		t.Errorf("ParseValue(1e305k) = %g, %v; want 1e308", v, err)
 	}
 }
 
