@@ -110,14 +110,13 @@ func ACWith(n *circuit.Netlist, op *OPResult, freqs []float64, ws *Workspace) (*
 // the reference whose pivot order every point reuses. Matrix values
 // change smoothly with frequency while the structure is fixed, so the
 // sweep plans its elimination once, over the recording's structure and
-// its fill under that order (num.CPlan), and solves each point over the
-// plan. A point whose values drift too far for the reused order fails
-// a stability check and is factored afresh, densely; the plan is exact,
-// so either way each point is bit-identical to the dense replay of the
-// reference order that preceded it. Each point depends only on its
-// frequency and the reference, never on the points solved before it, so
-// the points a stopped sweep solved are bit-identical to the same points
-// of the full sweep.
+// the fill that order creates (num.CPlan), and solves every point over
+// the plan, bit for bit as a dense elimination in that order would. A
+// point whose values drift too far for the reused order fails a
+// stability check and is factored afresh with full pivoting. Each point
+// depends only on its frequency and the reference, never on the points
+// solved before it, so the points a stopped sweep solved are
+// bit-identical to the same points of the full sweep.
 func ACPrefix(n *circuit.Netlist, op *OPResult, freqs []float64, ws *Workspace, visit func(i int, x []complex128) bool) error {
 	if err := validateFreqs(freqs); err != nil {
 		return err

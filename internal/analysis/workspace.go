@@ -8,9 +8,9 @@ import (
 // Workspace holds the reusable solver state of one evaluation thread:
 // the real Newton system shared by OP, DC sweeps and transient steps,
 // the AC sweep's recorded linearisation and elimination plan, and the
-// complex system used by noise solves and AC points off the plan. Reusing one Workspace across the thousands of
-// evaluations of a GA or Monte Carlo run keeps the solver hot path
-// allocation-free.
+// complex system used by noise solves and AC points off the plan.
+// Reusing one Workspace across the thousands of evaluations of a GA or
+// Monte Carlo run keeps the solver hot path allocation-free.
 //
 // A nil *Workspace is always valid — every analysis then allocates
 // internally, once per call — so existing callers need not change.
