@@ -246,10 +246,10 @@ func TestCRefactorIntoFallback(t *testing.T) {
 	if p.Solve(1, b, x) {
 		t.Error("reused an unstable pivot order")
 	}
-	for _, bad := range []*CLU{nil, NewCLU(n)} {
+	for i, bad := range []*CLU{nil, NewCLU(n)} { // none, unfactored
 		p.Build(bad, g, nil)
 		if p.Solve(1, b, x) {
-			t.Errorf("plan on reference %v solved a point", bad)
+			t.Errorf("plan on bad reference %d solved a point", i)
 		}
 	}
 	p.Build(ref, NewMatrix(n+1), nil)

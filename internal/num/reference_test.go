@@ -150,8 +150,8 @@ type sweepCounts struct {
 	refFailed int // sweeps whose reference factorisation failed
 }
 
-// sameOrNaN (divisor_test.go) compares floats bit for bit with every
-// NaN in one class.
+// sameComplex compares both parts with sameOrNaN (divisor_test.go): bit
+// for bit, with every NaN in one class.
 func sameComplex(a, b complex128) bool {
 	return sameOrNaN(real(a), real(b)) && sameOrNaN(imag(a), imag(b))
 }
