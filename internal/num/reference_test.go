@@ -324,7 +324,7 @@ func TestPlannedSweepMatchesDense(t *testing.T) {
 		checkSweep(t, randomRecording(rng, 1+rng.Intn(14), true), sweepOmegas, &c)
 	}
 	var wide sweepCounts
-	for _, n := range []int{65, 65, 100, 100, 130, 130} {
+	for _, n := range []int{65, 65, 65, 100, 100, 100, 130, 130, 130} {
 		checkSweep(t, randomRecording(rng, n, false), sweepOmegas[:5], &wide)
 	}
 	t.Logf("orders 1-14: %+v; orders 65-130: %+v", c, wide)
