@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build test test-race e2e-store vet lint check bench bench-paper bench-perf loadtest capacity profile soak-smoke examples cover cluster cluster-down cluster-smoke cluster-bench
+.PHONY: build test test-race e2e-store vet lint check bench bench-paper bench-perf loadtest capacity profile soak-smoke examples cover cluster cluster-down cluster-smoke
 
 build:
 	go build ./...
@@ -16,14 +16,14 @@ test:
 	go test ./...
 
 # Concurrency-sensitive packages (worker pools, genome cache, HTTP
-# server, the memory and disk artefact stores) under the race detector,
+# server, the artefact store and its leases) under the race detector,
 # uncached.
 test-race:
 	go test -race -count=1 ./internal/wbga/... ./internal/montecarlo/... ./internal/analysis/... ./internal/core/... ./internal/filter/... ./internal/server/... ./internal/store/...
 
-# Durability through the real binary: boot `ayd -store disk`, install a
-# model over the tenant API, kill, restart on the same directory,
-# require byte-identical answers.
+# Durability through the real binary: boot `ayd serve -models DIR`,
+# install a model over the tenant API, kill, restart on the same
+# directory, require byte-identical answers.
 e2e-store:
 	scripts/e2e-store.sh
 
@@ -78,11 +78,6 @@ cluster-down:
 # SIGKILL the owner mid-run, require the survivor to adopt and finish.
 cluster-smoke:
 	scripts/cluster-smoke.sh
-
-# Cluster scaling benchmark: capacity knee of 1/2/4 CPU-sliced replicas
-# measured the same way; writes benchmarks/BENCH_cluster.json.
-cluster-bench:
-	scripts/cluster_bench.sh
 
 # Regenerate every paper table/figure at scaled-down budgets (~1 min).
 bench:

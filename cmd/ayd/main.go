@@ -4,8 +4,8 @@
 //
 // Usage:
 //
-//	ayd serve [-addr :8080] [-store disk|mem]
-//	          [-models DIR] [-data DIR] [-workers N] [-max-models N]
+//	ayd serve [-addr :8080] [-models DIR] [-data DIR]
+//	          [-workers N] [-max-models N]
 //	          [-max-inflight N] [-max-inflight-heavy N] [-max-body BYTES]
 //	          [-query-timeout D] [-drain-timeout D]
 //	          [-read-header-timeout D] [-idle-timeout D]
@@ -26,11 +26,11 @@
 // latency-histogram registry in Prometheus text format; GET /healthz is
 // liveness only.
 //
-// With -store disk (the default) model artefacts and job checkpoints
-// persist content-addressed under -models, shared safely with other ayd
-// processes on the same directory; -store mem keeps everything
-// in-process (artefacts die with the server). A model saved by otaflow
-// or yieldtool reaches the server through POST /v1/models.
+// Model artefacts and job checkpoints persist content-addressed under
+// -models (a store.Disk), shared safely with other ayd processes on the
+// same directory. The store survives a killed process, not a host crash:
+// nothing is fsynced. A model saved by otaflow or yieldtool reaches the
+// server through POST /v1/models.
 //
 // SIGINT/SIGTERM shut the server down gracefully: in-flight queries
 // drain, running flows checkpoint and stop (resumable on the next
@@ -51,7 +51,6 @@ import (
 	"time"
 
 	"analogyield/internal/server"
-	"analogyield/internal/store"
 )
 
 func main() {
@@ -70,8 +69,7 @@ func serve(args []string) int {
 		readHdrTO   = fs.Duration("read-header-timeout", 5*time.Second, "slowloris guard: max time a connection may take to send request headers (negative = unlimited)")
 		idleTO      = fs.Duration("idle-timeout", 120*time.Second, "keep-alive: max idle time between requests on a connection (negative = unlimited)")
 		maxHdr      = fs.Int("max-header-bytes", 0, "max request header bytes per connection (0 = Go default, 1 MiB)")
-		storeKind   = fs.String("store", "disk", "artefact store backend: disk (durable, shareable) or mem (in-process)")
-		models      = fs.String("models", "ayd-models", "artefact store root (with -store disk) and default -data directory")
+		models      = fs.String("models", server.DefaultModelsDir, "artefact store root, shareable by several ayd processes, and default -data directory")
 		data        = fs.String("data", "", "job state directory (checkpoints); defaults to -models")
 		workers     = fs.Int("workers", 2, "flow worker pool size")
 		maxModels   = fs.Int("max-models", 8, "maximum models resident in memory (LRU beyond)")
@@ -103,24 +101,12 @@ func serve(args []string) int {
 		}()
 	}
 
-	var st store.Store
-	switch *storeKind {
-	case "disk":
-		st = store.OpenDisk(*models) // Config.withDefaults would do the same; explicit for -store symmetry
-	case "mem":
-		st = store.NewMemory()
-	default:
-		log.Error("bad -store", "value", *storeKind, "want", "disk or mem")
-		return 2
-	}
-
 	srv := server.New(server.Config{
 		Addr:              *addr,
 		ReadHeaderTimeout: *readHdrTO,
 		IdleTimeout:       *idleTO,
 		MaxHeaderBytes:    *maxHdr,
 
-		Store:          st,
 		ModelsDir:      *models,
 		DataDir:        *data,
 		FlowWorkers:    *workers,

@@ -61,14 +61,9 @@
 // over real TCP — syscalls, loopback queueing, connection pool and
 // all. That is the over-the-wire measurement (in_process: false)
 // recorded in benchmarks/BENCH_serve_net.json and BENCH_capacity.json.
-// -url still targets any externally managed server.
-//
-// Both -url and -addr accept a comma-separated list, which is the
-// cluster measurement mode: workers (and their persistent connections)
-// are striped round-robin across the targets, the rates and the SLO
-// apply to the aggregate, and the report records the target count —
-// scripts/cluster_bench.sh uses this to measure how the capacity knee
-// scales from 1 to N replicas (benchmarks/BENCH_cluster.json).
+// The in-process server and the -addr child keep their artefact store
+// in a temporary directory removed at exit. -url still targets any
+// externally managed server.
 package main
 
 import (
@@ -110,8 +105,7 @@ type result struct {
 	Errors      int64                  `json:"errors"`
 	Shed        int64                  `json:"shed"` // arrivals dropped at the in-flight cap
 	AchievedQPS float64                `json:"achieved_qps"`
-	Batch       int                    `json:"batch,omitempty"`   // >1: queries per request; qps counts queries
-	Targets     int                    `json:"targets,omitempty"` // >1: replicas driven round-robin; qps is the aggregate
+	Batch       int                    `json:"batch,omitempty"` // >1: queries per request; qps counts queries
 	Latency     core.HistogramSnapshot `json:"latency"`
 	InProcess   bool                   `json:"in_process,omitempty"`
 }
@@ -138,8 +132,7 @@ type capacityResult struct {
 	GOMAXPROCS    int     `json:"gomaxprocs"`
 	Conns         int     `json:"conns"`
 	Inflight      int     `json:"inflight"`
-	Batch         int     `json:"batch,omitempty"`   // >1: queries per request; qps counts queries
-	Targets       int     `json:"targets,omitempty"` // >1: replicas driven round-robin; rates and knee are aggregate
+	Batch         int     `json:"batch,omitempty"` // >1: queries per request; qps counts queries
 	StepSec       float64 `json:"step_duration_s"`
 	WarmupSec     float64 `json:"warmup_s"`
 	SLOP99Millis  float64 `json:"slo_p99_ms"`
@@ -179,8 +172,8 @@ func main() {
 		return
 	}
 	var (
-		url      = flag.String("url", "", "target server base URL(s), comma-separated; workers round-robin across them (empty: start an in-process server)")
-		addr     = flag.String("addr", "", "spawn a separate serving process per comma-separated address (e.g. 127.0.0.1:0,127.0.0.1:0) and drive them over TCP")
+		url      = flag.String("url", "", "target server base URL (empty: start an in-process server)")
+		addr     = flag.String("addr", "", "spawn a separate serving process bound to this address (e.g. 127.0.0.1:0) and drive it over TCP")
 		qps      = flag.Float64("qps", 2000, "target arrival rate (open loop; single-run mode)")
 		duration = flag.Duration("duration", 10*time.Second, "test length (per step in -sweep mode)")
 		warmup   = flag.Duration("warmup", time.Second, "unrecorded warm-up before each measured run/step (0 = none)")
@@ -264,7 +257,7 @@ type runConfig struct {
 }
 
 func run(cfg runConfig) error {
-	if cfg.soak && (cfg.sweep || len(splitList(cfg.url))+len(splitList(cfg.addr)) != 1) {
+	if cfg.soak && (cfg.sweep || (cfg.url == "") == (cfg.addr == "")) {
 		// Soaking the load generator's own process would measure nothing.
 		return fmt.Errorf("-soak takes one -addr or -url target and no -sweep")
 	}
@@ -280,25 +273,26 @@ func run(cfg runConfig) error {
 	if cfg.batch < 1 {
 		return fmt.Errorf("non-positive -batch %d", cfg.batch)
 	}
-	urls := splitList(cfg.url)
+	url := cfg.url
 	var child func() error // the spawned child's stop, which -soak judges
 	inProcess := false
 	switch {
-	case len(urls) > 0:
-		// Externally managed target(s); nothing to start or stop.
+	case url != "":
+		// An externally managed target; nothing to start or stop.
 	case cfg.addr != "":
-		// One spawned serving child per comma-separated address.
-		for _, a := range splitList(cfg.addr) {
-			childURL, stop, err := spawnChild(a, cfg.model)
-			if err != nil {
-				return err
-			}
-			defer stop() //nolint:errcheck // only -soak judges the child's exit
-			child = stop
-			urls = append(urls, childURL)
+		childURL, stop, err := spawnChild(cfg.addr, cfg.model)
+		if err != nil {
+			return err
 		}
+		defer stop() //nolint:errcheck // only -soak judges the child's exit
+		url, child = childURL, stop
 	default:
-		srv, err := startServer("127.0.0.1:0", cfg.model, "")
+		dir, err := os.MkdirTemp("", "aydload-")
+		if err != nil {
+			return err
+		}
+		defer os.RemoveAll(dir)
+		srv, err := startServer("127.0.0.1:0", cfg.model, dir)
 		if err != nil {
 			return err
 		}
@@ -307,8 +301,12 @@ func run(cfg runConfig) error {
 			defer cancel()
 			srv.Shutdown(ctx) //nolint:errcheck // best-effort drain on exit
 		}()
-		urls = []string{"http://" + srv.Addr()}
+		url = "http://" + srv.Addr()
 		inProcess = true
+	}
+	hostport, ok := strings.CutPrefix(url, "http://")
+	if !ok {
+		return fmt.Errorf("the data plane speaks plain HTTP/1.1; got %q (TLS termination belongs in front of the server under test, not in its load generator)", url)
 	}
 
 	// The control-plane transport must never throttle: Go's default of
@@ -323,26 +321,16 @@ func run(cfg runConfig) error {
 		MaxConnsPerHost:     cfg.conns,
 		DisableCompression:  true,
 	}}
-	// The bodies come from the first target's catalog; every target in a
-	// cluster run serves the same model (shared store or identically
-	// seeded children), which each target's own queryBodies would verify
-	// redundantly.
-	bodies, err := queryBodies(client, urls[0], cfg.model, cfg.batch)
+	bodies, err := queryBodies(client, url, cfg.model, cfg.batch)
 	if err != nil {
 		return err
 	}
 	lg := &loadgen{
 		client:   client,
+		hostport: hostport,
+		reqs:     renderRequests(hostport, bodies),
 		inflight: cfg.inflight,
 		batch:    cfg.batch,
-	}
-	for _, u := range urls {
-		if !strings.HasPrefix(u, "http://") {
-			return fmt.Errorf("the data plane speaks plain HTTP/1.1; got %q (TLS termination belongs in front of the server under test, not in its load generator)", u)
-		}
-		hostport := strings.TrimPrefix(u, "http://")
-		lg.hostports = append(lg.hostports, hostport)
-		lg.reqs = append(lg.reqs, renderRequests(hostport, bodies))
 	}
 	defer func() {
 		for _, c := range lg.conns {
@@ -353,17 +341,14 @@ func run(cfg runConfig) error {
 	}()
 
 	if cfg.soak {
-		return runSoak(lg, urls[0], cfg, child)
+		return runSoak(lg, url, cfg, child)
 	}
 	var report any
 	if cfg.sweep {
 		cap := sweepCapacity(lg, cfg)
-		cap.URL = strings.Join(urls, ",")
+		cap.URL = url
 		cap.Model = cfg.model
 		cap.InProcess = inProcess
-		if len(urls) > 1 {
-			cap.Targets = len(urls)
-		}
 		report = cap
 	} else {
 		if cfg.warmup > 0 {
@@ -375,7 +360,7 @@ func run(cfg runConfig) error {
 		runtime.GC()
 		st, elapsed := lg.fire(cfg.qps, cfg.duration, true)
 		res := result{
-			URL: strings.Join(urls, ","), Model: cfg.model, TargetQPS: cfg.qps,
+			URL: url, Model: cfg.model, TargetQPS: cfg.qps,
 			DurationSec: cfg.duration.Seconds(),
 			Requests:    st.Requests, Errors: st.Errors, Shed: st.Shed,
 			AchievedQPS: st.AchievedQPS,
@@ -383,9 +368,6 @@ func run(cfg runConfig) error {
 		}
 		if cfg.batch > 1 {
 			res.Batch = cfg.batch
-		}
-		if len(urls) > 1 {
-			res.Targets = len(urls)
 		}
 		fmt.Fprintf(os.Stderr, "aydload: %d requests (%d errors, %d shed) in %.1fs — %.0f qps, p50 %.3fms p95 %.3fms p99 %.3fms\n",
 			res.Requests, res.Errors, res.Shed, elapsed.Seconds(), res.AchievedQPS,
@@ -414,7 +396,7 @@ func writeReport(out string, report any) error {
 	return enc.Encode(report)
 }
 
-// loadgen drives one or more endpoints with pre-rendered requests. The
+// loadgen drives one endpoint with pre-rendered requests. The
 // data plane speaks raw HTTP/1.1 over one persistent TCP connection per
 // worker (wrk-style): at five-figure rates the net/http client's
 // per-request machinery — request and header allocation, URL parsing,
@@ -422,19 +404,13 @@ func writeReport(out string, report any) error {
 // server spends answering, and on a small machine that overhead would
 // be billed to the server's measured latency. Control-plane calls
 // (model discovery) still go through the tuned net/http client.
-//
-// With several targets (cluster mode) worker w pins target
-// w mod len(hostports): the workers stripe evenly across the replicas,
-// each keeps its one persistent connection, and the open-loop schedule
-// stays global — the target rate is the aggregate the cluster must
-// absorb, exactly how a fleet behind a round-robin balancer is loaded.
 type loadgen struct {
-	client    *http.Client
-	hostports []string   // target-indexed
-	reqs      [][][]byte // [target][body] pre-rendered POST /v1/yield/query requests
-	conns     []*rawConn // worker-indexed; persist across warm-up and steps
-	inflight  int
-	batch     int // queries per request (≥1); rates count queries
+	client   *http.Client
+	hostport string
+	reqs     [][]byte   // pre-rendered POST /v1/yield/query requests
+	conns    []*rawConn // worker-indexed; persist across warm-up and steps
+	inflight int
+	batch    int // queries per request (≥1); rates count queries
 }
 
 // reqTimeout bounds one data-plane request on the wire; a server stall
@@ -578,8 +554,6 @@ func (lg *loadgen) fire(qps float64, duration time.Duration, record bool) (step,
 			// CO-aware accounting would charge to every request.
 			wt := pacer.New()
 			defer wt.Close() //nolint:errcheck
-			tgt := w % len(lg.hostports)
-			reqs := lg.reqs[tgt]
 			for i := int64(w); ; i += int64(workers) {
 				offset := time.Duration(float64(i) * interval)
 				if offset >= duration {
@@ -595,14 +569,14 @@ func (lg *loadgen) fire(qps float64, duration time.Duration, record bool) (step,
 				c := lg.conns[w]
 				if c == nil {
 					var err error
-					if c, err = dialRaw(lg.hostports[tgt]); err != nil {
+					if c, err = dialRaw(lg.hostport); err != nil {
 						requests.Add(1)
 						errs.Add(1)
 						continue
 					}
 					lg.conns[w] = c
 				}
-				ok, err := c.do(reqs[i%int64(len(reqs))])
+				ok, err := c.do(lg.reqs[i%int64(len(lg.reqs))])
 				requests.Add(1)
 				if err != nil {
 					// The connection state is unknown; drop it and let the
@@ -804,33 +778,21 @@ func fetchModelInfo(client *http.Client, url, model string) (*api.ModelInfo, err
 	return nil, fmt.Errorf("model %q not served at %s (have %d models)", model, url, len(infos))
 }
 
-// splitList parses a comma-separated flag value into its non-empty
-// trimmed entries.
-func splitList(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if p := strings.TrimSpace(part); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // serveChild is the re-executed serving process of -addr mode: it binds
 // the requested address, installs the synthetic model, announces the
 // bound address on stdout, and serves until the parent closes its
-// stdin. Flow checkpoints go to a temporary directory, never the
-// caller's working directory.
+// stdin. Its store and flow checkpoints go to a temporary directory,
+// never the caller's working directory.
 func serveChild(addr, model string) error {
 	if model == "" {
 		model = "loadtest"
 	}
-	dataDir, err := os.MkdirTemp("", "aydload-serve-")
+	dir, err := os.MkdirTemp("", "aydload-serve-")
 	if err != nil {
 		return err
 	}
-	defer os.RemoveAll(dataDir)
-	srv, err := startServer(addr, model, dataDir)
+	defer os.RemoveAll(dir)
+	srv, err := startServer(addr, model, dir)
 	if err != nil {
 		return err
 	}
@@ -894,9 +856,9 @@ func stopChild(cmd *exec.Cmd, stdin io.Closer) error {
 
 // startServer starts a serving stack bound to addr with a synthetic
 // 64-point model installed under the given name — the same analytic
-// front the server package's tests and benchmarks use — and flow
-// checkpoints under dataDir.
-func startServer(addr, model, dataDir string) (*server.Server, error) {
+// front the server package's tests and benchmarks use — with its store
+// and flow checkpoints under dir.
+func startServer(addr, model, dir string) (*server.Server, error) {
 	const n = 64
 	pts := make([]core.ParetoPoint, n)
 	for i := range pts {
@@ -916,8 +878,8 @@ func startServer(addr, model, dataDir string) (*server.Server, error) {
 		return nil, err
 	}
 	srv := server.New(server.Config{
-		Addr:    addr,
-		DataDir: dataDir,
+		Addr:      addr,
+		ModelsDir: dir,
 		// Level-gated, not just discarded: with Info filtered out the
 		// access-log middleware skips per-request attribute formatting
 		// instead of rendering lines nobody reads.

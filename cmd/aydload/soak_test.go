@@ -112,7 +112,7 @@ func TestSoakFailsOnChildExit(t *testing.T) {
 		t.Fatal(err)
 	}
 	lg := &loadgen{client: http.DefaultClient, inflight: 4, batch: 1,
-		hostports: []string{hostport}, reqs: [][][]byte{renderRequests(hostport, bodies)}}
+		hostport: hostport, reqs: renderRequests(hostport, bodies)}
 
 	child := exec.Command("sh", "-c", "exit 66")
 	stdin, err := child.StdinPipe()
@@ -143,11 +143,11 @@ func TestSoakFailsOnChildExit(t *testing.T) {
 }
 
 // TestSoakNeedsOneServedTarget: -soak refuses to run without a separate
-// target, or with several.
+// target, or with both -url and -addr.
 func TestSoakNeedsOneServedTarget(t *testing.T) {
 	for _, cfg := range []runConfig{
 		{soak: true},
-		{soak: true, url: "http://a:1,http://b:1"},
+		{soak: true, url: "http://a:1", addr: "127.0.0.1:0"},
 		{soak: true, url: "http://a:1", sweep: true},
 	} {
 		cfg.qps, cfg.inflight, cfg.batch = 1, 1, 1

@@ -33,6 +33,8 @@ type Metrics struct {
 	opSolves        atomic.Int64
 	opIterations    atomic.Int64
 	opWarmFallbacks atomic.Int64
+	acPoints        atomic.Int64
+	acOffPlan       atomic.Int64
 
 	// MC scheduler occupancy gauges (see montecarlo.Gauges) plus their
 	// observed peaks — the peaks survive the run, so a post-hoc scrape
@@ -76,6 +78,10 @@ type MetricsSnapshot struct {
 	OPSolves        int64 `json:"op_solves"`
 	OPIterations    int64 `json:"op_iterations"`
 	OPWarmFallbacks int64 `json:"op_warm_fallbacks"`
+	// AC sweep points solved, and those factored afresh off their
+	// sweep's elimination plan (see num.CPlan).
+	ACPoints  int64 `json:"ac_points"`
+	ACOffPlan int64 `json:"ac_off_plan"`
 	// MC scheduler occupancy: current values are live gauges (zero
 	// between runs); peaks are high-water marks across the registry's
 	// lifetime.
@@ -135,12 +141,14 @@ func (m *Metrics) Replica() string {
 	return m.replica
 }
 
-// AddOPStats folds the operating-point counters of finished solver
-// workspaces into the registry.
+// AddOPStats folds the operating-point and AC sweep counters of
+// finished solver workspaces into the registry.
 func (m *Metrics) AddOPStats(s analysis.OPStats) {
 	m.opSolves.Add(int64(s.Solves))
 	m.opIterations.Add(int64(s.Iterations))
 	m.opWarmFallbacks.Add(int64(s.WarmFallbacks))
+	m.acPoints.Add(int64(s.ACPoints))
+	m.acOffPlan.Add(int64(s.ACOffPlan))
 }
 
 // AddLeasesHeld moves the held-lease gauge (+1 on acquire/adopt, -1 on
@@ -198,6 +206,8 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		OPSolves:        m.opSolves.Load(),
 		OPIterations:    m.opIterations.Load(),
 		OPWarmFallbacks: m.opWarmFallbacks.Load(),
+		ACPoints:        m.acPoints.Load(),
+		ACOffPlan:       m.acOffPlan.Load(),
 
 		MCBusyWorkers:        m.mcBusyWorkers.cur.Load(),
 		MCBusyWorkersPeak:    m.mcBusyWorkers.peak.Load(),

@@ -99,3 +99,21 @@ func TestWarmStartMatchesColdOnFlowFront(t *testing.T) {
 		samples, len(res.FrontIdx), float64(coldIters)/float64(samples), float64(warmIters)/float64(samples),
 		fallbacks, dx, dGain, dPM, m.OPSolves, m.OPIterations, m.OPWarmFallbacks)
 }
+
+// TestFlowCountsACPointsOnPlan: a small OTA flow folds its workspaces'
+// AC sweep counters into the registry, and at least 99% of the points
+// solve on their sweep's elimination plan.
+func TestFlowCountsACPointsOnPlan(t *testing.T) {
+	res, err := RunFlow(context.Background(), FlowConfig{
+		Problem: NewOTAProblem(), Proc: process.C35(),
+		PopSize: 12, Generations: 4, MCSamples: 20, Seed: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := res.Metrics
+	t.Logf("%d AC points, %d off the plan", m.ACPoints, m.ACOffPlan)
+	if m.ACPoints == 0 || 100*m.ACOffPlan > m.ACPoints {
+		t.Errorf("flow counted %d AC points, %d off the plan: want some, at least 99%% on it", m.ACPoints, m.ACOffPlan)
+	}
+}

@@ -6,6 +6,7 @@ import (
 
 	"analogyield/internal/core"
 	"analogyield/internal/server/api"
+	"analogyield/internal/store"
 )
 
 // benchPoints mirrors synthModel's analytic front without a *testing.T,
@@ -33,7 +34,7 @@ func buildBenchModel(pts []core.ParetoPoint) (*core.Model, error) {
 
 func benchModel(b *testing.B) *Registry {
 	b.Helper()
-	r := NewRegistry(nil, 4)
+	r := NewRegistry(store.OpenDisk(b.TempDir()), 4)
 	pts := benchPoints(64)
 	m, err := buildBenchModel(pts)
 	if err != nil {

@@ -179,7 +179,7 @@ func TestClusterChaosTakeoverBitIdentical(t *testing.T) {
 		CheckpointEvery: 1,
 	}
 	// Baseline: the same request run to completion on one node.
-	base, regBase := newClusterJM(t, store.NewMemory(), "base", time.Minute,
+	base, regBase := newClusterJM(t, store.OpenDisk(t.TempDir()), "base", time.Minute,
 		slowFactory(2*time.Millisecond))
 	bst, err := base.Submit(req)
 	if err != nil {
@@ -252,9 +252,9 @@ func TestClusterHealthExposition(t *testing.T) {
 		srv.Shutdown(ctx)
 	}
 
-	single := New(Config{Store: store.NewMemory(), DataDir: t.TempDir(), Logger: quietLog()})
+	single := New(Config{Store: store.OpenDisk(t.TempDir()), DataDir: t.TempDir(), Logger: quietLog()})
 	t.Cleanup(func() { shutdown(single) })
-	clustered := New(Config{Store: store.NewMemory(), DataDir: t.TempDir(),
+	clustered := New(Config{Store: store.OpenDisk(t.TempDir()), DataDir: t.TempDir(),
 		ReplicaID: "r9", Logger: quietLog()})
 	t.Cleanup(func() { shutdown(clustered) })
 	for name, srv := range map[string]*Server{"single-node": single, "cluster": clustered} {

@@ -10,6 +10,7 @@ import (
 
 	"analogyield/internal/core"
 	"analogyield/internal/server/api"
+	"analogyield/internal/store"
 )
 
 // sweepRequests spans the synthetic model's behaviour space: in-domain,
@@ -162,7 +163,7 @@ func TestCompiledGoldenJSON(t *testing.T) {
 // through QueryBatch must then equal the per-query path, answers and
 // errors alike.
 func TestCompiledGoldenErrors(t *testing.T) {
-	r := NewRegistry(nil, 4)
+	r := NewRegistry(store.OpenDisk(t.TempDir()), 4)
 	defer r.Close()
 	m := synthModel(t, 12)
 	if _, err := r.Install(api.DefaultTenant, "m1", m); err != nil {

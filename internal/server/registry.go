@@ -62,13 +62,10 @@ type modelEntry struct {
 	lastUsed atomic.Int64
 }
 
-// NewRegistry creates a registry over the given artefact store (nil =
-// a fresh in-process store.Memory) keeping at most cap models resident
-// (cap <= 0 means 8).
+// NewRegistry creates a registry over the given artefact store, which
+// must not be nil, keeping at most cap models resident (cap <= 0 means
+// 8).
 func NewRegistry(st store.Store, cap int) *Registry {
-	if st == nil {
-		st = store.NewMemory()
-	}
 	if cap <= 0 {
 		cap = 8
 	}

@@ -116,7 +116,7 @@ func TestRegistryLRUEvictionAndReload(t *testing.T) {
 }
 
 func TestRegistryEvictAndDelete(t *testing.T) {
-	r := NewRegistry(nil, 4) // in-process memory store
+	r := NewRegistry(store.OpenDisk(t.TempDir()), 4)
 	defer r.Close()
 	if _, err := r.Install(api.DefaultTenant, "m1", synthModel(t, 12)); err != nil {
 		t.Fatal(err)
@@ -275,7 +275,7 @@ loop:
 // on that version's model and leaves residency alone, and a batch that
 // mixes latest and pinned queries equals the per-query answers.
 func TestHistoricalPinMatchesOracle(t *testing.T) {
-	r := NewRegistry(nil, 4)
+	r := NewRegistry(store.OpenDisk(t.TempDir()), 4)
 	defer r.Close()
 	ctx := context.Background()
 	m1 := synthModel(t, 12)
@@ -348,7 +348,7 @@ func TestHistoricalPinMatchesOracle(t *testing.T) {
 // (here one without parameter tables, which core.BuildModel never
 // builds) is refused before anything is stored or made resident.
 func TestInstallRefusesUncompilable(t *testing.T) {
-	r := NewRegistry(nil, 4)
+	r := NewRegistry(store.OpenDisk(t.TempDir()), 4)
 	defer r.Close()
 	m := synthModel(t, 12)
 	m.ParamTables = nil
@@ -377,7 +377,7 @@ func TestRegistryServesStoredV1Payload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := store.NewMemory()
+	st := store.OpenDisk(t.TempDir())
 	old, err := st.Put(api.DefaultTenant, store.KindModel, "m", v1)
 	if err != nil {
 		t.Fatal(err)

@@ -52,17 +52,21 @@ import (
 	"analogyield/internal/telemetry"
 )
 
+// DefaultModelsDir is the store root of a Config without ModelsDir, and
+// the default of `ayd serve -models`.
+const DefaultModelsDir = "ayd-models"
+
 // Config assembles a Server. Zero values select the documented
 // defaults.
 type Config struct {
 	// Addr is the listen address for Start ("127.0.0.1:0" in tests).
 	Addr string
 	// Store is the artefact store persisting models and job checkpoints.
-	// Nil selects a backend from ModelsDir: a store.Disk rooted there
-	// when set, otherwise an in-process store.Memory (artefacts die with
-	// the server).
+	// Nil = a store.Disk rooted at ModelsDir; set it to share one handle
+	// or to wrap the store.
 	Store store.Store
-	// ModelsDir roots the default disk store and the default DataDir.
+	// ModelsDir roots the default store and the default DataDir
+	// (empty = DefaultModelsDir, relative to the working directory).
 	ModelsDir string
 	// DataDir holds job state (checkpoints). Empty = ModelsDir.
 	DataDir string
@@ -132,12 +136,11 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
+	if c.ModelsDir == "" {
+		c.ModelsDir = DefaultModelsDir
+	}
 	if c.Store == nil {
-		if c.ModelsDir != "" {
-			c.Store = store.OpenDisk(c.ModelsDir)
-		} else {
-			c.Store = store.NewMemory()
-		}
+		c.Store = store.OpenDisk(c.ModelsDir)
 	}
 	if c.DataDir == "" {
 		c.DataDir = c.ModelsDir

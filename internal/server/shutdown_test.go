@@ -137,6 +137,7 @@ func TestShutdownMidMCLeavesResumableCheckpoint(t *testing.T) {
 func TestListenerShardsSingle(t *testing.T) {
 	srv := New(Config{
 		Addr:         "127.0.0.1:0",
+		ModelsDir:    t.TempDir(),
 		DrainTimeout: 5 * time.Second,
 		Metrics:      &core.Metrics{},
 		Logger:       quietLog(),

@@ -60,7 +60,10 @@ type Curve struct {
 
 // New fits an interpolant of the requested degree to the samples. The
 // samples are copied and sorted by x; duplicate or NaN values are an
-// error. Linear and PCHIP need two points, quadratic and cubic three.
+// error, and so is a fit that overflows: a knot gap, a step between
+// neighbouring values or a fitted slope or coefficient that is not
+// finite, which would turn evaluations into ±Inf or NaN. Linear and
+// PCHIP need two points, quadratic and cubic three.
 func New(deg Degree, xs, ys []float64) (*Curve, error) {
 	minPoints := 2
 	switch deg {
@@ -81,7 +84,31 @@ func New(deg Degree, xs, ys []float64) (*Curve, error) {
 	case DegreeMonotoneCubic:
 		c.ms = pchipSlopes(sx, sy)
 	}
+	if err := c.checkFinite(); err != nil {
+		return nil, err
+	}
 	return c, nil
+}
+
+// checkFinite refuses a fit that overflowed: every knot gap, every step
+// between neighbouring values and every fitted slope or coefficient must
+// be finite.
+func (s *Curve) checkFinite() error {
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	for i := 1; i < len(s.xs); i++ {
+		if !finite(s.xs[i]-s.xs[i-1]) || !finite(s.ys[i]-s.ys[i-1]) {
+			return fmt.Errorf("spline: segment %d overflows: x %g to %g, y %g to %g",
+				i-1, s.xs[i-1], s.xs[i], s.ys[i-1], s.ys[i])
+		}
+	}
+	for _, coef := range [][]float64{s.ms, s.a, s.b, s.c, s.d} {
+		for i, v := range coef {
+			if !finite(v) {
+				return fmt.Errorf("spline: fitted coefficient %d is %g", i, v)
+			}
+		}
+	}
+	return nil
 }
 
 // checkKnots validates and sorts a copy of the sample set. Knots that

@@ -89,6 +89,33 @@ func TestLinearRejectsNaN(t *testing.T) {
 	}
 }
 
+// TestNewRefusesOverflowingFit: a fit whose knot gap, value step or
+// fitted slope overflows is refused at every degree, instead of
+// answering ±Inf or NaN between the knots.
+func TestNewRefusesOverflowingFit(t *testing.T) {
+	const max = math.MaxFloat64
+	for _, tc := range []struct {
+		name   string
+		xs, ys []float64
+		degs   []Degree
+	}{
+		{"value step", []float64{0, 1, 2, 3}, []float64{1e308, 1e308, -1e308, -1e308},
+			[]Degree{DegreeLinear, DegreeQuadratic, DegreeCubic, DegreeMonotoneCubic}},
+		{"knot gap", []float64{-1e308, 1e308, 1.5e308, 1.6e308}, []float64{1, 2, 3, 4},
+			[]Degree{DegreeLinear, DegreeQuadratic, DegreeCubic, DegreeMonotoneCubic}},
+		{"infinite value", []float64{0, 1, 2}, []float64{1, math.Inf(1), 3},
+			[]Degree{DegreeLinear, DegreeQuadratic, DegreeCubic, DegreeMonotoneCubic}},
+		{"PCHIP slope", []float64{0, 0.3, 0.7, 1}, []float64{1e307, 9e307, 1.7e308, max},
+			[]Degree{DegreeMonotoneCubic}},
+	} {
+		for _, deg := range tc.degs {
+			if c, err := New(deg, tc.xs, tc.ys); err == nil {
+				t.Errorf("%s, degree %d: fitted, Eval(%g) = %g; want a refusal", tc.name, deg, tc.xs[1]/2, c.Eval(tc.xs[1]/2))
+			}
+		}
+	}
+}
+
 func TestQuadraticReproducesParabola(t *testing.T) {
 	// y = x^2 should be exact for a degree-2 interpolant.
 	xs := []float64{0, 1, 2, 3, 4}

@@ -12,9 +12,9 @@ import (
 	"time"
 )
 
-// Disk is the durable Store backend: a content-addressed blob area plus
-// tiny per-name ref files, safe for concurrent use by multiple
-// processes sharing one root.
+// Disk is the Store: a content-addressed blob area plus tiny per-name
+// ref files, safe for concurrent use by multiple processes sharing one
+// root.
 //
 //	root/
 //	  blobs/<vv>/<version>                 immutable artefact envelopes

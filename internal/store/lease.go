@@ -26,8 +26,10 @@ import (
 //     lease expired therefore cannot clobber its successor's progress.
 //
 // Tokens are monotonic per (tenant, name) for the lifetime of the
-// store root, never reused, and never regress: the Disk backend keeps
-// the highest token's file forever, the Memory backend a counter.
+// store root, never reused, and never regress while the root's files
+// do: Disk keeps the highest token's file forever (lease_disk.go). The
+// file is not fsynced, so a host crash can lose it; a killed process
+// cannot.
 
 // Lease is one held claim on (Tenant, Name). The zero value is not a
 // valid lease.
@@ -68,7 +70,7 @@ var (
 // survive the filesystem round trips that renew it.
 const minLeaseTTL = 10 * time.Millisecond
 
-// validLeaseArgs vets the acquire arguments shared by both backends.
+// validLeaseArgs vets AcquireLease's arguments.
 func validLeaseArgs(tenant, name, owner string, ttl time.Duration) error {
 	if err := ValidateKey(tenant); err != nil {
 		return fmt.Errorf("tenant: %w", err)

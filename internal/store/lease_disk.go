@@ -25,8 +25,9 @@ import (
 // Renew and release rewrite the holder's own token file via atomic
 // rename, so readers never observe a torn record. The highest token
 // file is never deleted (lower ones are garbage-collected), so tokens
-// stay monotonic across crashes, releases and expirations for the
-// lifetime of the store root.
+// stay monotonic across process crashes, releases and expirations for
+// the lifetime of the store root. No file is fsynced, so a host crash
+// may lose the newest token file and reissue its number.
 //
 // Crash safety: a holder that dies simply stops renewing and the claim
 // lapses at its recorded expiry. A crash between the O_EXCL create and

@@ -8,16 +8,8 @@ import (
 	"time"
 )
 
-// leaseBackends runs a subtest against both backends (mirrors the
-// artefact conformance suite).
-func leaseBackends(t *testing.T, fn func(t *testing.T, s Store)) {
-	t.Helper()
-	t.Run("memory", func(t *testing.T) { fn(t, NewMemory()) })
-	t.Run("disk", func(t *testing.T) { fn(t, OpenDisk(t.TempDir())) })
-}
-
 func TestLeaseLifecycle(t *testing.T) {
-	leaseBackends(t, func(t *testing.T, s Store) {
+	onDisk(t, func(t *testing.T, s Store) {
 		l, err := s.AcquireLease("default", "job1", "replica-a", time.Minute)
 		if err != nil {
 			t.Fatalf("acquire: %v", err)
@@ -70,7 +62,7 @@ func TestLeaseLifecycle(t *testing.T) {
 }
 
 func TestLeaseExpiry(t *testing.T) {
-	leaseBackends(t, func(t *testing.T, s Store) {
+	onDisk(t, func(t *testing.T, s Store) {
 		l, err := s.AcquireLease("default", "job1", "replica-a", 20*time.Millisecond)
 		if err != nil {
 			t.Fatalf("acquire: %v", err)
@@ -95,7 +87,7 @@ func TestLeaseExpiry(t *testing.T) {
 }
 
 func TestLeaseValidation(t *testing.T) {
-	leaseBackends(t, func(t *testing.T, s Store) {
+	onDisk(t, func(t *testing.T, s Store) {
 		cases := []struct{ tenant, name, owner string }{
 			{"", "n", "o"},
 			{"t", "", "o"},
@@ -121,64 +113,57 @@ func TestLeaseValidation(t *testing.T) {
 }
 
 // TestLeaseContention is the -race contention hammer: many goroutines
-// across TWO store handles on the same backing state race to acquire
-// one name; every round must elect exactly one winner.
+// across TWO store handles on one root (two replica processes sharing
+// the directory) race to acquire one name; every round must elect
+// exactly one winner.
 func TestLeaseContention(t *testing.T) {
 	root := t.TempDir()
-	mem := NewMemory()
-	stores := map[string][2]Store{
-		// Two Disk handles on one root model two replica processes
-		// sharing the directory.
-		"disk":   {OpenDisk(root), OpenDisk(root)},
-		"memory": {mem, mem},
-	}
-	for name, pair := range stores {
-		t.Run(name, func(t *testing.T) {
-			const contenders = 8
-			rounds := 20
-			if testing.Short() {
-				rounds = 5
-			}
-			for round := 0; round < rounds; round++ {
-				job := fmt.Sprintf("job-%03d", round)
-				var (
-					wg      sync.WaitGroup
-					mu      sync.Mutex
-					winners []Lease
-				)
-				start := make(chan struct{})
-				for c := 0; c < contenders; c++ {
-					wg.Add(1)
-					go func(c int) {
-						defer wg.Done()
-						st := pair[c%2]
-						owner := fmt.Sprintf("replica-%d", c)
-						<-start
-						l, err := st.AcquireLease("default", job, owner, time.Minute)
-						if err == nil {
-							mu.Lock()
-							winners = append(winners, l)
-							mu.Unlock()
-						} else if !errors.Is(err, ErrLeaseHeld) {
-							t.Errorf("round %d owner %s: unexpected error %v", round, owner, err)
-						}
-					}(c)
-				}
-				close(start)
-				wg.Wait()
-				if len(winners) != 1 {
-					t.Fatalf("round %d: %d winners, want exactly 1 (%+v)", round, len(winners), winners)
-				}
-				if err := pair[0].ReleaseLease(winners[0]); err != nil {
-					// The winner's handle may belong to the other store;
-					// release through it instead.
-					if err2 := pair[1].ReleaseLease(winners[0]); err2 != nil {
-						t.Fatalf("round %d release: %v / %v", round, err, err2)
+	pair := [2]Store{OpenDisk(root), OpenDisk(root)}
+	t.Run("disk", func(t *testing.T) {
+		const contenders = 8
+		rounds := 20
+		if testing.Short() {
+			rounds = 5
+		}
+		for round := 0; round < rounds; round++ {
+			job := fmt.Sprintf("job-%03d", round)
+			var (
+				wg      sync.WaitGroup
+				mu      sync.Mutex
+				winners []Lease
+			)
+			start := make(chan struct{})
+			for c := 0; c < contenders; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					st := pair[c%2]
+					owner := fmt.Sprintf("replica-%d", c)
+					<-start
+					l, err := st.AcquireLease("default", job, owner, time.Minute)
+					if err == nil {
+						mu.Lock()
+						winners = append(winners, l)
+						mu.Unlock()
+					} else if !errors.Is(err, ErrLeaseHeld) {
+						t.Errorf("round %d owner %s: unexpected error %v", round, owner, err)
 					}
+				}(c)
+			}
+			close(start)
+			wg.Wait()
+			if len(winners) != 1 {
+				t.Fatalf("round %d: %d winners, want exactly 1 (%+v)", round, len(winners), winners)
+			}
+			if err := pair[0].ReleaseLease(winners[0]); err != nil {
+				// The winner's handle may belong to the other store;
+				// release through it instead.
+				if err2 := pair[1].ReleaseLease(winners[0]); err2 != nil {
+					t.Fatalf("round %d release: %v / %v", round, err, err2)
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestLeaseFencingRejectsZombie pins the fencing contract: after a
@@ -186,7 +171,7 @@ func TestLeaseContention(t *testing.T) {
 // original's fenced writes are rejected — it cannot clobber the
 // successor's progress.
 func TestLeaseFencingRejectsZombie(t *testing.T) {
-	leaseBackends(t, func(t *testing.T, s Store) {
+	onDisk(t, func(t *testing.T, s Store) {
 		zombie, err := s.AcquireLease("default", "m", "replica-a", 20*time.Millisecond)
 		if err != nil {
 			t.Fatalf("acquire: %v", err)

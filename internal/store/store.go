@@ -6,14 +6,15 @@
 // Versions are content addresses — the sha256 of the canonical payload
 // serialization — so identical artefacts deduplicate, a version pin can
 // never silently change meaning, and every read re-verifies the payload
-// against its address. The Disk backend keeps one immutable blob file
-// per version plus tiny per-name ref files updated by atomic rename, so
-// N stateless server replicas can share one store directory: writes
-// never tear, and readers always see either the old or the new latest
-// version of a name.
+// against its address. Disk, the one implementation of Store, keeps one
+// immutable blob file per version plus tiny per-name ref files updated
+// by atomic rename, so N stateless server replicas can share one store
+// directory: writes never tear, and readers always see either the old
+// or the new latest version of a name.
 //
-// Two production backends implement Store: Memory (process-lifetime,
-// for tests and ephemeral serving) and Disk (shared durable catalog).
+// Nothing is fsynced: every write is a temp file plus rename (or an
+// O_EXCL create), which survives a killed process but not a crash of
+// the host before the kernel flushes its page cache.
 package store
 
 import (
@@ -61,10 +62,10 @@ type Info struct {
 	Created time.Time
 }
 
-// Store is the pluggable persistence interface the server's registry
-// and job manager sit on. Implementations must be safe for concurrent
-// use; Disk implementations must additionally tolerate concurrent use
-// of one root by several processes.
+// Store is the persistence interface the server's registry and job
+// manager sit on; Disk implements it, and callers may wrap it (to count
+// or fault calls). Implementations must be safe for concurrent use,
+// including use of one root by several processes.
 type Store interface {
 	// Put writes payload as a new version of (tenant, kind, name) and
 	// makes it the latest. The returned Info carries the content-derived

@@ -9,17 +9,15 @@ import (
 	"testing"
 )
 
-// backends runs a subtest against both production Store
-// implementations, so every semantic test in this file is a
-// conformance test.
-func backends(t *testing.T, fn func(t *testing.T, s Store)) {
+// onDisk runs a conformance subtest, named "disk", against a fresh
+// Disk store.
+func onDisk(t *testing.T, fn func(t *testing.T, s Store)) {
 	t.Helper()
-	t.Run("memory", func(t *testing.T) { fn(t, NewMemory()) })
 	t.Run("disk", func(t *testing.T) { fn(t, OpenDisk(t.TempDir())) })
 }
 
 func TestPutGetRoundTrip(t *testing.T) {
-	backends(t, func(t *testing.T, s Store) {
+	onDisk(t, func(t *testing.T, s Store) {
 		payload := []byte("hello artefact")
 		info, err := s.Put("acme", KindModel, "ota", payload)
 		if err != nil {
@@ -54,7 +52,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 }
 
 func TestVersionHistoryAndLatest(t *testing.T) {
-	backends(t, func(t *testing.T, s Store) {
+	onDisk(t, func(t *testing.T, s Store) {
 		v1, err := s.Put("acme", KindModel, "ota", []byte("one"))
 		if err != nil {
 			t.Fatal(err)
@@ -88,7 +86,7 @@ func TestVersionHistoryAndLatest(t *testing.T) {
 }
 
 func TestTenantIsolationAndListing(t *testing.T) {
-	backends(t, func(t *testing.T, s Store) {
+	onDisk(t, func(t *testing.T, s Store) {
 		for _, put := range []struct{ tenant, name, body string }{
 			{"acme", "ota", "acme-ota"},
 			{"acme", "buf", "acme-buf"},
@@ -137,7 +135,7 @@ func TestTenantIsolationAndListing(t *testing.T) {
 }
 
 func TestNotFound(t *testing.T) {
-	backends(t, func(t *testing.T, s Store) {
+	onDisk(t, func(t *testing.T, s Store) {
 		if _, _, err := s.Get(Key{Tenant: "acme", Kind: KindModel, Name: "nope"}); !errors.Is(err, ErrNotFound) {
 			t.Errorf("Get missing: %v, want ErrNotFound", err)
 		}
@@ -159,7 +157,7 @@ func TestNotFound(t *testing.T) {
 }
 
 func TestDelete(t *testing.T) {
-	backends(t, func(t *testing.T, s Store) {
+	onDisk(t, func(t *testing.T, s Store) {
 		v1, _ := s.Put("acme", KindModel, "ota", []byte("one"))
 		v2, _ := s.Put("acme", KindModel, "ota", []byte("two"))
 

@@ -70,12 +70,16 @@ func Write(w io.Writer, m *core.Metrics) {
 	b.sample("ayd_dropped_points_total", "", float64(s.DroppedPoints))
 	b.family("ayd_checkpoints_total", "counter", "Flow checkpoints written.")
 	b.sample("ayd_checkpoints_total", "", float64(s.Checkpoints))
-	b.family("ayd_analysis_op_solves_total", "counter", "DC operating points solved by flow and shard evaluations.")
+	b.family("ayd_analysis_op_solves_total", "counter", "DC operating points solved by flow evaluations.")
 	b.sample("ayd_analysis_op_solves_total", "", float64(s.OPSolves))
 	b.family("ayd_analysis_op_iterations_total", "counter", "Newton iterations of those solves, failed attempts included.")
 	b.sample("ayd_analysis_op_iterations_total", "", float64(s.OPIterations))
 	b.family("ayd_analysis_op_warm_fallbacks_total", "counter", "Monte Carlo solves whose warm start fell back to the zero start.")
 	b.sample("ayd_analysis_op_warm_fallbacks_total", "", float64(s.OPWarmFallbacks))
+	b.family("ayd_analysis_ac_points_total", "counter", "AC sweep points solved by flow evaluations.")
+	b.sample("ayd_analysis_ac_points_total", "", float64(s.ACPoints))
+	b.family("ayd_analysis_ac_off_plan_total", "counter", "AC sweep points factored afresh off their sweep's elimination plan.")
+	b.sample("ayd_analysis_ac_off_plan_total", "", float64(s.ACOffPlan))
 
 	b.family("ayd_stage_seconds_total", "counter", "Cumulative wall-clock per flow stage.")
 	b.sample("ayd_stage_seconds_total", `stage="moo"`, s.MOOSeconds)

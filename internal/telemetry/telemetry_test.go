@@ -148,7 +148,7 @@ outer:
 
 func TestWriteExpositionFormat(t *testing.T) {
 	var m core.Metrics
-	m.AddOPStats(analysis.OPStats{Solves: 12, Iterations: 61, WarmFallbacks: 1})
+	m.AddOPStats(analysis.OPStats{Solves: 12, Iterations: 61, WarmFallbacks: 1, ACPoints: 350, ACOffPlan: 2})
 	m.AddBusyWorkers(3)
 	m.AddQueueDepth(7)
 	m.AddQueueDepth(-2)
@@ -165,6 +165,9 @@ func TestWriteExpositionFormat(t *testing.T) {
 	// The golden comparison: every exported number must equal the same
 	// registry's Snapshot.
 	snap := m.Snapshot()
+	if snap.ACPoints != 350 || snap.ACOffPlan != 2 {
+		t.Errorf("snapshot AC points %d, off plan %d; want 350, 2", snap.ACPoints, snap.ACOffPlan)
+	}
 	for name, want := range map[string]float64{
 		"ayd_flows_total":                      float64(snap.Flows),
 		"ayd_evaluations_total":                float64(snap.Evaluations),
@@ -177,6 +180,8 @@ func TestWriteExpositionFormat(t *testing.T) {
 		"ayd_analysis_op_solves_total":         float64(snap.OPSolves),
 		"ayd_analysis_op_iterations_total":     float64(snap.OPIterations),
 		"ayd_analysis_op_warm_fallbacks_total": float64(snap.OPWarmFallbacks),
+		"ayd_analysis_ac_points_total":         float64(snap.ACPoints),
+		"ayd_analysis_ac_off_plan_total":       float64(snap.ACOffPlan),
 		"ayd_mc_busy_workers":                  float64(snap.MCBusyWorkers),
 		"ayd_mc_busy_workers_peak":             float64(snap.MCBusyWorkersPeak),
 		"ayd_mc_queue_depth":                   float64(snap.MCQueueDepth),

@@ -37,7 +37,7 @@ trap cleanup EXIT
 go build -o "$work/ayd" ./cmd/ayd
 
 start() { # id addr logfile -> pid on stdout
-    "$work/ayd" serve -addr "$2" -store disk -models "$store" \
+    "$work/ayd" serve -addr "$2" -models "$store" \
         -replica-id "$1" -lease-ttl "$LEASE_TTL" \
         >"$3" 2>&1 &
     echo $!

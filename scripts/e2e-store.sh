@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # End-to-end durability check of the disk artefact store through the
-# real binary: build ayd, boot it with -store disk on a scratch
+# real binary: build ayd, boot it with -models on a scratch
 # directory, install a model over the tenant-scoped API, query it, kill
 # the process, boot a fresh one on the same directory and query again.
 # Fails unless the answers match byte for byte.
@@ -32,7 +32,7 @@ cleanup() {
 trap cleanup EXIT
 
 start() {
-  "$bin" serve -addr "$ADDR" -store disk -models "$STORE_DIR" &
+  "$bin" serve -addr "$ADDR" -models "$STORE_DIR" &
   pid=$!
   for _ in $(seq 1 50); do
     curl -fsS "http://$ADDR/healthz" >/dev/null 2>&1 && return
