@@ -84,34 +84,20 @@ func New(deg Degree, xs, ys []float64) (*Curve, error) {
 	case DegreeMonotoneCubic:
 		c.ms = pchipSlopes(sx, sy)
 	}
-	if err := c.checkFinite(); err != nil {
-		return nil, err
+	// A fitted slope or coefficient that overflowed would turn
+	// evaluations into ±Inf or NaN; v-v is 0 only for finite v.
+	for _, coef := range [][]float64{c.ms, c.a, c.b, c.c, c.d} {
+		for i, v := range coef {
+			if v-v != 0 {
+				return nil, fmt.Errorf("spline: fitted coefficient %d is %g", i, v)
+			}
+		}
 	}
 	return c, nil
 }
 
-// checkFinite refuses a fit that overflowed: every knot gap, every step
-// between neighbouring values and every fitted slope or coefficient must
-// be finite.
-func (s *Curve) checkFinite() error {
-	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
-	for i := 1; i < len(s.xs); i++ {
-		if !finite(s.xs[i]-s.xs[i-1]) || !finite(s.ys[i]-s.ys[i-1]) {
-			return fmt.Errorf("spline: segment %d overflows: x %g to %g, y %g to %g",
-				i-1, s.xs[i-1], s.xs[i], s.ys[i-1], s.ys[i])
-		}
-	}
-	for _, coef := range [][]float64{s.ms, s.a, s.b, s.c, s.d} {
-		for i, v := range coef {
-			if !finite(v) {
-				return fmt.Errorf("spline: fitted coefficient %d is %g", i, v)
-			}
-		}
-	}
-	return nil
-}
-
-// checkKnots validates and sorts a copy of the sample set. Knots that
+// checkKnots validates and sorts a copy of the sample set: no NaN, no
+// duplicate knot, and every knot gap and value step finite. Knots that
 // arrive in ascending order, as every table fit passes them, are copied
 // without a sort.
 func checkKnots(xs, ys []float64, minPoints int) ([]float64, []float64, error) {
@@ -136,8 +122,13 @@ func checkKnots(xs, ys []float64, minPoints int) ([]float64, []float64, error) {
 		sort.Sort(byKnot{sx, sy})
 	}
 	for i := 1; i < len(sx); i++ {
-		if sx[i] == sx[i-1] {
+		dx, dy := sx[i]-sx[i-1], sy[i]-sy[i-1]
+		if dx == 0 {
 			return nil, nil, fmt.Errorf("spline: duplicate knot x = %g", sx[i])
+		}
+		if dx-dx != 0 || dy-dy != 0 {
+			return nil, nil, fmt.Errorf("spline: segment %d overflows: x %g to %g, y %g to %g",
+				i-1, sx[i-1], sx[i], sy[i-1], sy[i])
 		}
 	}
 	return sx, sy, nil
