@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	ayd serve [-addr :8080] [-models DIR] [-data DIR]
+//	ayd serve [-addr :8080] [-models DIR]
 //	          [-workers N] [-max-models N]
 //	          [-max-inflight N] [-max-inflight-heavy N] [-max-body BYTES]
 //	          [-query-timeout D] [-drain-timeout D]
@@ -16,8 +16,8 @@
 //
 // -replica-id enables cluster mode: replicas sharing one -models
 // directory coordinate flow-job ownership through store leases and
-// adopt a crashed or drained peer's jobs from their mirrored
-// checkpoints. The replica that owns a job runs all of it.
+// adopt a crashed or drained peer's jobs from the checkpoints it saved
+// to the store. The replica that owns a job runs all of it.
 //
 // The HTTP layer is hardened for untrusted traffic (internal/httpx):
 // panic recovery, request IDs, body limits, per-route and global
@@ -26,11 +26,11 @@
 // latency-histogram registry in Prometheus text format; GET /healthz is
 // liveness only.
 //
-// Model artefacts and job checkpoints persist content-addressed under
+// Model artefacts, job checkpoints, job records and leases persist under
 // -models (a store.Disk), shared safely with other ayd processes on the
-// same directory. The store survives a killed process, not a host crash:
-// nothing is fsynced. A model saved by otaflow or yieldtool reaches the
-// server through POST /v1/models.
+// same directory; the server writes nowhere else. The store survives a
+// killed process, not a host crash: nothing is fsynced. A model saved by
+// otaflow or yieldtool reaches the server through POST /v1/models.
 //
 // SIGINT/SIGTERM shut the server down gracefully: in-flight queries
 // drain, running flows checkpoint and stop (resumable on the next
@@ -69,8 +69,7 @@ func serve(args []string) int {
 		readHdrTO   = fs.Duration("read-header-timeout", 5*time.Second, "slowloris guard: max time a connection may take to send request headers (negative = unlimited)")
 		idleTO      = fs.Duration("idle-timeout", 120*time.Second, "keep-alive: max idle time between requests on a connection (negative = unlimited)")
 		maxHdr      = fs.Int("max-header-bytes", 0, "max request header bytes per connection (0 = Go default, 1 MiB)")
-		models      = fs.String("models", server.DefaultModelsDir, "artefact store root, shareable by several ayd processes, and default -data directory")
-		data        = fs.String("data", "", "job state directory (checkpoints); defaults to -models")
+		models      = fs.String("models", server.DefaultModelsDir, "artefact store root holding models, job checkpoints and leases; shareable by several ayd processes")
 		workers     = fs.Int("workers", 2, "flow worker pool size")
 		maxModels   = fs.Int("max-models", 8, "maximum models resident in memory (LRU beyond)")
 		maxInflight = fs.Int("max-inflight", 256, "maximum concurrent HTTP requests before shedding")
@@ -108,7 +107,6 @@ func serve(args []string) int {
 		MaxHeaderBytes:    *maxHdr,
 
 		ModelsDir:      *models,
-		DataDir:        *data,
 		FlowWorkers:    *workers,
 		MaxModels:      *maxModels,
 		MaxInFlight:    *maxInflight,

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -151,5 +153,114 @@ func TestISCheckpointRefusesNaiveResume(t *testing.T) {
 	}
 	if len(ck.Done) != 1 || ck.Fingerprint == cfg.withDefaults().fingerprint() {
 		t.Fatalf("checkpoint changed or not an IS checkpoint: %d points, fingerprint %s", len(ck.Done), ck.Fingerprint)
+	}
+}
+
+// memCheckpoint is an in-memory CheckpointStore that counts its calls.
+type memCheckpoint struct {
+	data          []byte
+	saves, clears int
+}
+
+func (m *memCheckpoint) Load() ([]byte, error) {
+	if m.data == nil {
+		return nil, os.ErrNotExist
+	}
+	return m.data, nil
+}
+
+func (m *memCheckpoint) Save(encode func(io.Writer) error) error {
+	var buf bytes.Buffer
+	if err := encode(&buf); err != nil {
+		return err
+	}
+	m.data = buf.Bytes()
+	m.saves++
+	return nil
+}
+
+func (m *memCheckpoint) Clear() error {
+	m.data = nil
+	m.clears++
+	return nil
+}
+
+// TestCheckpointStoreResume drives RunFlow's checkpointing through a
+// caller's CheckpointStore: a cancelled run saves there with no file
+// path in its events, a run under another seed is refused with
+// ErrCheckpointMismatch before it counts as a flow, and the original
+// configuration resumes bit-identically and clears the store.
+func TestCheckpointStoreResume(t *testing.T) {
+	base := FlowConfig{
+		Problem: synthProblem{}, Proc: process.C35(),
+		PopSize: 24, Generations: 12, MCSamples: 30, Seed: 1, CheckpointEvery: 2,
+	}
+	want, err := RunFlow(context.Background(), base)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	mem := &memCheckpoint{}
+	cfg := base
+	cfg.CheckpointStore = mem
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	mcDone := 0
+	cfg.Obs = ObserverFunc(func(e Event) {
+		switch ev := e.(type) {
+		case CheckpointSaved:
+			if ev.Path != "" {
+				t.Errorf("store checkpoint reported path %q", ev.Path)
+			}
+		case MCPointDone:
+			if mcDone++; mcDone == 3 {
+				cancel()
+			}
+		}
+	})
+	if _, err := RunFlow(ctx, cfg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupt run: err = %v", err)
+	}
+	if mem.saves < 2 || mem.clears != 0 {
+		t.Fatalf("interrupted run: %d saves, %d clears; want ≥ 2 and 0", mem.saves, mem.clears)
+	}
+	cfg.Obs = nil
+
+	other := cfg
+	other.Seed = 2
+	other.Metrics = &Metrics{}
+	saved := string(mem.data)
+	if _, err := RunFlow(context.Background(), other); !errors.Is(err, ErrCheckpointMismatch) {
+		t.Fatalf("other seed: err = %v, want ErrCheckpointMismatch", err)
+	}
+	if n := other.Metrics.Snapshot().Flows; n != 0 {
+		t.Errorf("refused flow counted: flows = %d, want 0", n)
+	}
+	if string(mem.data) != saved {
+		t.Error("refused flow changed the saved checkpoint")
+	}
+
+	got, err := RunFlow(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Resumed || !reflect.DeepEqual(got.Points, want.Points) {
+		t.Errorf("resume: Resumed %v, points equal %v; want true, true", got.Resumed, reflect.DeepEqual(got.Points, want.Points))
+	}
+	if mem.clears != 1 || mem.data != nil {
+		t.Errorf("completed flow: %d clears, %d bytes left; want 1 and none", mem.clears, len(mem.data))
+	}
+
+	// A file caller gets the same typed refusal, naming its file.
+	path := filepath.Join(t.TempDir(), "flow.ckpt")
+	if err := checkpointFile(path).Save(func(w io.Writer) error {
+		_, err := io.WriteString(w, saved)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	other.CheckpointStore, other.Checkpoint = nil, path
+	if _, err := RunFlow(context.Background(), other); !errors.Is(err, ErrCheckpointMismatch) || !strings.Contains(err.Error(), path) {
+		t.Errorf("file caller: err = %v, want ErrCheckpointMismatch naming %s", err, path)
 	}
 }

@@ -75,9 +75,11 @@ type PointDropped struct {
 	Err   error
 }
 
-// CheckpointSaved reports a successfully written checkpoint file. MCDone
-// is the number of Monte Carlo points (completed or dropped) recorded in
-// it; zero means the checkpoint holds only the finished MOO stage.
+// CheckpointSaved reports a successfully written checkpoint. Path is
+// the file's path when the flow checkpoints to FlowConfig.Checkpoint,
+// empty for a CheckpointStore. MCDone is the number of Monte Carlo
+// points (completed or dropped) recorded in it; zero means the
+// checkpoint holds only the finished MOO stage.
 type CheckpointSaved struct {
 	Path   string
 	MCDone int
@@ -85,7 +87,7 @@ type CheckpointSaved struct {
 
 // FlowResumed reports that RunFlow recovered prior work from a
 // checkpoint instead of recomputing it: the MOO stage plus MCDone Monte
-// Carlo points.
+// Carlo points. Path is set as in CheckpointSaved.
 type FlowResumed struct {
 	Path   string
 	MCDone int

@@ -4,7 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
+	"io"
+	"io/fs"
 	"sync"
 	"time"
 
@@ -45,6 +46,10 @@ type FlowConfig struct {
 	// resumes from it, producing results bit-identical to an
 	// uninterrupted run. The file is removed when the flow completes.
 	Checkpoint string
+	// CheckpointStore, when non-nil, keeps the same resume state
+	// somewhere other than a file. At most one of Checkpoint and
+	// CheckpointStore may be set.
+	CheckpointStore CheckpointStore
 	// CheckpointEvery is the Monte Carlo checkpoint cadence in points
 	// (0 → 16; negative checkpoints only after the MOO stage and on
 	// cancellation).
@@ -113,6 +118,9 @@ func (c FlowConfig) Validate() error {
 	if c.MaxDroppedFraction < 0 {
 		return fmt.Errorf("core: negative MaxDroppedFraction %g", c.MaxDroppedFraction)
 	}
+	if c.Checkpoint != "" && c.CheckpointStore != nil {
+		return fmt.Errorf("core: set Checkpoint or CheckpointStore, not both")
+	}
 	return c.Model.validate()
 }
 
@@ -133,6 +141,9 @@ func (c FlowConfig) withDefaults() FlowConfig {
 	}
 	if c.CheckpointEvery == 0 {
 		c.CheckpointEvery = 16
+	}
+	if c.Checkpoint != "" {
+		c.CheckpointStore = checkpointFile(c.Checkpoint)
 	}
 	return c
 }
@@ -282,15 +293,36 @@ func (f *flowRun) emit(e Event) {
 // caller that asked for resumability must not discover at kill time that
 // no checkpoint ever existed.
 func (f *flowRun) save() error {
-	if f.cfg.Checkpoint == "" {
+	if f.cfg.CheckpointStore == nil {
 		return nil
 	}
-	if err := saveCheckpoint(f.cfg.Checkpoint, f.ck); err != nil {
+	err := f.cfg.CheckpointStore.Save(func(w io.Writer) error { return encodeCheckpoint(w, f.ck) })
+	if err != nil {
 		return err
 	}
 	f.metrics.checkpoints.Add(1)
 	f.emit(CheckpointSaved{Path: f.cfg.Checkpoint, MCDone: len(f.ck.Done)})
 	return nil
+}
+
+// resume loads the saved checkpoint, if any, and refuses one written
+// under another configuration with ErrCheckpointMismatch.
+func (f *flowRun) resume(fp string) (*checkpoint, error) {
+	data, err := f.cfg.CheckpointStore.Load()
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	ck, err := decodeCheckpoint(data)
+	if err == nil && ck.Fingerprint != fp {
+		err = ErrCheckpointMismatch
+	}
+	if err != nil && f.cfg.Checkpoint != "" {
+		return nil, fmt.Errorf("%w; delete %s or change FlowConfig.Checkpoint", err, f.cfg.Checkpoint)
+	}
+	return ck, err
 }
 
 // RunFlow executes the complete paper flow: WBGA optimisation, Pareto
@@ -300,9 +332,11 @@ func (f *flowRun) save() error {
 // and once per Monte Carlo point (plus before every sample inside a
 // point), so cancellation latency is bounded by one generation or one MC
 // point. A cancelled flow returns the partial FlowResult alongside
-// ctx.Err(); with FlowConfig.Checkpoint set the partial state is also
-// persisted, and a later RunFlow with the same configuration resumes
-// from it with bit-identical final results.
+// ctx.Err(); with FlowConfig.Checkpoint or CheckpointStore set the
+// partial state is also persisted, and a later RunFlow with the same
+// configuration resumes from it with bit-identical final results. A
+// saved state from another configuration is refused with an error
+// wrapping ErrCheckpointMismatch, before any work or flow count.
 func RunFlow(ctx context.Context, cfg FlowConfig) (*FlowResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -316,21 +350,16 @@ func RunFlow(ctx context.Context, cfg FlowConfig) (*FlowResult, error) {
 	if f.metrics == nil {
 		f.metrics = &Metrics{}
 	}
-	f.metrics.flows.Add(1)
-	defer func() { f.res.Metrics = f.metrics.Snapshot() }()
-
 	fp := cfg.fingerprint()
-	if cfg.Checkpoint != "" {
-		ck, err := loadCheckpoint(cfg.Checkpoint)
-		switch {
-		case err == nil && ck.Fingerprint != fp:
-			return nil, fmt.Errorf("core: checkpoint %s was written by a different flow configuration; delete it or change FlowConfig.Checkpoint", cfg.Checkpoint)
-		case err == nil:
-			f.ck = ck
-		case !errors.Is(err, os.ErrNotExist):
+	if cfg.CheckpointStore != nil {
+		ck, err := f.resume(fp)
+		if err != nil {
 			return nil, err
 		}
+		f.ck = ck
 	}
+	f.metrics.flows.Add(1)
+	defer func() { f.res.Metrics = f.metrics.Snapshot() }()
 
 	if f.ck != nil {
 		// Resume: the checkpointed MOO stage replaces stages 1-2.
@@ -365,10 +394,10 @@ func RunFlow(ctx context.Context, cfg FlowConfig) (*FlowResult, error) {
 	if err := f.buildTables(); err != nil {
 		return f.res, err
 	}
-	if cfg.Checkpoint != "" {
+	if cfg.CheckpointStore != nil {
 		// The flow completed; the checkpoint has served its purpose.
-		if err := os.Remove(cfg.Checkpoint); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return f.res, fmt.Errorf("core: removing finished checkpoint: %w", err)
+		if err := cfg.CheckpointStore.Clear(); err != nil {
+			return f.res, err
 		}
 	}
 	return f.res, nil

@@ -37,6 +37,7 @@ func TestFlowConfigValidate(t *testing.T) {
 		{"negative mc", func(c *FlowConfig) { c.MCSamples = -200 }, "MCSamples"},
 		{"negative workers", func(c *FlowConfig) { c.Workers = -2 }, "Workers"},
 		{"negative dropped fraction", func(c *FlowConfig) { c.MaxDroppedFraction = -0.5 }, "MaxDroppedFraction"},
+		{"file and store", func(c *FlowConfig) { c.Checkpoint, c.CheckpointStore = "flow.ckpt", &memCheckpoint{} }, "not both"},
 	}
 	for _, tc := range cases {
 		cfg := ok

@@ -212,8 +212,6 @@ type JobStatus struct {
 	MCSimulations int `json:"mc_simulations"`
 	ParetoPoints  int `json:"pareto_points"`
 	DroppedPoints int `json:"dropped_points,omitempty"`
-	// Checkpoint is the job's resume file path on the server.
-	Checkpoint string `json:"checkpoint,omitempty"`
 }
 
 // Terminal reports whether the state is final.
@@ -249,7 +247,6 @@ type Event struct {
 	Failures    int         `json:"failures,omitempty"`     // mc_point
 	Resumed     bool        `json:"resumed,omitempty"`      // mc_point, flow_resumed
 	Error       string      `json:"error,omitempty"`        // point_dropped, job_done
-	Checkpoint  string      `json:"checkpoint,omitempty"`   // checkpoint_saved, flow_resumed
 	MCDone      int         `json:"mc_done,omitempty"`      // checkpoint_saved, flow_resumed
 	State       string      `json:"state,omitempty"`        // job_done
 }

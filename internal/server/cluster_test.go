@@ -21,7 +21,7 @@ func newClusterJM(t *testing.T, st store.Store, id string, ttl time.Duration,
 	problems map[string]ProblemFactory) (*JobManager, *Registry) {
 	t.Helper()
 	reg := NewRegistry(st, 8)
-	m := NewJobManager(t.TempDir(), 2, 8, reg,
+	m := NewJobManager(2, 8, reg,
 		problems, map[string]ProcessFactory{"c35": process.C35},
 		&core.Metrics{}, quietLog())
 	m.EnableCluster(id, ttl)
@@ -126,7 +126,7 @@ func TestClusterDrainHandsOffJob(t *testing.T) {
 	if _, err := a.Submit(req); err != nil {
 		t.Fatal(err)
 	}
-	// Wait until the flow has mirrored at least one checkpoint into the
+	// Wait until the flow has saved at least one checkpoint to the
 	// shared store, then drain A mid-run.
 	waitArtefact(t, stA, store.KindCheckpoint, "drain-m", 30*time.Second)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -145,7 +145,7 @@ func TestClusterDrainHandsOffJob(t *testing.T) {
 	if n := b.metrics.Snapshot().LeaseTakeovers; n == 0 {
 		t.Error("survivor recorded no lease takeover")
 	}
-	// The adopted run resumed from A's mirrored checkpoint rather than
+	// The adopted run resumed from A's stored checkpoint rather than
 	// restarting.
 	var adopted *api.JobStatus
 	for _, js := range b.List(api.DefaultTenant) {
@@ -158,14 +158,14 @@ func TestClusterDrainHandsOffJob(t *testing.T) {
 		t.Fatal("no adopted job on survivor")
 	}
 	if !adopted.Resumed {
-		t.Error("adopted job did not resume from the mirrored checkpoint")
+		t.Error("adopted job did not resume from the stored checkpoint")
 	}
 }
 
 // TestClusterChaosTakeoverBitIdentical is the chaos e2e: a replica
 // "dies" mid-Monte-Carlo (crashForTest leaves its lease and job record
 // behind, exactly as SIGKILL would), a survivor sharing the store
-// adopts the job once the TTL lapses, resumes from the mirrored
+// adopts the job once the TTL lapses, resumes from the stored
 // checkpoint, and installs a model bit-identical to an uninterrupted
 // single-node run.
 func TestClusterChaosTakeoverBitIdentical(t *testing.T) {
@@ -252,9 +252,9 @@ func TestClusterHealthExposition(t *testing.T) {
 		srv.Shutdown(ctx)
 	}
 
-	single := New(Config{Store: store.OpenDisk(t.TempDir()), DataDir: t.TempDir(), Logger: quietLog()})
+	single := New(Config{Store: store.OpenDisk(t.TempDir()), Logger: quietLog()})
 	t.Cleanup(func() { shutdown(single) })
-	clustered := New(Config{Store: store.OpenDisk(t.TempDir()), DataDir: t.TempDir(),
+	clustered := New(Config{Store: store.OpenDisk(t.TempDir()),
 		ReplicaID: "r9", Logger: quietLog()})
 	t.Cleanup(func() { shutdown(clustered) })
 	for name, srv := range map[string]*Server{"single-node": single, "cluster": clustered} {

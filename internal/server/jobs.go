@@ -1,13 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 	"log/slog"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,8 +56,8 @@ type job struct {
 	notify   map[chan struct{}]struct{}
 	cancel   context.CancelFunc
 	// lease is the job's ownership lease in cluster mode (Token 0 =
-	// single-node, no lease). The heartbeat goroutine refreshes it; the
-	// checkpoint mirror reads it for fenced writes.
+	// single-node, no lease). The heartbeat goroutine refreshes it;
+	// checkpoint saves and retires read it to fence their writes.
 	lease store.Lease
 
 	done chan struct{} // closed when the job reaches a terminal state
@@ -77,19 +78,16 @@ func (j *job) setLease(l store.Lease) {
 }
 
 // JobManager runs submitted flows on a bounded worker pool. Jobs queue
-// FIFO; each runs core.RunFlow with a checkpoint under the data
-// directory, buffers its Observer events for SSE subscribers, and
-// installs the finished model into the registry under the submitting
-// tenant. Checkpoints are mirrored into the artefact store as they are
-// written (and hydrated back at submission), so any replica sharing the
-// store can resume a job another replica checkpointed — the local data
-// directory is only scratch. Shutdown cancels running flows —
-// cooperatively, so each writes a resumable checkpoint — and waits for
-// the workers to drain.
+// FIFO; each runs core.RunFlow, buffers its Observer events for SSE
+// subscribers, and installs the finished model into the registry under
+// the submitting tenant. A job's checkpoint lives in the artefact store
+// alone, under (tenant, checkpoints, model), so any replica sharing the
+// store resumes a job another replica checkpointed. Shutdown cancels
+// running flows — cooperatively, so each writes a resumable checkpoint —
+// and waits for the workers to drain.
 type JobManager struct {
-	dataDir  string
 	registry *Registry
-	st       store.Store // the registry's backing store (checkpoint durability)
+	st       store.Store // the registry's backing store (checkpoints, job records, leases)
 	problems map[string]ProblemFactory
 	procs    map[string]ProcessFactory
 	metrics  *core.Metrics
@@ -118,7 +116,7 @@ type JobManager struct {
 
 // NewJobManager starts workers goroutines consuming a job queue of the
 // given depth (<=0 selects 1 worker / depth flowQueueDepth).
-func NewJobManager(dataDir string, workers, queueDepth int, reg *Registry,
+func NewJobManager(workers, queueDepth int, reg *Registry,
 	problems map[string]ProblemFactory, procs map[string]ProcessFactory,
 	metrics *core.Metrics, log *slog.Logger) *JobManager {
 	if workers <= 0 {
@@ -132,7 +130,6 @@ func NewJobManager(dataDir string, workers, queueDepth int, reg *Registry,
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &JobManager{
-		dataDir:  dataDir,
 		registry: reg,
 		st:       reg.Store(),
 		problems: problems,
@@ -291,7 +288,7 @@ func (m *JobManager) releaseHeldLeases() {
 	}
 	m.mu.Unlock()
 	for _, j := range jobs {
-		m.settleLease(j, true)
+		m.settle(j)
 	}
 }
 
@@ -359,26 +356,25 @@ func (m *JobManager) submit(req api.FlowRequest, adopted *store.Lease) (*api.Job
 		m.mu.Unlock()
 		return fail(err)
 	}
-	// The checkpoint is keyed by (tenant, model name), not job id, so
-	// cancelling a job (or losing it to a shutdown) and resubmitting the
-	// same request resumes from the saved state instead of restarting.
-	cfg.Checkpoint = filepath.Join(m.dataDir, "checkpoints", tenant, modelName+".ckpt")
 	j := &job{
 		id:     id,
 		tenant: tenant,
 		cfg:    cfg,
 		status: api.JobStatus{
-			ID:         id,
-			State:      api.JobQueued,
-			Model:      modelName,
-			Tenant:     wireTenant(tenant),
-			Request:    req,
-			Created:    time.Now(),
-			Checkpoint: cfg.Checkpoint,
+			ID:      id,
+			State:   api.JobQueued,
+			Model:   modelName,
+			Tenant:  wireTenant(tenant),
+			Request: req,
+			Created: time.Now(),
 		},
 		notify: make(map[chan struct{}]struct{}),
 		done:   make(chan struct{}),
 	}
+	// The checkpoint is keyed by (tenant, model name), not job id, so
+	// cancelling a job (or losing it to a shutdown) and resubmitting the
+	// same request resumes from the saved state instead of restarting.
+	j.cfg.CheckpointStore = jobCheckpoint{m: m, j: j}
 	m.mu.Unlock()
 
 	// Cluster mode: claim the job before it can run. The lease makes
@@ -405,7 +401,7 @@ func (m *JobManager) submit(req api.FlowRequest, adopted *store.Lease) (*api.Job
 			_, err = m.st.PutIfLeased(j.lease, store.KindJob, modelName, recJSON)
 		}
 		if err != nil {
-			m.settleLease(j, false)
+			m.settle(j, store.KindJob)
 			return nil, fmt.Errorf("server: job record write: %w", err)
 		}
 	}
@@ -415,11 +411,6 @@ func (m *JobManager) submit(req api.FlowRequest, adopted *store.Lease) (*api.Job
 	m.order = append(m.order, id)
 	m.mu.Unlock()
 
-	// Before the job can run: if the shared store holds a checkpoint for
-	// this (tenant, model) and the local scratch file is missing, this
-	// replica adopts the other's progress.
-	m.hydrateCheckpoint(j)
-
 	select {
 	case m.queue <- j:
 	default:
@@ -427,7 +418,7 @@ func (m *JobManager) submit(req api.FlowRequest, adopted *store.Lease) (*api.Job
 		delete(m.jobs, id)
 		m.order = m.order[:len(m.order)-1]
 		m.mu.Unlock()
-		m.settleLease(j, false)
+		m.settle(j, store.KindJob)
 		return nil, ErrQueueFull
 	}
 	j.emit(api.Event{Type: api.EventJobQueued})
@@ -483,16 +474,17 @@ func (m *JobManager) run(j *job) {
 		}
 	}
 
-	cfg.Obs = core.ObserverFunc(func(e core.Event) {
-		j.observe(e)
-		// Mirror every checkpoint into the artefact store as soon as the
-		// flow writes it, so a replica sharing the store can resume this
-		// job even if this process (and its data directory) is lost.
-		if cs, ok := e.(core.CheckpointSaved); ok {
-			m.persistCheckpoint(j, cs.Path)
-		}
-	})
+	cfg.Obs = core.ObserverFunc(j.observe)
 	res, err := core.RunFlow(ctx, cfg)
+	if errors.Is(err, core.ErrCheckpointMismatch) {
+		// The stored checkpoint is an earlier request's under this model
+		// name (a cancelled job with another seed, say). No client can
+		// delete it, so the job retires it and runs this request afresh.
+		m.log.Info("retiring a checkpoint from another flow configuration", "job", j.id, "model", j.status.Model)
+		if err = m.retire(j, store.KindCheckpoint); err == nil {
+			res, err = core.RunFlow(ctx, cfg)
+		}
+	}
 	stopHB()
 
 	final := api.Event{Type: api.EventJobDone}
@@ -530,20 +522,22 @@ func (m *JobManager) run(j *job) {
 			j.mu.Lock()
 			j.status.Request.Version = version
 			j.mu.Unlock()
-			// RunFlow already removed the local checkpoint; retire the
-			// store mirror too so the finished job cannot be "resumed".
-			if derr := m.st.Delete(store.Key{Tenant: j.tenant, Kind: store.KindCheckpoint, Name: modelName}); derr != nil && !errors.Is(derr, store.ErrNotFound) {
-				m.log.Warn("checkpoint cleanup failed", "job", j.id, "err", derr)
-			}
 		}
 	}
 
-	// Settle the lease. A drain-cancellation (shutdown, not user intent)
-	// keeps the job record so a peer adopts the job immediately; every
-	// other terminal state retires the record before the release, so a
-	// finished job can never be "adopted".
-	drain := state == api.JobCancelled && m.baseCtx.Err() != nil
-	m.settleLease(j, drain)
+	// Settle the job. Only an installed model retires the checkpoint, so
+	// a failed install can still resume. A drain-cancellation (shutdown,
+	// not user intent) keeps the job record so a peer adopts the job
+	// immediately; every other terminal state retires the record before
+	// the release, so a finished job can never be "adopted".
+	var retired []store.Kind
+	if state == api.JobSucceeded {
+		retired = append(retired, store.KindCheckpoint)
+	}
+	if drain := state == api.JobCancelled && m.baseCtx.Err() != nil; !drain {
+		retired = append(retired, store.KindJob)
+	}
+	m.settle(j, retired...)
 
 	final.State = state
 	if err != nil {
@@ -583,24 +577,19 @@ func (m *JobManager) heartbeat(j *job, cancelFlow context.CancelFunc, stop <-cha
 	}
 }
 
-// settleLease settles a job's lease at its terminal state. keepRecord
-// leaves the job record in the store for a peer to adopt (the drain
-// path); otherwise the record is deleted before the release, so the
-// released lease never exposes a claimable record of a finished job.
-// A simulated crash (crashForTest) leaves both behind, exactly as a
-// SIGKILLed process would.
-func (m *JobManager) settleLease(j *job, keepRecord bool) {
-	l, ok := j.leaseHandle()
-	if !ok {
-		return
-	}
+// settle ends a job: it retires the job's stored artefacts of the given
+// kinds (fenced, see retire) and releases the job's lease, if it holds
+// one. Only cluster mode writes job records, so retiring a single-node
+// job's record finds nothing. A simulated crash (crashForTest) leaves
+// everything behind, exactly as a SIGKILLed process would.
+func (m *JobManager) settle(j *job, retired ...store.Kind) {
 	if m.crashForTest.Load() {
 		return
 	}
-	if !keepRecord {
-		if err := m.st.Delete(store.Key{Tenant: j.tenant, Kind: store.KindJob, Name: j.status.Model}); err != nil && !errors.Is(err, store.ErrNotFound) {
-			m.log.Warn("job record cleanup failed", "job", j.id, "err", err)
-		}
+	m.retire(j, retired...) //nolint:errcheck // retire logs its failures
+	l, ok := j.leaseHandle()
+	if !ok {
+		return
 	}
 	if err := m.st.ReleaseLease(l); err != nil && !errors.Is(err, store.ErrLeaseLost) {
 		m.log.Warn("lease release failed", "job", j.id, "err", err)
@@ -609,57 +598,88 @@ func (m *JobManager) settleLease(j *job, keepRecord bool) {
 	j.setLease(store.Lease{})
 }
 
-// persistCheckpoint mirrors a freshly written checkpoint file into the
-// artefact store under (tenant, checkpoints, model). Failures are
-// logged, never fatal: the local file still supports same-process
-// resume, durability just degrades to single-replica.
-func (m *JobManager) persistCheckpoint(j *job, path string) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		m.log.Warn("checkpoint read-back failed", "job", j.id, "path", path, "err", err)
-		return
+// retire deletes the job's stored artefacts of the given kinds. A
+// cluster-mode replica first renews the job's lease: when a peer has
+// adopted the job the renewal fails with ErrLeaseLost, and the replica
+// deletes nothing, so a zombie never removes the record or checkpoint
+// its successor runs from. Failures are logged and returned.
+func (m *JobManager) retire(j *job, kinds ...store.Kind) error {
+	if len(kinds) == 0 {
+		return nil
 	}
-	// In cluster mode the mirror write is fenced: a zombie replica whose
-	// lease was taken over is refused, so it can never clobber the
-	// successor's (strictly newer) checkpoint.
 	if l, ok := j.leaseHandle(); ok {
-		if _, err := m.st.PutIfLeased(l, store.KindCheckpoint, j.status.Model, data); err != nil {
+		nl, err := m.st.RenewLease(l, m.cluster.ttl)
+		if err != nil {
 			m.metrics.IncLeaseRejections()
-			m.log.Warn("fenced checkpoint write refused", "job", j.id, "err", err)
+			m.log.Warn("job lease lost; leaving its stored state to the new owner", "job", j.id, "err", err)
+			return err
 		}
-		return
+		j.setLease(nl)
 	}
-	if _, err := m.st.Put(j.tenant, store.KindCheckpoint, j.status.Model, data); err != nil {
-		m.log.Warn("checkpoint persist failed", "job", j.id, "err", err)
+	var errs []error
+	for _, kind := range kinds {
+		err := m.st.Delete(store.Key{Tenant: j.tenant, Kind: kind, Name: j.status.Model})
+		if err != nil && !errors.Is(err, store.ErrNotFound) {
+			m.log.Warn("job cleanup failed", "job", j.id, "kind", kind, "err", err)
+			errs = append(errs, err)
+		}
 	}
+	return errors.Join(errs...)
 }
 
-// hydrateCheckpoint materialises the job's local checkpoint file from
-// the artefact store when the local file is missing, so a fresh replica
-// (or one with a wiped data directory) resumes work that another
-// process checkpointed into the shared store. A corrupt store copy is
-// skipped — the job then starts from scratch rather than failing.
-func (m *JobManager) hydrateCheckpoint(j *job) {
-	if _, err := os.Stat(j.cfg.Checkpoint); err == nil {
-		return // local scratch wins: it is at least as fresh as its mirror
-	}
-	data, _, err := m.st.Get(store.Key{Tenant: j.tenant, Kind: store.KindCheckpoint, Name: j.status.Model})
-	if err != nil {
-		if !errors.Is(err, store.ErrNotFound) {
-			m.log.Warn("checkpoint hydrate failed", "job", j.id, "err", err)
-		}
-		return
-	}
-	if err := os.MkdirAll(filepath.Dir(j.cfg.Checkpoint), 0o755); err != nil {
-		m.log.Warn("checkpoint hydrate failed", "job", j.id, "err", err)
-		return
-	}
-	if err := os.WriteFile(j.cfg.Checkpoint, data, 0o644); err != nil {
-		m.log.Warn("checkpoint hydrate failed", "job", j.id, "err", err)
-		return
-	}
-	m.log.Info("checkpoint hydrated from store", "job", j.id, "tenant", j.tenant, "model", j.status.Model)
+// jobCheckpoint is a job's core.CheckpointStore: the flow's resume state
+// lives in the artefact store under (tenant, checkpoints, model), the
+// one copy every replica sharing the store reads.
+type jobCheckpoint struct {
+	m *JobManager
+	j *job
 }
+
+// Load implements core.CheckpointStore. A damaged stored copy is
+// skipped: the job starts afresh rather than failing.
+func (c jobCheckpoint) Load() ([]byte, error) {
+	data, _, err := c.m.st.Get(store.Key{Tenant: c.j.tenant, Kind: store.KindCheckpoint, Name: c.j.status.Model})
+	switch {
+	case errors.Is(err, store.ErrNotFound):
+		return nil, fs.ErrNotExist
+	case errors.Is(err, store.ErrCorrupt):
+		c.m.log.Warn("damaged checkpoint skipped; the job starts afresh", "job", c.j.id, "err", err)
+		return nil, fs.ErrNotExist
+	case err != nil:
+		return nil, fmt.Errorf("server: loading checkpoint: %w", err)
+	}
+	return data, nil
+}
+
+// Save implements core.CheckpointStore: one encode in memory, one store
+// write. In cluster mode the write is fenced: a replica whose job a peer
+// adopted is refused, so it can never overwrite the successor's newer
+// checkpoint, and its flow stops.
+func (c jobCheckpoint) Save(encode func(io.Writer) error) error {
+	var buf bytes.Buffer
+	if err := encode(&buf); err != nil {
+		return err
+	}
+	data := buf.Bytes()
+	var err error
+	if l, ok := c.j.leaseHandle(); ok {
+		_, err = c.m.st.PutIfLeased(l, store.KindCheckpoint, c.j.status.Model, data)
+		if errors.Is(err, store.ErrLeaseLost) {
+			c.m.metrics.IncLeaseRejections()
+		}
+	} else {
+		_, err = c.m.st.Put(c.j.tenant, store.KindCheckpoint, c.j.status.Model, data)
+	}
+	if err != nil {
+		return fmt.Errorf("server: saving checkpoint: %w", err)
+	}
+	return nil
+}
+
+// Clear implements core.CheckpointStore. It keeps the stored copy: the
+// job retires it once the model installs (see run), so a failed install
+// can still resume.
+func (jobCheckpoint) Clear() error { return nil }
 
 // observe translates one core event into the job's wire stream and
 // progress counters.
@@ -692,9 +712,9 @@ func (j *job) observe(e core.Event) {
 		j.status.DroppedPoints++
 		j.mu.Unlock()
 	case core.CheckpointSaved:
-		ev = api.Event{Type: api.EventCheckpointSaved, Checkpoint: t.Path, MCDone: t.MCDone}
+		ev = api.Event{Type: api.EventCheckpointSaved, MCDone: t.MCDone}
 	case core.FlowResumed:
-		ev = api.Event{Type: api.EventFlowResumed, Checkpoint: t.Path, MCDone: t.MCDone, Resumed: true}
+		ev = api.Event{Type: api.EventFlowResumed, MCDone: t.MCDone, Resumed: true}
 		j.mu.Lock()
 		j.status.Resumed = true
 		j.mu.Unlock()
@@ -815,7 +835,7 @@ func (m *JobManager) Cancel(tenant, id string) (*api.JobStatus, error) {
 		j.status.State = api.JobCancelled
 		j.status.Finished = time.Now()
 		j.mu.Unlock()
-		m.settleLease(j, false)
+		m.settle(j, store.KindJob)
 		j.emit(api.Event{Type: api.EventJobDone, State: api.JobCancelled})
 		close(j.done)
 	case api.JobRunning:

@@ -23,7 +23,7 @@ import (
 func newTestJM(t *testing.T, workers, depth int, problems map[string]ProblemFactory) (*JobManager, *Registry) {
 	t.Helper()
 	reg := NewRegistry(store.OpenDisk(t.TempDir()), 8)
-	m := NewJobManager(t.TempDir(), workers, depth, reg,
+	m := NewJobManager(workers, depth, reg,
 		problems, map[string]ProcessFactory{"c35": process.C35},
 		&core.Metrics{}, quietLog())
 	t.Cleanup(func() {
@@ -64,9 +64,6 @@ func TestJobLifecycleSucceeds(t *testing.T) {
 	if st.State != api.JobQueued && st.State != api.JobRunning {
 		t.Fatalf("initial state %q", st.State)
 	}
-	if st.Checkpoint == "" {
-		t.Error("no checkpoint path assigned")
-	}
 	waitDone(t, m, st.ID, 30*time.Second)
 
 	got, err := m.Status(api.DefaultTenant, st.ID)
@@ -86,9 +83,13 @@ func TestJobLifecycleSucceeds(t *testing.T) {
 		t.Error("timestamps out of order")
 	}
 
-	// The finished model is installed and queryable.
+	// The finished model is installed and queryable, and its checkpoint
+	// is retired from the store.
 	if _, err := reg.Info(api.DefaultTenant, "m1"); err != nil {
 		t.Fatalf("model not installed: %v", err)
+	}
+	if _, err := reg.Store().Stat(store.Key{Tenant: api.DefaultTenant, Kind: store.KindCheckpoint, Name: "m1"}); !errors.Is(err, store.ErrNotFound) {
+		t.Errorf("checkpoint after success: %v, want ErrNotFound", err)
 	}
 
 	// The event stream is contiguous and carries the full lifecycle.

@@ -61,15 +61,15 @@ const DefaultModelsDir = "ayd-models"
 type Config struct {
 	// Addr is the listen address for Start ("127.0.0.1:0" in tests).
 	Addr string
-	// Store is the artefact store persisting models and job checkpoints.
+	// Store is the artefact store persisting models, job checkpoints,
+	// job records and leases: the server keeps no other state on disk.
 	// Nil = a store.Disk rooted at ModelsDir; set it to share one handle
 	// or to wrap the store.
 	Store store.Store
-	// ModelsDir roots the default store and the default DataDir
-	// (empty = DefaultModelsDir, relative to the working directory).
+	// ModelsDir roots the default store (empty = DefaultModelsDir,
+	// relative to the working directory). It is unused when Store is
+	// set.
 	ModelsDir string
-	// DataDir holds job state (checkpoints). Empty = ModelsDir.
-	DataDir string
 	// MaxModels bounds the registry's resident models (0 → 8).
 	MaxModels int
 	// FlowWorkers sizes the job pool (0 → 2); flowQueueDepth jobs may
@@ -141,9 +141,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Store == nil {
 		c.Store = store.OpenDisk(c.ModelsDir)
-	}
-	if c.DataDir == "" {
-		c.DataDir = c.ModelsDir
 	}
 	if c.MaxModels <= 0 {
 		c.MaxModels = 8
@@ -222,7 +219,7 @@ func New(cfg Config) *Server {
 		proxies:    proxies,
 		shutdownCh: make(chan struct{}),
 	}
-	s.jobs = NewJobManager(cfg.DataDir, cfg.FlowWorkers, flowQueueDepth, reg,
+	s.jobs = NewJobManager(cfg.FlowWorkers, flowQueueDepth, reg,
 		cfg.Problems, cfg.Processes, cfg.Metrics, cfg.Logger)
 	if cfg.ReplicaID != "" {
 		s.jobs.EnableCluster(cfg.ReplicaID, cfg.LeaseTTL)

@@ -5,18 +5,18 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"os"
 	"testing"
 	"time"
 
 	"analogyield/internal/core"
 	"analogyield/internal/server/api"
+	"analogyield/internal/store"
 )
 
 // TestShutdownMidMCLeavesResumableCheckpoint kills a server while a
 // flow is in its Monte Carlo stage and verifies the paper flow's
 // crash-consistency contract end to end: the cooperative cancellation
-// leaves a checkpoint on disk, and a fresh server given the same
+// leaves a checkpoint in the store, and a fresh server given the same
 // request resumes from it instead of restarting.
 func TestShutdownMidMCLeavesResumableCheckpoint(t *testing.T) {
 	dir := t.TempDir()
@@ -77,11 +77,12 @@ func TestShutdownMidMCLeavesResumableCheckpoint(t *testing.T) {
 	if got.State != api.JobCancelled {
 		t.Fatalf("after shutdown: state %q (%s), want cancelled", got.State, got.Error)
 	}
-	if _, err := os.Stat(got.Checkpoint); err != nil {
+	ck := store.Key{Tenant: api.DefaultTenant, Kind: store.KindCheckpoint, Name: "ckpt-model"}
+	if _, err := srv1.Registry().Store().Stat(ck); err != nil {
 		t.Fatalf("no checkpoint left behind: %v", err)
 	}
 
-	// Server 2 shares the data directory. Resubmitting the identical
+	// Server 2 shares the store directory. Resubmitting the identical
 	// request (same budgets and seed → same config fingerprint) must
 	// resume from the checkpoint and finish the model.
 	srv2 := New(Config{ModelsDir: dir, FlowWorkers: 1, Problems: synthFactory(),

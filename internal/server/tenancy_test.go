@@ -335,11 +335,11 @@ func TestCorruptArtefactTypedErrors(t *testing.T) {
 	}
 }
 
-// TestCheckpointResumesFromStoreOnFreshDataDir kills a server mid-MC,
-// then resumes the flow on a replica that shares only the artefact
-// store — its local checkpoint directory is brand new, so the resume
-// must hydrate the checkpoint from the store.
-func TestCheckpointResumesFromStoreOnFreshDataDir(t *testing.T) {
+// TestCheckpointResumesFromStoreOnFreshServer kills a server mid-MC,
+// then resumes the flow on a fresh server that shares only the
+// artefact store: everything it knows about the half-finished flow
+// comes from the store's checkpoint.
+func TestCheckpointResumesFromStoreOnFreshServer(t *testing.T) {
 	storeDir := t.TempDir()
 	req := api.FlowRequest{
 		TenantRef:       api.TenantRef{Model: "ckpt-store"},
@@ -357,7 +357,7 @@ func TestCheckpointResumesFromStoreOnFreshDataDir(t *testing.T) {
 			return slowMCProblem{delay: 2 * time.Millisecond}
 		},
 	}
-	srv1 := New(Config{ModelsDir: storeDir, DataDir: t.TempDir(),
+	srv1 := New(Config{ModelsDir: storeDir,
 		FlowWorkers: 1, Problems: slow,
 		Metrics: &core.Metrics{}, Logger: quietLog()})
 	st, err := srv1.Jobs().Submit(req)
@@ -383,15 +383,13 @@ func TestCheckpointResumesFromStoreOnFreshDataDir(t *testing.T) {
 	}
 	shutdown(t, srv1)
 
-	// The checkpoint must have been mirrored into the shared store.
+	// The checkpoint must be in the shared store.
 	ck := store.Key{Tenant: api.DefaultTenant, Kind: store.KindCheckpoint, Name: "ckpt-store"}
 	if _, err := store.OpenDisk(storeDir).Stat(ck); err != nil {
 		t.Fatalf("no checkpoint in the store after shutdown: %v", err)
 	}
 
-	// The replica's DataDir is empty: everything it knows about the
-	// half-finished flow comes through the store.
-	srv2 := New(Config{ModelsDir: storeDir, DataDir: t.TempDir(),
+	srv2 := New(Config{ModelsDir: storeDir,
 		FlowWorkers: 1, Problems: synthFactory(),
 		Metrics: &core.Metrics{}, Logger: quietLog()})
 	defer shutdown(t, srv2)

@@ -3,8 +3,10 @@
 # replicas on one shared disk store, submit a flow job to the first,
 # SIGKILL it mid-run — no drain, no lease release, exactly the failure
 # the lease protocol exists for — and require the survivor to adopt the
-# job (lease takeover after the TTL) and finish it from the dead
-# replica's mirrored checkpoint. CI runs this as the cluster-smoke job.
+# job (lease takeover after the TTL) and finish it from the checkpoint
+# the dead replica saved to the store. The job keeps no state outside
+# the store: the store root must hold no checkpoints/ tree. CI runs
+# this as the cluster-smoke job.
 #
 #   scripts/cluster-smoke.sh
 #
@@ -62,7 +64,7 @@ flow='{"model":"smoke-ota","problem":"ota","pop_size":32,"generations":40,"mc_sa
 curl -fsS -X POST -H 'Content-Type: application/json' -d "$flow" "$A/v1/flows" >/dev/null
 echo "cluster-smoke: flow submitted to A (pid $pid_a)"
 
-# Wait for the first mirrored checkpoint, then kill the owner cold.
+# Wait for the first stored checkpoint, then kill the owner cold.
 for _ in $(seq 1 200); do
     [ -d "$store/t/default/checkpoints/smoke-ota" ] && break
     sleep 0.1
@@ -83,7 +85,20 @@ while [ "$SECONDS" -lt "$deadline" ]; do
     fi
     if [ -n "$takeover" ] \
         && curl -fsS "$B/v1/models/smoke-ota" >/dev/null 2>&1; then
-        echo "cluster-smoke: PASS — survivor finished the adopted flow and installed smoke-ota"
+        # B was never sent a flow: any job it lists is the adopted one.
+        flows_b="$(curl -fsS "$B/v1/flows")"
+        case "$flows_b" in
+        *'"model":"smoke-ota"'*'"resumed":true'*) ;;
+        *)
+            echo "cluster-smoke: FAIL — the adopted job did not resume from the stored checkpoint: $flows_b" >&2
+            exit 1
+            ;;
+        esac
+        if [ -e "$store/checkpoints" ]; then
+            echo "cluster-smoke: FAIL — job state outside the store: $(find "$store/checkpoints" | head -5)" >&2
+            exit 1
+        fi
+        echo "cluster-smoke: PASS — survivor resumed the adopted flow from the store and installed smoke-ota"
         exit 0
     fi
     sleep 0.5

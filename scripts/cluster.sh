@@ -12,8 +12,9 @@
 # replica base URLs are in $STATE_DIR/urls (comma-separated); curl any
 # replica directly, or point `aydload -url` at one of them.
 #
-# Every replica gets the same -models directory and no -data, so they
-# also share one checkpoint directory (<store>/checkpoints/...).
+# Every replica gets the same -models directory: the shared store holds
+# the models, each job's checkpoint, job record and lease, and nothing
+# else of a job lives outside it.
 #
 # Knobs (env):
 #   REPLICAS      replica count for `up` (also the positional arg)
