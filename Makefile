@@ -30,10 +30,11 @@ e2e-store:
 # Everything CI should gate on.
 check: lint test test-race
 
-# Solver/engine micro-benchmarks with baseline comparison (fails on >5%
-# ns/op regression when benchmarks/baseline.txt exists).
+# A/B benchmark of the last commit against its parent on this host:
+# alternating pairs of the go test benchmarks and perfbench workloads,
+# recorded in benchmarks/BENCH_ab.json (fails on a regressed row).
 bench-perf:
-	scripts/bench.sh
+	scripts/bench.sh HEAD~1
 
 # Open-loop load test of the yield-query serving path (in-process server
 # unless URL is set); writes benchmarks/BENCH_serve.json and, when no

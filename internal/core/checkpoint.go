@@ -53,6 +53,10 @@ type CheckpointStore interface {
 // mix two runs.
 var ErrCheckpointMismatch = errors.New("core: checkpoint was written by a different flow configuration")
 
+// ErrCheckpoint refuses saved bytes that do not decode as a checkpoint
+// of this layout version: damaged, foreign, or written by another layout.
+var ErrCheckpoint = errors.New("core: unreadable checkpoint")
+
 // checkpointFile is the CheckpointStore behind FlowConfig.Checkpoint:
 // one file, replaced by temp file + rename, so a crash mid-write never
 // corrupts an existing checkpoint. The encoding streams straight into
@@ -147,15 +151,15 @@ func encodeCheckpoint(w io.Writer, ck *checkpoint) error {
 	return nil
 }
 
-// decodeCheckpoint parses a saved checkpoint, refusing other layout
-// versions.
+// decodeCheckpoint parses a saved checkpoint. Every refusal, other
+// layout versions included, wraps ErrCheckpoint.
 func decodeCheckpoint(data []byte) (*checkpoint, error) {
 	var ck checkpoint
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&ck); err != nil {
-		return nil, fmt.Errorf("core: decoding checkpoint: %w", err)
+		return nil, fmt.Errorf("%w: %w", ErrCheckpoint, err)
 	}
 	if ck.Version != checkpointVersion {
-		return nil, fmt.Errorf("core: checkpoint has version %d, want %d", ck.Version, checkpointVersion)
+		return nil, fmt.Errorf("%w: version %d, want %d", ErrCheckpoint, ck.Version, checkpointVersion)
 	}
 	return &ck, nil
 }

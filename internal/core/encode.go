@@ -20,25 +20,22 @@
 //	         its parameters, each as the u64 of its IEEE-754 bits
 //
 // Nothing follows the last point. Stores written before this layout hold
-// v1 payloads, a gob stream of modelWire. DecodeModel still reads them,
-// but nothing writes v1 any more. A gob stream opens with a message
-// length whose first byte is below 0x80 or at least 0xF8, so no v1
-// payload starts with the magic's 0x89.
+// v1 payloads, a gob stream, which DecodeModel refuses: such a model is
+// reinstalled from its tables (README, "Reinstalling a v1 model").
 package core
 
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
 )
 
 // ErrModelPayload reports bytes DecodeModel cannot turn into a model:
-// neither layout, truncated, followed by stray bytes, counts the bytes
-// cannot hold, or points BuildModel refuses. Every DecodeModel error
-// wraps it.
+// no v2 magic (a v1 payload among them), truncated, followed by stray
+// bytes, counts the bytes cannot hold, or points BuildModel refuses.
+// Every DecodeModel error wraps it.
 var ErrModelPayload = errors.New("core: bad model payload")
 
 // modelMagic opens every v2 payload.
@@ -48,13 +45,8 @@ const modelMagic = "\x89AY2"
 // parameters: Perf and DeltaPct.
 const pointWords = 4
 
-// modelWireVersion is the version field of the v1 gob layout.
-const modelWireVersion = 1
-
-// modelWire is the v1 (gob) form of a model, and the decoded form of
-// both layouts.
+// modelWire is the decoded form of a payload.
 type modelWire struct {
-	Version        int
 	ObjectiveNames []string
 	ParamNames     []string
 	ParamUnits     []string
@@ -99,18 +91,15 @@ func EncodeModel(m *Model) ([]byte, error) {
 	return b, nil
 }
 
-// DecodeModel rebuilds a model from an EncodeModel payload of either
-// layout. Like LoadModel, the saved points were already thinned, so the
-// tables are rebuilt with no further thinning.
+// DecodeModel rebuilds a model from an EncodeModel payload. Like
+// LoadModel, the saved points were already thinned, so the tables are
+// rebuilt with no further thinning.
 func DecodeModel(b []byte) (*Model, error) {
-	var w modelWire
-	var err error
-	if bytes.HasPrefix(b, []byte(modelMagic)) {
-		err = w.decode(b[len(modelMagic):])
-	} else {
-		err = w.decodeV1(b)
+	if !bytes.HasPrefix(b, []byte(modelMagic)) {
+		return nil, fmt.Errorf("%w: no v2 magic; a v1 (gob) payload is no longer read, so reinstall the model", ErrModelPayload)
 	}
-	if err != nil {
+	var w modelWire
+	if err := w.decode(b[len(modelMagic):]); err != nil {
 		return nil, err
 	}
 	m, err := BuildModel(w.Points, w.ObjectiveNames, w.ParamNames, w.ParamUnits,
@@ -184,58 +173,4 @@ func (w *modelWire) decode(b []byte) error {
 		}
 	}
 	return nil
-}
-
-// decodeV1 reads a v1 gob payload. Gob sizes its read buffer from a
-// message's length prefix before it reads the message, so the prefixes
-// are checked against the bytes that follow them first.
-func (w *modelWire) decodeV1(b []byte) error {
-	if err := checkGobFraming(b); err != nil {
-		return err
-	}
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(w); err != nil {
-		return fmt.Errorf("%w: decoding v1 gob: %w", ErrModelPayload, err)
-	}
-	if w.Version != modelWireVersion {
-		return fmt.Errorf("%w: v1 gob with version %d, want %d", ErrModelPayload, w.Version, modelWireVersion)
-	}
-	return nil
-}
-
-// checkGobFraming walks the messages of gob stream b and refuses a
-// length prefix that is malformed or claims more bytes than remain.
-func checkGobFraming(b []byte) error {
-	for off := 0; off < len(b); {
-		n, k := gobUint(b[off:])
-		if k == 0 {
-			return fmt.Errorf("%w: v1 gob message length at byte %d is malformed or cut short", ErrModelPayload, off)
-		}
-		off += k
-		if n > uint64(len(b)-off) {
-			return fmt.Errorf("%w: v1 gob message at byte %d claims %d bytes, %d remain", ErrModelPayload, off, n, len(b)-off)
-		}
-		off += int(n)
-	}
-	return nil
-}
-
-// gobUint decodes the gob unsigned integer that opens b and returns it
-// with the number of bytes it took, or k = 0 when b holds none. A first
-// byte below 0x80 is the value itself; otherwise it is the negated
-// count, at most 8, of the big-endian value bytes that follow.
-func gobUint(b []byte) (v uint64, k int) {
-	if len(b) == 0 {
-		return 0, 0
-	}
-	if b[0] < 0x80 {
-		return uint64(b[0]), 1
-	}
-	n := -int(int8(b[0]))
-	if n > 8 || len(b) <= n {
-		return 0, 0
-	}
-	for _, c := range b[1 : 1+n] {
-		v = v<<8 | uint64(c)
-	}
-	return v, 1 + n
 }

@@ -100,9 +100,19 @@ func TestEncodeModelDeterministic(t *testing.T) {
 	}
 }
 
-// TestDecodeModelRejectsGarbage: bytes that are no payload of either
-// layout, or a v2 payload cut short, padded or claiming more than it
-// holds, are refused with ErrModelPayload.
+// v1Wire is the gob layout models had before the fixed layout, which
+// DecodeModel refuses.
+type v1Wire struct {
+	Version        int
+	ObjectiveNames []string
+	ParamNames     []string
+	ParamUnits     []string
+	Points         []ParetoPoint
+}
+
+// TestDecodeModelRejectsGarbage: bytes that are no v2 payload, v1 gob
+// payloads included, or a v2 payload cut short, padded or claiming more
+// than it holds, are refused with ErrModelPayload.
 func TestDecodeModelRejectsGarbage(t *testing.T) {
 	full, err := EncodeModel(encodeTestModel(t))
 	if err != nil {
@@ -117,7 +127,7 @@ func TestDecodeModelRejectsGarbage(t *testing.T) {
 		return b
 	}
 	var v1 bytes.Buffer
-	if err := gob.NewEncoder(&v1).Encode(modelWire{Version: 7}); err != nil {
+	if err := gob.NewEncoder(&v1).Encode(v1Wire{Version: 7}); err != nil {
 		t.Fatal(err)
 	}
 	for name, b := range map[string][]byte{
@@ -173,7 +183,7 @@ func raggedV1(t *testing.T) []byte {
 	pts := append([]ParetoPoint(nil), m.Points...)
 	pts[len(pts)-1].Params = pts[len(pts)-1].Params[:1]
 	var b bytes.Buffer
-	w := modelWire{Version: modelWireVersion, ObjectiveNames: m.ObjectiveNames, ParamNames: m.ParamNames, ParamUnits: m.ParamUnits, Points: pts}
+	w := v1Wire{Version: 1, ObjectiveNames: m.ObjectiveNames, ParamNames: m.ParamNames, ParamUnits: m.ParamUnits, Points: pts}
 	if err := gob.NewEncoder(&b).Encode(w); err != nil {
 		t.Fatal(err)
 	}

@@ -306,7 +306,8 @@ func (f *flowRun) save() error {
 }
 
 // resume loads the saved checkpoint, if any, and refuses one written
-// under another configuration with ErrCheckpointMismatch.
+// under another configuration with ErrCheckpointMismatch (and one that
+// does not decode with ErrCheckpoint).
 func (f *flowRun) resume(fp string) (*checkpoint, error) {
 	data, err := f.cfg.CheckpointStore.Load()
 	if errors.Is(err, fs.ErrNotExist) {
@@ -336,7 +337,8 @@ func (f *flowRun) resume(fp string) (*checkpoint, error) {
 // partial state is also persisted, and a later RunFlow with the same
 // configuration resumes from it with bit-identical final results. A
 // saved state from another configuration is refused with an error
-// wrapping ErrCheckpointMismatch, before any work or flow count.
+// wrapping ErrCheckpointMismatch, and one that does not decode with an
+// error wrapping ErrCheckpoint, before any work or flow count.
 func RunFlow(ctx context.Context, cfg FlowConfig) (*FlowResult, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -87,54 +87,23 @@ func modelDiff(a, b *core.Model) string {
 	return ""
 }
 
-// TestDecodeModelReadsV1: the v1 payload an older store holds and the
-// current payload of the same model decode to bit-identical points and
-// Table 3 answers.
-func TestDecodeModelReadsV1(t *testing.T) {
+// TestDecodeModelRefusesV1: the v1 payload an older store holds is
+// refused with ErrModelPayload, and the refusal says to reinstall.
+func TestDecodeModelRefusesV1(t *testing.T) {
 	v1, err := os.ReadFile(v1PayloadFile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	old, err := core.DecodeModel(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := goldenFrontNamed(t, "front64")
-	data, err := core.EncodeModel(f.model(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(data, v1) {
-		t.Fatal("EncodeModel still writes the v1 payload")
-	}
-	cur, err := core.DecodeModel(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := modelDiff(old, cur); d != "" {
-		t.Fatalf("v1 and v2 payloads decode differently: %s", d)
-	}
-	for i, q := range f.queries(cur) {
-		d0, err0 := old.DesignForScaled(q.spec0, q.spec1, q.scale)
-		d1, err1 := cur.DesignForScaled(q.spec0, q.spec1, q.scale)
-		if a, b := designRecord(d0, err0), designRecord(d1, err1); a != b {
-			t.Errorf("q%d: v1 model %s, v2 model %s", i, a, b)
-		}
+	if _, err := core.DecodeModel(v1); !errors.Is(err, core.ErrModelPayload) || !strings.Contains(err.Error(), "reinstall") {
+		t.Fatalf("DecodeModel(v1) gave %v, want an ErrModelPayload refusal that says to reinstall", err)
 	}
 }
 
 // decodeAllocBound is the most DecodeModel may allocate for input b:
 // the fixed cost of one table fit plus a share proportional to the
-// points and labels the bytes can hold. Gob, which reads v1 payloads,
-// sizes a message or a slice from the count it reads before it checks
-// the bytes behind it, capping each such allocation at 10 MiB; bytes
-// without the v2 magic get that much more.
+// points and labels the bytes can hold.
 func decodeAllocBound(b []byte) uint64 {
-	bound := 1<<20 + 512*uint64(len(b))
-	if !bytes.HasPrefix(b, []byte("\x89AY2")) {
-		bound += 10 << 20
-	}
-	return bound
+	return 1<<20 + 512*uint64(len(b))
 }
 
 // FuzzDecodeModel holds the payload boundary: any bytes give a model or

@@ -134,6 +134,28 @@ func TestDamagedStoredCheckpointStartsFresh(t *testing.T) {
 	}
 }
 
+// TestUndecodableStoredCheckpointStartsFresh: a stored checkpoint that
+// the store serves intact but core cannot decode (another layout, say) is
+// retired. The job starts afresh, succeeds, and installs the model an
+// uninterrupted run installs.
+func TestUndecodableStoredCheckpointStartsFresh(t *testing.T) {
+	req := slowFlowReq("p", 1)
+	base, _ := newTestJM(t, 1, 8, slowFactory(time.Millisecond))
+	want := runJob(t, base, req).Request.Version
+
+	m, reg := newTestJM(t, 1, 8, slowFactory(time.Millisecond))
+	if _, err := reg.Store().Put(api.DefaultTenant, store.KindCheckpoint, "p", []byte("not a checkpoint")); err != nil {
+		t.Fatal(err)
+	}
+	fin := runJob(t, m, req)
+	if fin.State != api.JobSucceeded || fin.Resumed {
+		t.Fatalf("state %q (%s), resumed %v; want succeeded, not resumed", fin.State, fin.Error, fin.Resumed)
+	}
+	if fin.Request.Version != want {
+		t.Errorf("installed version %s, uninterrupted run %s", fin.Request.Version, want)
+	}
+}
+
 // TestJobStateOnlyInStore: a server keeps its jobs' state in the
 // artefact store alone. After one cancelled and one finished job, the
 // models directory holds only the store's own trees.

@@ -476,11 +476,12 @@ func (m *JobManager) run(j *job) {
 
 	cfg.Obs = core.ObserverFunc(j.observe)
 	res, err := core.RunFlow(ctx, cfg)
-	if errors.Is(err, core.ErrCheckpointMismatch) {
+	if errors.Is(err, core.ErrCheckpointMismatch) || errors.Is(err, core.ErrCheckpoint) {
 		// The stored checkpoint is an earlier request's under this model
-		// name (a cancelled job with another seed, say). No client can
-		// delete it, so the job retires it and runs this request afresh.
-		m.log.Info("retiring a checkpoint from another flow configuration", "job", j.id, "model", j.status.Model)
+		// name (a cancelled job with another seed, say), or bytes this
+		// build cannot decode. No client can delete it, so the job retires
+		// it and runs this request afresh.
+		m.log.Info("retiring a checkpoint this request cannot resume", "job", j.id, "model", j.status.Model, "err", err)
 		if err = m.retire(j, store.KindCheckpoint); err == nil {
 			res, err = core.RunFlow(ctx, cfg)
 		}

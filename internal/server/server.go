@@ -23,9 +23,9 @@
 // bounded worker pool; GET .../flows/{id} polls status and GET
 // .../flows/{id}/events streams the typed core.Observer event stream
 // as Server-Sent Events (jobs.go, sse.go). Finished models are
-// installed into the submitting tenant's catalog, and checkpoints are
-// mirrored through the artefact store, so any replica sharing the store
-// can resume a job.
+// installed into the submitting tenant's catalog, and checkpoints live
+// in the artefact store alone, so any replica sharing the store can
+// resume a job.
 //
 // Shutdown is graceful: in-flight queries drain, running flows are
 // cancelled cooperatively and leave resumable checkpoints, and SSE

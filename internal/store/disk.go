@@ -80,10 +80,15 @@ func (s *Disk) Put(tenant string, kind Kind, name string, payload []byte) (Info,
 	}
 	key.Version = Version(payload)
 
-	// 1. Blob: skip the write when the content already exists (identical
-	// content from any tenant/name lands on the same blob).
+	// 1. Blob: identical content from any tenant/name lands on the same
+	// blob. A sound one is kept; a missing or damaged one is (re)written,
+	// so putting the same payload again repairs it.
 	bp := s.blobPath(key.Version)
-	if _, err := os.Stat(bp); err != nil {
+	old, err := os.ReadFile(bp)
+	if err == nil {
+		_, err = decodeArtefact(old, kind, key.Version)
+	}
+	if err != nil {
 		if err := writeFileAtomic(bp, encodeArtefact(kind, payload)); err != nil {
 			return Info{}, fmt.Errorf("store: writing blob: %w", err)
 		}

@@ -348,6 +348,39 @@ func TestCorruptArtefacts(t *testing.T) {
 	})
 }
 
+// TestPutRepairsDamagedBlob: putting a payload again rewrites a blob
+// that is damaged at its content address, and leaves a sound one alone.
+func TestPutRepairsDamagedBlob(t *testing.T) {
+	payload := []byte("a model payload of reasonable length")
+	s := OpenDisk(t.TempDir())
+	info, err := s.Put("acme", KindModel, "ota", payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp := s.blobPath(info.Version)
+	b, err := os.ReadFile(bp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustWrite(t, bp, b[:3])
+	if _, err := s.Put("acme", KindModel, "ota", payload); err != nil {
+		t.Fatal(err)
+	}
+	if got, _, err := s.Get(info.Key); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("Get after a repairing Put = %q, %v", got, err)
+	}
+	sound, err := os.Stat(bp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Put("acme", KindModel, "other", payload); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := os.Stat(bp); err != nil || !os.SameFile(sound, again) {
+		t.Fatalf("a Put of identical content rewrote the sound blob (%v)", err)
+	}
+}
+
 func mustWrite(t *testing.T, path string, b []byte) {
 	t.Helper()
 	if err := os.WriteFile(path, b, 0o644); err != nil {

@@ -1,114 +1,52 @@
 #!/usr/bin/env bash
-# Run the performance benchmark suite and compare against the recorded
-# baseline.
-#
-#   scripts/bench.sh            run + compare (fails on >5% regression)
-#   BENCH_COUNT=5 scripts/bench.sh   more repetitions for stable numbers
-#
-# Results land in benchmarks/latest.txt (raw `go test -bench` output
-# under a "# host:" line giving CPU, nproc, GOMAXPROCS and Go version)
-# and benchmarks/BENCH_flow.json (machine-readable: benchmark name to
-# ns/op, B/op, allocs/op, plus the same host record under "_host" —
-# what the CI smoke job uploads). Promote a run to the baseline with
-# `cp benchmarks/latest.txt benchmarks/baseline.txt` once the numbers
-# are intentional.
+# A/B benchmark of two commits on this host at one time:
+#   scripts/bench.sh BASE [HEAD]    HEAD defaults to HEAD; BENCH_COUNT pairs (default 10)
+# Both commits are extracted with `git archive` into a temporary directory.
+# Pair i runs each package's benchmarks, the root BenchmarkMCNaiveVsIS and
+# each perfbench workload (seed i, untraced) on both sides in turn, the
+# first side alternating; a failed or incorrect run stops the tool.
+# scripts/abgate writes benchmarks/BENCH_ab.json and exits 1 on a
+# regressed or missing row.
 set -euo pipefail
-
 cd "$(dirname "$0")/.."
+declare -A rev=([base]=$(git rev-parse --verify "${1:?usage: scripts/bench.sh BASE [HEAD]}^{commit}")
+    [head]=$(git rev-parse --verify "${2:-HEAD}^{commit}"))
+pkgs="mos num analysis ota filter wbga pareto montecarlo core spline table server"
+seconds=$(sed -n 's/^ *"run_seconds": *\([0-9.]*\).*/\1/p' BENCHMARK.json)
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+for s in base head; do
+    echo "== building $s ${rev[$s]}"
+    mkdir "$tmp/$s"
+    git archive "${rev[$s]}" | tar -x -C "$tmp/$s"
+    (cd "$tmp/$s" && go test -c -trimpath -o bin/ . $(printf './internal/%s ' $pkgs))
+done
 
-COUNT="${BENCH_COUNT:-1}"
-PKGS="./internal/mos ./internal/num ./internal/analysis ./internal/ota ./internal/filter ./internal/wbga ./internal/pareto ./internal/montecarlo ./internal/core ./internal/spline ./internal/table ./internal/server"
-OUT=benchmarks/latest.txt
-JSON=benchmarks/BENCH_flow.json
-
-mkdir -p benchmarks
-
-CPU=$(awk -F': *' '/^model name/ { print $2; exit }' /proc/cpuinfo 2>/dev/null || true)
-NPROC=$(nproc 2>/dev/null || echo 1)
-PROCS="${GOMAXPROCS:-$NPROC}"
-GOVER=$(go env GOVERSION)
-
-echo "== benchmarking (count=$COUNT, GOMAXPROCS=$PROCS): $PKGS"
-# -run '^$' skips tests so only benchmarks execute.
-{
-    echo "# host: cpu=\"${CPU:-unknown}\" nproc=$NPROC gomaxprocs=$PROCS go=$GOVER"
-    go test -run '^$' -bench . -benchmem -count "$COUNT" $PKGS
-} | tee "$OUT"
-
-# Reduce the raw output to name -> {ns_per_op, bytes_per_op, allocs_per_op},
-# averaged across -count repetitions, with the -N GOMAXPROCS suffix
-# stripped so runs from different machines share keys.
-awk -v cpu="${CPU:-unknown}" -v nproc="$NPROC" -v procs="$PROCS" -v gover="$GOVER" '
-function bench_name(s) { sub(/-[0-9]+$/, "", s); return s }
-/^Benchmark/ {
-    name = bench_name($1)
-    if (!(name in seen)) { order[++k] = name; seen[name] = 1 }
-    cnt[name]++
-    for (i = 2; i <= NF; i++) {
-        if ($i == "ns/op")     ns[name] += $(i-1)
-        if ($i == "B/op")      by[name] += $(i-1)
-        if ($i == "allocs/op") al[name] += $(i-1)
-    }
+# run SIDE PAIR LAYER DIR CMD... runs CMD in the side's DIR and appends one
+# "SIDE LAYER OP UNIT VALUE" line per go test -bench figure or perfbench metric.
+run() {
+    local side=$1 layer=$3
+    (cd "$tmp/$side/$4" && shift 4 && "$@") > "$tmp/out" 2>&1 && ! grep -q '"correct":false' "$tmp/out" ||
+        { tail -n 20 "$tmp/out"; echo "FAIL: $layer on the $side side (${rev[$side]}), pair $2"; exit 1; }
+    awk -v id="$side $layer" '/^Benchmark/ { sub(/^Benchmark/, "", $1); sub(/-[0-9]+$/, "", $1)
+            for (i = 3; i < NF; i += 2) print id, $1, $(i + 1), $i }
+        /^\{"correct"/ { while (match($0, /"[a-z0-9_]+":\{"value":[^,]*,"unit":"[^"]*"/)) {
+            split(substr($0, RSTART, RLENGTH), f, "\""); gsub(/[:,]/, "", f[5])
+            print id, f[2], f[8], f[5]; $0 = substr($0, RSTART + RLENGTH) } }' "$tmp/out" >> "$tmp/figures"
 }
-END {
-    print "{"
-    printf "  \"_host\": {\"cpu\": \"%s\", \"nproc\": %d, \"gomaxprocs\": %d, \"go\": \"%s\"},\n",
-        cpu, nproc, procs, gover
-    for (j = 1; j <= k; j++) {
-        name = order[j]; c = cnt[name]
-        printf "  \"%s\": {\"ns_per_op\": %.1f, \"bytes_per_op\": %.1f, \"allocs_per_op\": %.1f}%s\n",
-            name, ns[name]/c, by[name]/c, al[name]/c, (j < k) ? "," : ""
-    }
-    print "}"
-}' "$OUT" > "$JSON"
-echo "== wrote $JSON"
-
-# Variance-reduced Monte Carlo benchmark: how many circuit evaluations
-# a naive yield estimator would need to match the importance-sampled
-# estimate's variance, per evaluation actually spent (the custom
-# naive_evals_ratio metric; the headline claim is >= 10). Kept out of
-# the baseline comparison: its ns/op is dominated by a fixed simulation
-# budget and its value lives in the custom metrics. The metrics come
-# from the last iteration's MC seed (37 + i), so -benchtime 1x pins the
-# run to seed 37; letting the host's speed pick b.N would change the
-# reported estimate, not just its timing.
-MCOUT=benchmarks/mc_latest.txt
-MCJSON=benchmarks/BENCH_mc.json
-echo
-echo "== benchmarking MC variance reduction"
-{
-    echo "# host: cpu=\"${CPU:-unknown}\" nproc=$NPROC gomaxprocs=$PROCS go=$GOVER"
-    go test -run '^$' -bench 'BenchmarkMCNaiveVsIS' -benchtime 1x -count 1 .
-} | tee "$MCOUT"
-
-# Reduce to name -> {metric: value} keeping every reported unit
-# (ns_per_op, naive_evals_ratio, ess, yield_pct, ...).
-awk '
-function bname(s) { sub(/-[0-9]+$/, "", s); return s }
-/^Benchmark/ {
-    name = bname($1)
-    if (!(name in seen)) { order[++nb] = name; seen[name] = 1; nu[name] = 0 }
-    for (i = 3; i < NF; i += 2) {
-        u = $(i+1); gsub(/[^A-Za-z0-9]/, "_", u)
-        id = name SUBSEP u
-        if (!(id in val)) { nu[name]++; uname[name, nu[name]] = u }
-        val[id] += $i; cnt[id]++
-    }
-}
-END {
-    print "{"
-    for (j = 1; j <= nb; j++) {
-        name = order[j]
-        printf "  \"%s\": {", name
-        for (q = 1; q <= nu[name]; q++) {
-            u = uname[name, q]; id = name SUBSEP u
-            printf "%s\"%s\": %.6g", (q > 1) ? ", " : "", u, val[id] / cnt[id]
-        }
-        printf "}%s\n", (j < nb) ? "," : ""
-    }
-    print "}"
-}' "$MCOUT" > "$MCJSON"
-echo "== wrote $MCJSON"
-
-echo
-scripts/bench-compare.sh benchmarks/baseline.txt "$OUT"
+bench="-test.run ^$ -test.benchmem -test.bench"
+for ((i = 1; i <= ${BENCH_COUNT:-10}; i++)); do
+    order="base head"; ((i % 2)) || order="head base"
+    echo "== pair $i: $order"
+    for job in $pkgs analogyield flow_naive design_is query_single query_churn; do
+        for s in $order; do
+            case $job in
+            analogyield) run $s $i $job . bin/$job.test $bench MCNaiveVsIS -test.benchtime 1x ;;
+            *_*) run $s $i $job . bash perfbench/run.sh --workload $job --seed $i --seconds "$seconds" --trace 0 ;;
+            *) run $s $i $job internal/$job ../../bin/$job.test $bench . -test.benchtime 200ms ;;
+            esac
+        done
+    done
+done
+go run ./scripts/abgate "${rev[base]}" "${rev[head]}" BENCHMARK.json \
+    "$(awk -F': *' '/^model name/ { print $2; exit }' /proc/cpuinfo), $(nproc) CPUs" < "$tmp/figures" > benchmarks/BENCH_ab.json
