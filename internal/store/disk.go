@@ -21,13 +21,14 @@ import (
 //	  t/<tenant>/<kind>/<name>/refs/<version>   one file per version (content: payload size)
 //	  t/<tenant>/<kind>/<name>/LATEST           current version string
 //
-// Blobs are written once via temp-file + rename and never modified:
+// Blobs are written via temp-file + rename and never modified in place:
 // two replicas racing to Put identical content converge on the same
-// blob path, and a Put of new content only becomes visible when the
-// LATEST rename lands — readers see the old or the new version, never
-// a torn one. Deleting refs leaves blobs in place (they may be shared
-// across names and tenants); a missing blob behind a live ref is
-// reported as corruption, never a panic.
+// blob path, a Put that finds a damaged blob at that path replaces it,
+// and a Put of new content only becomes visible when the LATEST rename
+// lands — readers see the old or the new version, never a torn one.
+// Deleting refs leaves blobs in place (they may be shared across names
+// and tenants); a missing blob behind a live ref is reported as
+// corruption, never a panic.
 type Disk struct {
 	root string
 }
